@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from . import f2linalg, steenrod
 from .complexes import (CohomologyClass, SimplicialComplex, TopologyError,
-                        cup_cochain_f2, f2_class, is_poincare_f2)
+                        cup_cochain_f2, duality_pairing_f2, f2_class,
+                        is_poincare_f2)
 
 
 def partitions(n: int) -> list[tuple[int, ...]]:
@@ -41,20 +42,15 @@ def wu_classes(K: SimplicialComplex) -> list[CohomologyClass]:
         for k in range(n + 1):
             hk = K.cohomology_f2(k)
             hc = K.cohomology_f2(n - k)
-            m = hk.dim
-            rows = []
-            rhs = []
-            for c in hc.basis:
-                row = 0
-                for i, b in enumerate(hk.basis):
-                    cup = cup_cochain_f2(K, k, n - k, b, c)
-                    if f2linalg.dot(cup, fc):
-                        row |= 1 << i
-                rows.append(row)
+            # equation j pairs v_k with the j-th H^(n-k) class, so the
+            # pairing rows are the columns of this system
+            rhs = 0
+            for j, c in enumerate(hc.basis):
                 sqc = steenrod.sq_on_mask(K, k, n - k, c)
-                rhs.append(f2linalg.dot(sqc, fc) if sqc else 0)
-            sol = f2linalg.solve_square(rows, rhs)
-            if sol is None or len(rows) != m:
+                if f2linalg.dot(sqc, fc):
+                    rhs |= 1 << j
+            sol = f2linalg.solve_square(duality_pairing_f2(K, k), rhs)
+            if sol is None or hc.dim != hk.dim:
                 raise TopologyError("duality pairing singular")
             out.append(f2_class(K, k, hk.rep(sol)))
         return out

@@ -9,6 +9,7 @@ keys are the field names of the underlying dataclasses.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -71,18 +72,8 @@ def _numbers_json(numbers: dict, n: int) -> list:
 
 
 def _panel_json(p: intersection.InvariantPanel) -> dict:
-    return {
-        "dim": p.dim,
-        "sw_numbers": _numbers_json(p.sw_numbers, p.dim),
-        "orientable": p.orientable,
-        "k_orientable_max": p.k_orientable_max,
-        "spin": p.spin,
-        "spin_c": p.spin_c,
-        "de_rham": p.de_rham,
-        "even_form": p.even_form,
-        "signature_mod8": p.signature_mod8,
-        "signature": p.signature,
-    }
+    return {**dataclasses.asdict(p),
+            "sw_numbers": _numbers_json(p.sw_numbers, p.dim)}
 
 
 def _fmt_partition(part) -> str:
@@ -94,9 +85,8 @@ def _fmt_partition(part) -> str:
 def _cmd_homology(args) -> int:
     K = _load_complex(args.complex)
     summaries = homology(K, args.ring)
-    payload = {"ring": args.ring, "summaries": [
-        {"degree": h.degree, "betti": h.betti, "torsion": list(h.torsion)}
-        for h in summaries]}
+    payload = {"ring": args.ring,
+               "summaries": [dataclasses.asdict(h) for h in summaries]}
     lines = [f"homology over {args.ring} (dimension {K.dimension})"]
     for h in summaries:
         tor = " + ".join(f"Z/{t}" for t in h.torsion)
@@ -149,14 +139,7 @@ def _cmd_sw_numbers(args) -> int:
 def _cmd_obstructions(args) -> int:
     K = _load_complex(args.complex)
     ob = charclasses.obstructions(K)
-    payload = {
-        "orientable": ob.orientable,
-        "k_orientable_max": ob.k_orientable_max,
-        "spin": ob.spin,
-        "spin_c": ob.spin_c,
-        "de_rham": ob.de_rham,
-        "null_cobordant": ob.null_cobordant,
-    }
+    payload = dataclasses.asdict(ob)
     lines = [
         f"orientable: {str(ob.orientable).lower()}",
         f"k_orientable_max: {ob.k_orientable_max}",
@@ -188,13 +171,15 @@ def _cmd_intersection(args) -> int:
     K = _load_complex(args.complex)
     form = intersection.intersection_form(K)
     sig = intersection.signature(K)
+    sig8 = intersection.signature_mod8(K)
+    even = intersection.form_even(K)
     payload = {
         "m": form.m,
         "rank": form.rank,
         "gram": [list(r) for r in form.gram],
         "signature": sig,
-        "signature_mod8": intersection.signature_mod8(K),
-        "even": intersection.form_even(K),
+        "signature_mod8": sig8,
+        "even": even,
         "orientation_tag": form.orientation_tag,
     }
     lines = [f"intersection form in degree {2 * form.m} "
@@ -202,8 +187,8 @@ def _cmd_intersection(args) -> int:
     for row in form.gram:
         lines.append("  [" + " ".join(f"{x:3d}" for x in row) + "]")
     lines.append(f"signature: {sig}")
-    lines.append(f"signature mod 8: {intersection.signature_mod8(K)}")
-    lines.append(f"even: {str(intersection.form_even(K)).lower()}")
+    lines.append(f"signature mod 8: {sig8}")
+    lines.append(f"even: {str(even).lower()}")
     _emit(args, payload, lines)
     return 0
 

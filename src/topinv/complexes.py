@@ -26,23 +26,22 @@ class SimplicialComplex:
     """A finite abstract simplicial complex given by maximal simplices."""
 
     def __init__(self, simplices):
-        cleaned = []
+        cleaned = set()
         for s in simplices:
             t = tuple(sorted(s))
             if len(set(t)) != len(t):
                 raise ParseError("duplicate vertex in simplex")
             if not t:
                 raise ParseError("empty simplex")
-            cleaned.append(t)
+            cleaned.add(t)
         if not cleaned:
             raise ParseError("complex has no simplices")
-        # drop faces of other listed simplices, then dedupe
-        maximal = []
-        for s in cleaned:
-            if any(set(s) < set(t) for t in cleaned):
-                continue
-            if s not in maximal:
-                maximal.append(s)
+        # drop proper faces of other listed simplices; only face sizes that
+        # occur in the list can match, so a pure complex enumerates none
+        sizes = {len(s) for s in cleaned}
+        faces = {f for t in cleaned for r in sizes if r < len(t)
+                 for f in itertools.combinations(t, r)}
+        maximal = cleaned - faces
         self.maximal_simplices: tuple[tuple[int, ...], ...] = tuple(sorted(maximal))
         self.dimension: int = max(len(s) for s in maximal) - 1
         self.vertices: tuple[int, ...] = tuple(
@@ -176,33 +175,18 @@ class F2Cohomology:
     def __init__(self, K: SimplicialComplex, k: int):
         self.complex = K
         self.degree = k
-        brows: dict[int, int] = {}
+        # coboundaries first (expression 0), then each new cocycle residue
+        # as basis vector i (expression 1 << i)
+        ech = f2linalg.Echelon()
         for c in (K.coboundary_f2(k - 1) if k >= 1 else []):
-            v = c
-            while v:
-                b = v.bit_length() - 1
-                if b in brows:
-                    v ^= brows[b]
-                else:
-                    brows[b] = v
-                    break
-        hrows: dict[int, tuple[int, int]] = {}
+            ech.insert(c)
         basis: list[int] = []
         for z in f2linalg.kernel_basis(K.coboundary_f2(k)):
-            v = z
-            while v:
-                b = v.bit_length() - 1
-                if b in brows:
-                    v ^= brows[b]
-                elif b in hrows:
-                    v ^= hrows[b][0]
-                else:
-                    break
-            if v:
-                hrows[v.bit_length() - 1] = (v, 1 << len(basis))
-                basis.append(v)
-        self._brows = brows
-        self._hrows = hrows
+            res, _ = ech.residue(z)
+            if res:
+                ech.insert(res, 1 << len(basis))
+                basis.append(res)
+        self._ech = ech
         self.basis = basis
 
     @property
@@ -211,17 +195,9 @@ class F2Cohomology:
 
     def coords(self, z: int) -> int:
         """Coordinates of a cocycle mask over the basis, as a mask."""
-        v, expr = z, 0
-        while v:
-            b = v.bit_length() - 1
-            if b in self._brows:
-                v ^= self._brows[b]
-            elif b in self._hrows:
-                row, e = self._hrows[b]
-                v ^= row
-                expr ^= e
-            else:
-                raise ValueError("not a cocycle")
+        res, expr = self._ech.residue(z)
+        if res:
+            raise ValueError("not a cocycle")
         return expr
 
     def rep(self, coords: int) -> int:
@@ -370,7 +346,7 @@ def homology(K: SimplicialComplex, ring: str = "Z") -> list[HomologySummary]:
             rk_out = f2linalg.rank(K.coboundary_f2(k))
             out.append(HomologySummary(k, K.n_simplices(k) - rk_in - rk_out, ()))
         return out
-    dzs = {k: zlinalg.diagonalize(K.boundary_z(k)) for k in range(1, n + 2)}
+    dzs = {k: zlinalg.diagonalize(K.boundary_z(k)) for k in range(1, n + 1)}
     for k in range(n + 1):
         rk_k = dzs[k].rank if k >= 1 else 0
         rk_up = dzs[k + 1].rank if k + 1 <= n else 0
@@ -390,21 +366,6 @@ def _norm_ring(ring: str) -> str:
     if r == "Z":
         return "Z"
     raise ValueError(f"unknown ring: {ring!r}")
-
-
-@dataclass
-class FundamentalCycle:
-    ring: str
-    chain: object
-    complex: SimplicialComplex = field(repr=False)
-
-
-def fundamental_class(K: SimplicialComplex, ring: str = "F2") -> FundamentalCycle:
-    """Top-degree fundamental cycle; errors if top homology is not rank 1."""
-    ring = _norm_ring(ring)
-    if ring == "F2":
-        return FundamentalCycle("F2", K.fundamental_class_f2(), K)
-    return FundamentalCycle("Z", K.fundamental_class_z(), K)
 
 
 def cup_cochain_f2(K: SimplicialComplex, p: int, q: int, x: int, y: int) -> int:
@@ -478,28 +439,38 @@ class PoincareReport:
         return self.perfect
 
 
+def duality_pairing_f2(K: SimplicialComplex, k: int) -> list[int]:
+    """Matrix of <x cup y, [K]> for x, y in the H^k and H^(n-k) bases.
+
+    Row i is a mask over the H^(n-k) basis for the i-th H^k basis class.
+    """
+    def build():
+        n = K.dimension
+        fc = K.fundamental_class_f2()
+        hc = K.cohomology_f2(n - k)
+        rows = []
+        for xb in K.cohomology_f2(k).basis:
+            mask = 0
+            for j, yb in enumerate(hc.basis):
+                if f2linalg.dot(cup_cochain_f2(K, k, n - k, xb, yb), fc):
+                    mask |= 1 << j
+            rows.append(mask)
+        return rows
+    return K._memo(("pair", k), build)
+
+
 def is_poincare_f2(K: SimplicialComplex) -> PoincareReport:
     """Whether the F2 cup pairing H^k x H^(n-k) -> F2 is perfect in all degrees."""
     n = K.dimension
-    fc = K.fundamental_class_f2()
     ranks = []
     dims = []
     first_bad = None
     for k in range(n + 1):
-        hk = K.cohomology_f2(k)
-        hc = K.cohomology_f2(n - k)
-        rows = []
-        for xb in hk.basis:
-            mask = 0
-            for j, yb in enumerate(hc.basis):
-                cup = cup_cochain_f2(K, k, n - k, xb, yb)
-                if f2linalg.dot(cup, fc):
-                    mask |= 1 << j
-            rows.append(mask)
-        r = f2linalg.rank(rows)
+        dk = K.cohomology_f2(k).dim
+        r = f2linalg.rank(duality_pairing_f2(K, k))
         ranks.append(r)
-        dims.append(hk.dim)
-        if (hk.dim != hc.dim or r != hk.dim) and first_bad is None:
+        dims.append(dk)
+        if (dk != K.cohomology_f2(n - k).dim or r != dk) and first_bad is None:
             first_bad = k
     return PoincareReport(first_bad is None, tuple(ranks), tuple(dims), first_bad)
 

@@ -77,11 +77,12 @@ def kernel_basis(columns: list[int]) -> list[int]:
     return ker
 
 
-def solve(columns: list[int], b: int) -> int | None:
+def solve_square(columns: list[int], b: int) -> int | None:
     """One solution mask x with xor of columns[i] over bits of x equal to b.
 
-    Returns None when b is outside the column span.  Free coordinates are
-    set to zero.
+    Returns None when b is outside the column span.  With independent
+    columns (an invertible square system) the solution is unique; free
+    coordinates are otherwise set to zero.
     """
     ech = Echelon()
     for j, c in enumerate(columns):
@@ -90,37 +91,3 @@ def solve(columns: list[int], b: int) -> int | None:
     if res != 0:
         return None
     return expr
-
-
-def solve_square(rows: list[int], b_bits: list[int]) -> int | None:
-    """Solve A x = b for a square system given as row masks.
-
-    Returns None when the system is inconsistent; with A invertible the
-    solution is unique.  Free variables, if any, are set to zero.
-    """
-    n = len(rows)
-    mask = (1 << n) - 1
-    store: dict[int, int] = {}
-    for i in range(n):
-        v = rows[i] | (b_bits[i] << n)
-        while v & mask:
-            b = (v & mask).bit_length() - 1
-            if b in store:
-                v ^= store[b]
-                continue
-            # clear lower pivot bits, then keep every stored row free of b
-            for p in list(store):
-                if (v >> p) & 1:
-                    v ^= store[p]
-            for p, r in list(store.items()):
-                if (r >> b) & 1:
-                    store[p] = r ^ v
-            store[b] = v
-            v = 0
-        if v:
-            return None
-    x = 0
-    for b, r in store.items():
-        if (r >> n) & 1:
-            x |= 1 << b
-    return x

@@ -9,6 +9,7 @@ reports whether any implemented obstruction separates two complexes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import charclasses, quadforms, zlinalg
@@ -30,6 +31,11 @@ class IntersectionForm:
     @property
     def rank(self) -> int:
         return len(self.gram)
+
+    @functools.cached_property
+    def quadratic_form(self) -> quadforms.QuadraticForm:
+        """The gram as a rational form, built once per intersection form."""
+        return quadforms.QuadraticForm(self.gram)
 
 
 def intersection_form(K: SimplicialComplex) -> IntersectionForm:
@@ -71,22 +77,17 @@ def intersection_form(K: SimplicialComplex) -> IntersectionForm:
 
 def signature(K: SimplicialComplex) -> int:
     """Sylvester signature of the intersection form, exact."""
-    form = intersection_form(K)
-    if not form.gram:
-        return 0
-    return quadforms.real_signature(quadforms.QuadraticForm(form.gram))
+    return quadforms.real_signature(intersection_form(K).quadratic_form)
 
 
 def signature_mod8(K: SimplicialComplex) -> int:
     """Signature mod 8, cross-checked through the local invariants."""
     sig = signature(K)
-    form = intersection_form(K)
-    if form.gram:
-        local = quadforms.signature_mod8_from_local(
-            quadforms.QuadraticForm(form.gram))
-        if local != sig % 8:
-            raise TopologyError(
-                "signature mod 8 routes disagree (local vs Sylvester)")
+    local = quadforms.signature_mod8_from_local(
+        intersection_form(K).quadratic_form)
+    if local != sig % 8:
+        raise TopologyError(
+            "signature mod 8 routes disagree (local vs Sylvester)")
     return sig % 8
 
 
@@ -97,8 +98,7 @@ def form_even(K: SimplicialComplex) -> bool:
     Wu class; a mismatch raises.
     """
     form = intersection_form(K)
-    gram_even = (True if not form.gram else
-                 quadforms.is_even(quadforms.QuadraticForm(form.gram)))
+    gram_even = quadforms.is_even(form.quadratic_form)
     v2m_zero = charclasses.wu_classes(K)[2 * form.m].is_zero
     if gram_even != v2m_zero:
         raise TopologyError(
@@ -162,10 +162,9 @@ def forms_rationally_equivalent(
     so the comparison is reported twice: against the second form as-is
     and against its negation.
     """
-    f = quadforms.QuadraticForm(intersection_form(k1).gram)
-    gram2 = intersection_form(k2).gram
-    g = quadforms.QuadraticForm(gram2)
-    gneg = quadforms.QuadraticForm([[-v for v in row] for row in gram2])
+    f = intersection_form(k1).quadratic_form
+    g = intersection_form(k2).quadratic_form
+    gneg = quadforms.QuadraticForm([[-v for v in row] for row in g.gram])
     return (quadforms.rationally_equivalent(f, g),
             quadforms.rationally_equivalent(f, gneg))
 

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 
 class FormError(ValueError):
     pass
@@ -24,8 +22,10 @@ class FormError(ValueError):
 class QuadraticForm:
     """Nonsingular symmetric rational Gram matrix with cached exact data.
 
-    The rational diagonalization and determinant are computed eagerly at
-    construction, so instances are immutable and safe to share.
+    The rational diagonalization is computed eagerly at construction, so
+    instances are immutable and safe to share.  Every congruence step of
+    the diagonalization has determinant +-1, so det is the product of the
+    diagonal.
     """
 
     def __init__(self, rows):
@@ -39,10 +39,8 @@ class QuadraticForm:
                     raise FormError("gram matrix not symmetric")
         self.gram = gram
         self.dim = n
-        self.det = _det(gram)
-        if self.det == 0:
-            raise FormError("singular form")
         self.diagonal: tuple[Fraction, ...] = tuple(_diagonalize(gram))
+        self.det: Fraction = math.prod(self.diagonal, start=Fraction(1))
 
     @property
     def is_integral(self) -> bool:
@@ -50,25 +48,6 @@ class QuadraticForm:
 
     def __repr__(self):
         return f"QuadraticForm(dim={self.dim}, det={self.det})"
-
-
-def _det(gram) -> Fraction:
-    a = [list(row) for row in gram]
-    n = len(a)
-    d = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            d = -d
-        d *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return d
 
 
 def _diagonalize(gram) -> list[Fraction]:
@@ -116,11 +95,6 @@ def _diagonalize(gram) -> list[Fraction]:
                 for row in a:
                     row[i] -= f * row[k]
     return diag
-
-
-def rational_diagonalize(form: QuadraticForm) -> tuple[Fraction, ...]:
-    """Diagonal of a congruent diagonal form (exact, deterministic)."""
-    return form.diagonal
 
 
 def p_split(r, p: int) -> tuple[int, Fraction]:
@@ -203,9 +177,13 @@ def relevant_odd_primes(form: QuadraticForm) -> list[int]:
     """Odd primes at which the form can have nonzero p-excess."""
     ps: set[int] = set()
     for d in form.diagonal:
-        for part in (d.numerator, d.denominator):
-            ps.update(sympy.factorint(abs(part)))
-    ps.discard(2)
+        for part in (abs(d.numerator), d.denominator):
+            odd = part // (part & -part)
+            if odd > 1:
+                # sympy costs more to import than most forms take to
+                # diagonalize, so only a form that needs factoring loads it
+                from sympy import factorint
+                ps.update(factorint(odd))
     return sorted(ps)
 
 

@@ -6,9 +6,8 @@ no floating point appears anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import sympy
 
 
 def identity(n: int) -> list[list[int]]:
@@ -148,22 +147,16 @@ def diagonalize(a: list[list[int]], ncols: int | None = None) -> Diagonalization
 def invariant_factors(diag: list[int]) -> list[int]:
     """Divisibility-chain normal form of a diagonal entry multiset.
 
-    Redistributes prime powers so each factor divides the next; entries
-    equal to zero are dropped (the caller keeps track of rank).
+    Pairwise gcd/lcm steps keep the product and leave each factor dividing
+    every later one; units lead unchanged, so only the rest is paired.
+    Entries equal to zero are dropped (the caller keeps track of rank).
     """
-    entries = [x for x in diag if x]
-    by_prime: dict[int, list[int]] = {}
-    for x in entries:
-        for p, e in sympy.factorint(abs(x)).items():
-            by_prime.setdefault(p, []).append(e)
-    r = len(entries)
-    factors = [1] * r
-    for p, exps in by_prime.items():
-        exps = sorted(exps)
-        # largest exponents go to the last invariant factor
-        for i, e in enumerate(exps):
-            factors[r - len(exps) + i] *= p ** e
-    return factors
+    factors = [abs(x) for x in diag if abs(x) > 1]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            factors[i], factors[j] = math.gcd(a, b), math.lcm(a, b)
+    return [1] * sum(1 for x in diag if abs(x) == 1) + factors
 
 
 def kernel_basis(a: list[list[int]], ncols: int | None = None) -> list[list[int]]:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +198,20 @@ def test_help_exits_0(capsys):
     assert cli.main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "compare" in out and "qf-equiv" in out
+
+
+def test_sympy_imported_only_to_factor(files):
+    # complex verbs never factor; qf on E8 must factor 3, 5 and 7
+    code = (
+        "import sys, topinv.cli\n"
+        "seen = ['sympy' in sys.modules]\n"
+        f"topinv.cli.main(['panel', {files['CP2']!r}])\n"
+        "seen.append('sympy' in sys.modules)\n"
+        f"topinv.cli.main(['qf', {files['E8']!r}])\n"
+        "seen.append('sympy' in sys.modules)\n"
+        "print(seen, file=sys.stderr)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          check=True)
+    assert proc.stderr.strip() == "[False, False, True]"

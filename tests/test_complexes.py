@@ -38,6 +38,17 @@ def test_maximal_face_normalization():
     K = cx.SimplicialComplex([(0, 1, 2), (0, 1), (3, 4), (2, 1, 0)])
     assert K.maximal_simplices == ((0, 1, 2), (3, 4))
     assert K.dimension == 2
+    # duplicate facets, and faces of every size listed before their coface
+    K = cx.SimplicialComplex([(5,), (3, 4), (4, 3), (1, 2), (2,), (7, 6),
+                              (0, 1, 2, 3), (3, 2, 1, 0), (6, 7), (4, 5)])
+    assert K.maximal_simplices == ((0, 1, 2, 3), (3, 4), (4, 5), (6, 7))
+    assert K.vertices == tuple(range(8))
+    assert K.dimension == 3
+    # the first bad simplex in list order names the error
+    with pytest.raises(cx.ParseError, match="duplicate vertex"):
+        cx.SimplicialComplex([(0, 1, 2), (3, 3), ()])
+    with pytest.raises(cx.ParseError, match="empty simplex"):
+        cx.SimplicialComplex([(0, 1, 2), (), (3, 3)])
 
 
 def test_boundary_squared_zero(fixtures):
@@ -211,6 +222,55 @@ def test_z_class_coords_detect_coboundaries(fixtures):
     assert h.is_zero(vec)
     rep = h.rep(0)
     assert not h.is_zero(rep)
+
+
+def test_invariant_factors_prime_power_oracle(rng):
+    import sympy
+
+    def oracle(diag):
+        # the i-th factor takes the i-th smallest exponent of each prime
+        entries = [abs(x) for x in diag if x]
+        factors = [1] * len(entries)
+        exps = {}
+        for x in entries:
+            for p, e in sympy.factorint(x).items():
+                exps.setdefault(p, []).append(e)
+        for p, es in exps.items():
+            for i, e in enumerate(sorted(es)):
+                factors[len(entries) - len(es) + i] *= p ** e
+        return factors
+
+    for _ in range(200):
+        diag = [rng.choice((0, 1, -1, 2, -2, 3, 4, 6, 9, 10, 12, 25, 45, 60))
+                for _ in range(rng.randint(0, 8))]
+        got = zlinalg.invariant_factors(diag)
+        assert got == oracle(diag), diag
+        assert all(b % a == 0 for a, b in zip(got, got[1:]))
+
+
+def test_solve_square_against_brute_force(rng):
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        cols = [rng.randrange(1 << n) for _ in range(n)]
+        b = rng.randrange(1 << n)
+        images = {}
+        for x in range(1 << n):
+            img = 0
+            for j in range(n):
+                if (x >> j) & 1:
+                    img ^= cols[j]
+            images.setdefault(img, x)
+        x = f2linalg.solve_square(cols, b)
+        if b not in images:
+            assert x is None
+            continue
+        img = 0
+        for j in range(n):
+            if (x >> j) & 1:
+                img ^= cols[j]
+        assert img == b
+        if f2linalg.rank(cols) == n:
+            assert x == images[b]
 
 
 def test_not_a_cocycle_rejected(fixtures):

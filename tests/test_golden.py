@@ -16,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -92,7 +93,6 @@ def test_golden(case, fixture_dir, index):
 
 
 def write_snapshot() -> None:
-    import tempfile
     GOLDEN.mkdir(exist_ok=True)
     index = {}
     with tempfile.TemporaryDirectory() as tmp:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topinv import catalog
+from topinv import catalog, zlinalg
 from topinv import quadforms as qf
 
 
@@ -38,12 +38,10 @@ def test_dimension_zero_form():
 def test_diagonalization_congruent_and_exact():
     # hyperbolic plane has no nonzero diagonal entry to pivot on
     h = qf.QuadraticForm(catalog.hyperbolic_gram())
-    d = qf.rational_diagonalize(h)
+    d = h.diagonal
     assert len(d) == 2
     assert d[0] * d[1] < 0
-    # determinant matches up to a rational square
-    prod = d[0] * d[1]
-    assert qf._is_square(prod / h.det) or qf._is_square(h.det / prod)
+    assert h.det == zlinalg.det(catalog.hyperbolic_gram()) == -1
     assert qf.real_signature(h) == 0
 
 
@@ -209,13 +207,45 @@ def random_unimodular(rng, n):
     return m
 
 
-def congruent_form(rng, f):
-    n = f.dim
+def congruent_gram(rng, gram):
+    n = len(gram)
     s = random_unimodular(rng, n)
-    g = [[sum(s[i][a] * f.gram[a][b] * s[j][b]
-              for a in range(n) for b in range(n))
-          for j in range(n)] for i in range(n)]
-    return qf.QuadraticForm(g)
+    return [[sum(s[i][a] * gram[a][b] * s[j][b]
+                 for a in range(n) for b in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+def congruent_form(rng, f):
+    return qf.QuadraticForm(congruent_gram(rng, f.gram))
+
+
+def test_det_matches_bareiss(rng):
+    # det is read off the diagonalization; Bareiss elimination is an
+    # independent route to the same number
+    e8 = catalog.e8_gram()
+    for k in (1, 2, 3):
+        n = 8 * k
+        block = [[e8[i % 8][j % 8] if i // 8 == j // 8 else 0
+                  for j in range(n)] for i in range(n)]
+        g = congruent_gram(rng, block)
+        assert qf.QuadraticForm(g).det == zlinalg.det(g) == 1
+    singular = 0
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+        d = zlinalg.det(g)
+        if d == 0:
+            singular += 1
+            with pytest.raises(qf.FormError, match="singular"):
+                qf.QuadraticForm(g)
+        else:
+            f = qf.QuadraticForm(g)
+            assert isinstance(f.det, Fraction)
+            assert f.det == d
+    assert singular
 
 
 def test_congruence_invariance_of_local_data(rng):
