@@ -40,6 +40,10 @@ def wu_classes(K: SimplicialComplex) -> list[CohomologyClass]:
         n = K.dimension
         out = []
         for k in range(n + 1):
+            if 2 * k > n:
+                # Sq^k vanishes on H^(n-k), whose degree is below k
+                out.append(f2_class(K, k, 0))
+                continue
             hk = K.cohomology_f2(k)
             hc = K.cohomology_f2(n - k)
             # equation j pairs v_k with the j-th H^(n-k) class, so the

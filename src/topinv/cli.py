@@ -39,8 +39,8 @@ def _emit(args, payload, lines) -> None:
             print(line)
 
 
-def _support_str(cls: CohomologyClass) -> str:
-    simp = cls.support()
+def _support_str(K: SimplicialComplex, cls: CohomologyClass) -> str:
+    simp = cls.support(K)
     if not simp:
         return "0"
     if cls.ring == "F2":
@@ -48,21 +48,21 @@ def _support_str(cls: CohomologyClass) -> str:
     parts = []
     for i, v in enumerate(cls.cocycle):
         if v:
-            s = cls.complex.simplices(cls.degree)[i]
+            s = K.simplices(cls.degree)[i]
             parts.append(f"{v}*(" + " ".join(map(str, s)) + ")")
     return " + ".join(parts)
 
 
-def _class_json(cls: CohomologyClass) -> dict:
+def _class_json(K: SimplicialComplex, cls: CohomologyClass) -> dict:
     if cls.ring == "F2":
         coords = [(cls.coords >> i) & 1
-                  for i in range(cls.complex.cohomology_f2(cls.degree).dim)]
+                  for i in range(K.cohomology_f2(cls.degree).dim)]
     else:
         coords = list(cls.coords)
     return {
         "degree": cls.degree,
         "coords": coords,
-        "support": [list(s) for s in cls.support()],
+        "support": [list(s) for s in cls.support(K)],
     }
 
 
@@ -105,13 +105,13 @@ def _classes_report(args, kind: str) -> int:
         classes = charclasses.sw_classes(K)
         sym = "w"
     payload = {"n": K.dimension,
-               kind: [_class_json(c) for c in classes]}
+               kind: [_class_json(K, c) for c in classes]}
     lines = [f"{sym}-classes of a dimension-{K.dimension} complex"]
     for k, c in enumerate(classes):
         if c.is_zero:
             lines.append(f"  {sym}_{k} = 0")
         else:
-            lines.append(f"  {sym}_{k} = {_support_str(c)}")
+            lines.append(f"  {sym}_{k} = {_support_str(K, c)}")
     _emit(args, payload, lines)
     return 0
 

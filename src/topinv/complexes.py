@@ -9,7 +9,7 @@ All arithmetic is exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import f2linalg, zlinalg
 
@@ -115,6 +115,13 @@ class SimplicialComplex:
             return cols
         return self._memo(("cbf2", k), build)
 
+    def coboundary_factor(self, k: int) -> zlinalg.Diagonalization:
+        """U delta_k V = D, the one integral elimination of delta_k; it also
+        serves boundary_z(k+1) = delta_k^T, whose kernel is spanned by the
+        rows of U past the rank."""
+        return self._memo(("dz", k), lambda: zlinalg.diagonalize(
+            self.coboundary_z(k), self.n_simplices(k)))
+
     def coboundary_apply_f2(self, k: int, x: int) -> int:
         """delta(x) for an F2 k-cochain mask."""
         out = 0
@@ -137,15 +144,31 @@ class SimplicialComplex:
         return self._memo(("hz", k), lambda: ZCohomology(self, k))
 
     def fundamental_class_f2(self) -> int:
-        """Mask of the F2 fundamental cycle over top simplices."""
+        """Mask of the F2 fundamental cycle over top simplices.
+
+        Raises TopologyError naming a simplex unless every facet is
+        top-dimensional and every (n-1)-face lies in exactly two facets.
+        """
         def build():
             n = self.dimension
+            for s in self.maximal_simplices:
+                if len(s) != n + 1:
+                    raise TopologyError(f"not a pseudo-manifold: facet {s} "
+                                        f"is not {n}-dimensional")
             cols = [0] * self.n_simplices(n)
             if n > 0:
                 idx = self.simplex_index(n - 1)
+                cofaces = [0] * len(idx)
                 for j, s in enumerate(self.simplices(n)):
                     for i in range(n + 1):
-                        cols[j] ^= 1 << idx[s[:i] + s[i + 1:]]
+                        f = idx[s[:i] + s[i + 1:]]
+                        cols[j] ^= 1 << f
+                        cofaces[f] += 1
+                for f, c in enumerate(cofaces):
+                    if c != 2:
+                        raise TopologyError(
+                            f"not a pseudo-manifold: face "
+                            f"{self.simplices(n - 1)[f]} lies in {c} facets")
             ker = f2linalg.kernel_basis(cols)
             if len(ker) != 1:
                 raise TopologyError(
@@ -156,14 +179,13 @@ class SimplicialComplex:
     def fundamental_class_z(self) -> tuple[int, ...]:
         """Integral fundamental cycle, +1 on the lex-first top simplex."""
         def build():
-            n = self.dimension
-            ker = zlinalg.kernel_basis(self.boundary_z(n), self.n_simplices(n))
-            if len(ker) != 1:
+            # ker boundary_n is the left kernel of delta_(n-1)
+            dz = self.coboundary_factor(self.dimension - 1)
+            if dz.m - dz.rank != 1:
                 raise TopologyError(
                     "not a pseudo-manifold / top homology not rank 1")
-            gen = ker[0]
-            lead = next((x for x in gen if x), 0)
-            if lead < 0:
+            gen = dz.u[dz.rank]
+            if next(x for x in gen if x) < 0:
                 gen = [-x for x in gen]
             return tuple(gen)
         return self._memo(("fcz",), build)
@@ -173,7 +195,6 @@ class F2Cohomology:
     """H^k(K; F2) with a fixed cocycle basis and coordinate reduction."""
 
     def __init__(self, K: SimplicialComplex, k: int):
-        self.complex = K
         self.degree = k
         # coboundaries first (expression 0), then each new cocycle residue
         # as basis vector i (expression 1 << i)
@@ -211,34 +232,28 @@ class F2Cohomology:
 class ZCohomology:
     """H^k(K; Z) presented as cyclic summands with coordinate reduction.
 
-    summands lists the orders: d > 1 for torsion summands, 0 for free
-    ones.  Coordinates are normalized, torsion entries reduced mod d, so
-    a class is zero exactly when all its coordinates vanish.
+    From K.coboundary_factor(k), U delta_k V = D: the columns of V past
+    the rank span the cocycles, and the same rows of V^-1 give coordinates
+    over them.  summands lists the orders: d > 1 for torsion summands, 0
+    for free ones.  Coordinates are normalized, torsion entries reduced
+    mod d, so a class is zero exactly when all its coordinates vanish.
     """
 
     def __init__(self, K: SimplicialComplex, k: int):
-        self.complex = K
         self.degree = k
-        nk = K.n_simplices(k)
-        zbasis = zlinalg.kernel_basis(K.coboundary_z(k), nk) if nk else []
-        zmat = [[col[i] for col in zbasis] for i in range(nk)]
-        self._zmat = zmat
-        self._zdz = zlinalg.diagonalize(zmat) if zbasis else None
-        r = len(zbasis)
-        prev = K.coboundary_z(k - 1) if k >= 1 else \
-            [[0] * 0 for _ in range(nk)]
-        s = len(prev[0]) if prev else 0
-        rel_cols = []
-        for j in range(s):
-            b = [prev[i][j] for i in range(nk)]
-            c = zlinalg.solve(zmat, b, self._zdz)
-            assert c is not None
-            rel_cols.append(c)
-        relmat = [[col[i] for col in rel_cols] for i in range(r)]
-        self._cdz = zlinalg.diagonalize(relmat) if r else None
+        dz = K.coboundary_factor(k)
+        self._dz = dz
+        self._zmat = [list(r) for r in zip(*zlinalg.kernel_basis(dz))]
+        coord_rows = dz.vinv[dz.rank:]
+        # column j of delta_(k-1) is row j of boundary_z(k)
+        cols = [[(t, v) for t, v in enumerate(row) if v]
+                for row in K.boundary_z(k)]
+        relmat = [[sum(p[t] * v for t, v in col) for col in cols]
+                  for p in coord_rows]
+        self._cdz = zlinalg.diagonalize(relmat, len(cols))
         summands = []
         kept = []
-        for i in range(r):
+        for i in range(len(coord_rows)):
             di = self._cdz.diag[i] if i < len(self._cdz.diag) else 0
             if di != 1:
                 summands.append(di)
@@ -252,15 +267,11 @@ class ZCohomology:
 
     def coords(self, z) -> tuple[int, ...]:
         """Normalized coordinates of an integral cocycle over the summands."""
-        z = list(z)
-        if not self._zmat or not self._zmat[0]:
-            if any(z):
-                raise ValueError("not a cocycle")
-            return ()
-        c = zlinalg.solve(self._zmat, z, self._zdz)
-        if c is None:
+        c = zlinalg.matvec(self._dz.vinv, list(z))
+        rank = self._dz.rank
+        if any(c[:rank]):
             raise ValueError("not a cocycle")
-        y = zlinalg.matvec(self._cdz.u, c)
+        y = zlinalg.matvec(self._cdz.u, c[rank:])
         out = []
         for i in self._kept:
             d = self.summands[len(out)]
@@ -289,7 +300,6 @@ class CohomologyClass:
     degree: int
     cocycle: object
     coords: object
-    complex: SimplicialComplex = field(repr=False)
 
     @property
     def is_zero(self) -> bool:
@@ -297,9 +307,9 @@ class CohomologyClass:
             return self.coords == 0
         return all(v == 0 for v in self.coords)
 
-    def support(self) -> list[tuple[int, ...]]:
-        """Simplices where the representative cocycle is nonzero."""
-        simp = self.complex.simplices(self.degree)
+    def support(self, K: SimplicialComplex) -> list[tuple[int, ...]]:
+        """Simplices of K where the representative cocycle is nonzero."""
+        simp = K.simplices(self.degree)
         if self.ring == "F2":
             return [simp[i] for i in range(len(simp))
                     if (self.cocycle >> i) & 1]
@@ -307,15 +317,15 @@ class CohomologyClass:
 
 
 def f2_class(K: SimplicialComplex, k: int, mask: int) -> CohomologyClass:
-    return CohomologyClass("F2", k, mask, K.cohomology_f2(k).coords(mask), K)
+    return CohomologyClass("F2", k, mask, K.cohomology_f2(k).coords(mask))
 
 
 def z_class(K: SimplicialComplex, k: int, vec) -> CohomologyClass:
     vec = tuple(vec)
-    return CohomologyClass("Z", k, vec, K.cohomology_z(k).coords(vec), K)
+    return CohomologyClass("Z", k, vec, K.cohomology_z(k).coords(vec))
 
 
-def reduce_mod2(x: CohomologyClass) -> CohomologyClass:
+def reduce_mod2(K: SimplicialComplex, x: CohomologyClass) -> CohomologyClass:
     """Coefficient reduction of an integral class to F2."""
     if x.ring != "Z":
         raise ValueError("reduce_mod2 expects an integral class")
@@ -323,7 +333,7 @@ def reduce_mod2(x: CohomologyClass) -> CohomologyClass:
     for i, v in enumerate(x.cocycle):
         if v & 1:
             mask |= 1 << i
-    return f2_class(x.complex, x.degree, mask)
+    return f2_class(K, x.degree, mask)
 
 
 # ---- module-level operations ----
@@ -346,16 +356,14 @@ def homology(K: SimplicialComplex, ring: str = "Z") -> list[HomologySummary]:
             rk_out = f2linalg.rank(K.coboundary_f2(k))
             out.append(HomologySummary(k, K.n_simplices(k) - rk_in - rk_out, ()))
         return out
-    dzs = {k: zlinalg.diagonalize(K.boundary_z(k)) for k in range(1, n + 1)}
+    # boundary_(k+1) is the transpose of delta_k: same rank, same factors
+    dzs = [K.coboundary_factor(k) for k in range(n)]
+    ranks = [0] + [dz.rank for dz in dzs] + [0]
     for k in range(n + 1):
-        rk_k = dzs[k].rank if k >= 1 else 0
-        rk_up = dzs[k + 1].rank if k + 1 <= n else 0
-        betti = K.n_simplices(k) - rk_k - rk_up
-        torsion = ()
-        if k + 1 <= n:
-            torsion = tuple(
-                f for f in zlinalg.invariant_factors(dzs[k + 1].diag) if f > 1)
-        out.append(HomologySummary(k, betti, torsion))
+        torsion = () if k == n else tuple(
+            f for f in zlinalg.invariant_factors(dzs[k].diag) if f > 1)
+        out.append(HomologySummary(
+            k, K.n_simplices(k) - ranks[k] - ranks[k + 1], torsion))
     return out
 
 
@@ -443,6 +451,8 @@ def duality_pairing_f2(K: SimplicialComplex, k: int) -> list[int]:
     """Matrix of <x cup y, [K]> for x, y in the H^k and H^(n-k) bases.
 
     Row i is a mask over the H^(n-k) basis for the i-th H^k basis class.
+    Callers build it for 2k <= n only: the matrix of degree n-k is the
+    transpose, since the cup product is commutative on F2 cohomology.
     """
     def build():
         n = K.dimension
@@ -467,7 +477,8 @@ def is_poincare_f2(K: SimplicialComplex) -> PoincareReport:
     first_bad = None
     for k in range(n + 1):
         dk = K.cohomology_f2(k).dim
-        r = f2linalg.rank(duality_pairing_f2(K, k))
+        r = (f2linalg.rank(duality_pairing_f2(K, k)) if 2 * k <= n
+             else ranks[n - k])
         ranks.append(r)
         dims.append(dk)
         if (dk != K.cohomology_f2(n - k).dim or r != dk) and first_bad is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from . import charclasses, quadforms, zlinalg
+from . import charclasses, quadforms
 from .complexes import (SimplicialComplex, TopologyError, cup_cochain_z,
                         is_poincare_f2)
 
@@ -44,13 +44,14 @@ def intersection_form(K: SimplicialComplex) -> IntersectionForm:
         n = K.dimension
         if n % 4 != 0 or n == 0:
             raise TopologyError("dimension not 4m")
+        # first, so that a non-pseudo-manifold is named as one
+        if not is_poincare_f2(K):
+            raise TopologyError("duality pairing singular")
         try:
             fc = K.fundamental_class_z()
         except TopologyError:
             raise NonOrientableError(
                 "non-orientable (no integral fundamental class)")
-        if not is_poincare_f2(K):
-            raise TopologyError("duality pairing singular")
         m = n // 4
         h = K.cohomology_z(2 * m)
         free = [i for i, d in enumerate(h.summands) if d == 0]
@@ -67,11 +68,14 @@ def intersection_form(K: SimplicialComplex) -> IntersectionForm:
                 if gram[i][j] != gram[j][i]:
                     raise TopologyError(
                         "intersection gram not symmetric (internal error)")
-        if basis and zlinalg.det(gram) == 0:
-            raise TopologyError("pairing singular on torsion-free part")
         top = K.simplices(n)[0]
         tag = "+1 on " + " ".join(str(v) for v in top)
-        return IntersectionForm(m, basis, gram, tag)
+        form = IntersectionForm(m, basis, gram, tag)
+        try:
+            form.quadratic_form  # its diagonalization raises on a singular gram
+        except quadforms.FormError:
+            raise TopologyError("pairing singular on torsion-free part")
+        return form
     return K._memo(("iform",), build)
 
 

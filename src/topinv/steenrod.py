@@ -13,8 +13,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .complexes import (CohomologyClass, SimplicialComplex, f2_class,
-                        z_class)
+from . import zlinalg
+from .complexes import CohomologyClass, SimplicialComplex, f2_class
 
 
 @functools.lru_cache(maxsize=None)
@@ -74,11 +74,13 @@ def sq(K: SimplicialComplex, k: int, x: CohomologyClass) -> CohomologyClass:
     return f2_class(K, q + k, mask)
 
 
-def bockstein(K: SimplicialComplex, x: CohomologyClass) -> tuple[CohomologyClass, bool]:
+def bockstein(K: SimplicialComplex, x: CohomologyClass
+              ) -> tuple[tuple[int, ...], bool]:
     """Integral Bockstein of an F2 class: lift, take delta, halve.
 
-    Returns the degree k+1 integral class together with an is_zero flag
-    decided exactly on the cohomology level.
+    Returns the integral (k+1)-cocycle beta together with an is_zero
+    flag: beta is zero in H^(k+1)(K; Z) exactly when it lies in the image
+    of delta_k, which one solve against K.coboundary_factor(k) decides.
     """
     if x.ring != "F2":
         raise ValueError("Bockstein here takes an F2 class")
@@ -86,10 +88,10 @@ def bockstein(K: SimplicialComplex, x: CohomologyClass) -> tuple[CohomologyClass
     nk = K.n_simplices(k)
     lift = [(x.cocycle >> i) & 1 for i in range(nk)]
     dz = K.coboundary_apply_z(k, tuple(lift))
-    assert all(v % 2 == 0 for v in dz)
+    if any(v % 2 for v in dz):
+        raise ValueError("not a cocycle mod 2")
     beta = tuple(v // 2 for v in dz)
-    cls = z_class(K, k + 1, beta)
-    return cls, cls.is_zero
+    return beta, zlinalg.solve(K.coboundary_factor(k), list(beta)) is not None
 
 
 def binom2(m: int, n: int) -> int:

@@ -159,21 +159,14 @@ def invariant_factors(diag: list[int]) -> list[int]:
     return [1] * sum(1 for x in diag if abs(x) == 1) + factors
 
 
-def kernel_basis(a: list[list[int]], ncols: int | None = None) -> list[list[int]]:
-    """Basis of the integer kernel, as column vectors of length n."""
-    dz = diagonalize(a, ncols)
-    cols = []
-    for j in range(dz.n):
-        if j >= len(dz.diag) or dz.diag[j] == 0:
-            cols.append([dz.v[i][j] for i in range(dz.n)])
-    return cols
+def kernel_basis(dz: Diagonalization) -> list[list[int]]:
+    """Basis of the integer kernel of the diagonalized matrix, as column
+    vectors of length n: the columns of V past the rank."""
+    return [[row[j] for row in dz.v] for j in range(dz.rank, dz.n)]
 
 
-def solve(a: list[list[int]], b: list[int],
-          dz: Diagonalization | None = None) -> list[int] | None:
-    """One integral solution of A x = b, or None if there is none."""
-    if dz is None:
-        dz = diagonalize(a)
+def solve(dz: Diagonalization, b: list[int]) -> list[int] | None:
+    """One integral solution of A x = b for the diagonalized A, or None."""
     ub = matvec(dz.u, b)
     y = [0] * dz.n
     for i in range(dz.m):
@@ -184,8 +177,7 @@ def solve(a: list[list[int]], b: list[int],
         else:
             if ub[i] % di != 0:
                 return None
-            if i < dz.n:
-                y[i] = ub[i] // di
+            y[i] = ub[i] // di
     return matvec(dz.v, y)
 
 

@@ -206,7 +206,7 @@ def test_middle_wu_reads_squares_of_integral_reductions(fixtures):
         for i, d in enumerate(hz.summands):
             if d != 0:
                 continue
-            xbar = cx.reduce_mod2(cx.z_class(K, m, hz.rep(i))).cocycle
+            xbar = cx.reduce_mod2(K, cx.z_class(K, m, hz.rep(i))).cocycle
             lhs = f2linalg.dot(
                 cx.cup_cochain_f2(K, m, m, v.cocycle, xbar), fc)
             rhs = f2linalg.dot(cx.cup_cochain_f2(K, m, m, xbar, xbar), fc)

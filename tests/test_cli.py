@@ -185,6 +185,21 @@ def test_input_errors_exit_1(files, capsys, tmp_path):
     assert "rational" in err
 
 
+def test_non_pseudo_manifold_exits_1_with_one_line(capsys, tmp_path):
+    for base, extra, verbs in (
+            (catalog.sphere(2), "0 10", ("panel", "wu")),
+            (catalog.sphere(4), "0 10 11", ("panel", "wu", "intersection"))):
+        p = tmp_path / f"dangling{base.dimension}.cx"
+        p.write_text(cx.complex_text(base) + extra + "\n")
+        for verb in verbs:
+            code, out, err = run(capsys, verb, str(p))
+            assert code == 1 and out == ""
+            assert err.startswith("error: not a pseudo-manifold: facet (0, ")
+            assert err.count("\n") == 1
+        code, out, err = run(capsys, "homology", str(p))
+        assert code == 0
+
+
 def test_usage_errors_exit_1_not_2(capsys):
     assert cli.main([]) == 1
     capsys.readouterr()

@@ -1,10 +1,15 @@
+import ast
+import gc
 import random
+import re
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topinv import catalog, f2linalg, zlinalg
+from topinv import catalog, charclasses, f2linalg, intersection, zlinalg
 from topinv import complexes as cx
 
 
@@ -76,6 +81,97 @@ def test_integral_homology_oracles(fixtures):
     for name, K in fixtures.items():
         got = [(h.betti, h.torsion) for h in cx.homology(K, "Z")]
         assert got == HOMOLOGY_ORACLES[name], name
+
+
+def _homology_by_boundaries(K):
+    """Integral homology read off a diagonalization of each boundary_z."""
+    n = K.dimension
+    dzs = {k: zlinalg.diagonalize(K.boundary_z(k)) for k in range(1, n + 1)}
+    out = []
+    for k in range(n + 1):
+        rk = dzs[k].rank if k >= 1 else 0
+        rk_up = dzs[k + 1].rank if k < n else 0
+        torsion = () if k == n else tuple(
+            f for f in zlinalg.invariant_factors(dzs[k + 1].diag) if f > 1)
+        out.append(cx.HomologySummary(k, K.n_simplices(k) - rk - rk_up,
+                                      torsion))
+    return out
+
+
+def test_homology_from_coboundary_factors_matches_boundaries(fixtures):
+    rng = random.Random(314)
+    complexes = list(fixtures.values())
+    complexes += [catalog.random_complex(rng) for _ in range(50)]
+    for K in complexes:
+        assert cx.homology(K, "Z") == _homology_by_boundaries(K)
+
+
+def test_z_cohomology_coords_on_random_complexes():
+    rng = random.Random(2718)
+    for _ in range(50):
+        K = catalog.random_complex(rng)
+        for k in range(K.dimension + 1):
+            h = K.cohomology_z(k)
+            reps = [h.rep(i) for i in range(h.dim)]
+            for i, r in enumerate(reps):
+                assert h.coords(r) == tuple(int(j == i) for j in range(h.dim))
+            z = [0] * K.n_simplices(k)
+            for r in reps:
+                m = rng.randint(-3, 3)
+                z = [a + m * b for a, b in zip(z, r)]
+            c = tuple(rng.randint(-2, 2) for _ in range(K.n_simplices(k - 1)))
+            dc = K.coboundary_apply_z(k - 1, c) if k else (0,) * len(z)
+            assert h.coords([a + b for a, b in zip(z, dc)]) == h.coords(z)
+
+
+def test_panel_eliminates_each_coboundary_once(monkeypatch):
+    # a fresh complex, so nothing is cached from other tests
+    K = cx.product_complex(catalog.sphere(2), catalog.sphere(2))
+    seen = []
+    diagonalize = zlinalg.diagonalize
+
+    def recording(a, ncols=None):
+        seen.append(a)
+        return diagonalize(a, ncols)
+
+    monkeypatch.setattr(zlinalg, "diagonalize", recording)
+    intersection.panel(K)
+    assert len(seen) <= 3
+    n = K.dimension
+    coboundaries = [a for a in seen
+                    if any(a is K.coboundary_z(k) for k in range(n))]
+    # delta_2 for the Bockstein of w_2, delta_3 for the fundamental class
+    assert len(coboundaries) == 2
+    for a in seen:
+        assert all(a != K.boundary_z(k) for k in range(n + 1))
+    # the other one is the H^2 relation matrix: a column per 1-simplex,
+    # not a cocycle matrix, which has a row per 2-simplex
+    rest = [a for a in seen if all(a is not b for b in coboundaries)]
+    assert [len(a[0]) for a in rest] == [K.n_simplices(1)]
+
+
+def test_complex_freed_without_cycle_collector():
+    gc.disable()
+    try:
+        for facets in (catalog.CP2_FACETS,
+                       catalog.klein_bottle().maximal_simplices):
+            K = cx.SimplicialComplex(facets)
+            intersection.panel(K)
+            charclasses.profile(K)
+            ref = weakref.ref(K)
+            del K
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_no_assert_in_package():
+    # python -O strips assert statements, so none may guard behaviour
+    src = Path(cx.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        assert not any(isinstance(node, ast.Assert)
+                       for node in ast.walk(tree)), path.name
 
 
 def test_universal_coefficients_rank_identity(fixtures):
@@ -175,6 +271,29 @@ def test_fundamental_class_fails_on_disk():
     disk = cx.SimplicialComplex([(0, 1, 2)])
     with pytest.raises(cx.TopologyError, match="pseudo-manifold"):
         disk.fundamental_class_f2()
+
+
+def test_pairing_ranks_above_half_read_from_transpose(fixtures):
+    for name, K in fixtures.items():
+        n = K.dimension
+        ranks = cx.is_poincare_f2(K).ranks
+        for k in range(n + 1):
+            assert ranks[k] == f2linalg.rank(cx.duality_pairing_f2(K, k)), name
+
+
+@pytest.mark.parametrize("facets, message", [
+    (catalog.sphere(2).maximal_simplices + ((0, 10),),
+     "facet (0, 10) is not 2-dimensional"),
+    (catalog.sphere(4).maximal_simplices + ((0, 10, 11),),
+     "facet (0, 10, 11) is not 4-dimensional"),
+    (((0, 1, 2), (0, 1, 3), (0, 1, 4)), "face (0, 1) lies in 3 facets"),
+])
+def test_non_pseudo_manifolds_rejected(facets, message):
+    K = cx.SimplicialComplex(facets)
+    with pytest.raises(cx.TopologyError,
+                       match="not a pseudo-manifold: " + re.escape(message)):
+        intersection.panel(K)
+    assert len(cx.homology(K, "Z")) == K.dimension + 1
 
 
 def test_is_poincare_fails_on_suspension_of_rp2():

@@ -179,8 +179,8 @@ def test_bockstein_rp2(fixtures):
     a = cx.f2_class(K, 1, K.cohomology_f2(1).basis[0])
     bz, zero = steenrod.bockstein(K, a)
     assert not zero
-    assert bz.ring == "Z" and bz.degree == 2
-    assert not K.cohomology_z(2).is_zero(bz.cocycle)
+    assert len(bz) == K.n_simplices(2)
+    assert not K.cohomology_z(2).is_zero(bz)
 
 
 def test_bockstein_torus_vanishes(fixtures):
@@ -197,8 +197,24 @@ def test_bockstein_order_two(fixtures):
         for q in range(K.dimension):
             for b in K.cohomology_f2(q).basis:
                 bz, _ = steenrod.bockstein(K, cx.f2_class(K, q, b))
-                doubled = tuple(2 * v for v in bz.cocycle)
+                doubled = tuple(2 * v for v in bz)
                 assert K.cohomology_z(q + 1).is_zero(doubled)
+
+
+def test_bockstein_flag_matches_integral_cohomology(fixtures):
+    for name, K in fixtures.items():
+        for q in range(K.dimension + 1):
+            for b in K.cohomology_f2(q).basis:
+                bz, zero = steenrod.bockstein(K, cx.f2_class(K, q, b))
+                assert zero == K.cohomology_z(q + 1).is_zero(bz), (name, q)
+
+
+def test_bockstein_rejects_non_cocycle(fixtures):
+    K = fixtures["T2"]
+    mask = 1  # a single edge is not an F2 cocycle on the torus
+    x = cx.CohomologyClass("F2", 1, mask, 0)
+    with pytest.raises(ValueError, match="not a cocycle mod 2"):
+        steenrod.bockstein(K, x)
 
 
 def test_bockstein_squared_zero(fixtures):
