@@ -1,11 +1,14 @@
 """Rational quadratic forms and their p-adic invariants.
 
 A form is a nonsingular symmetric matrix over Q.  Its local data at each
-prime is read off a rational diagonalization: split each diagonal entry
-as p^a * b with b prime to p, count antisquares, and sum the unit parts
-mod 8.  The resulting p-signatures, oddity, and p-excesses satisfy the
-mod-8 reciprocity identity, and together with dimension, determinant
-square class and real signature they decide rational equivalence.
+prime is read off a diagonalization: split each diagonal entry as p^a * b
+with b prime to p, count antisquares, and sum the unit parts mod 8.  The
+diagonalization is fraction-free (Bareiss 1968): the Gram matrix is scaled
+once to integers, eliminated on Python ints, and each diagonal entry is a
+ratio of successive pivots.  The resulting p-signatures, oddity, and
+p-excesses satisfy the mod-8 reciprocity identity, and together with
+dimension, determinant square class and real signature they decide
+rational equivalence.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ class FormError(ValueError):
 class QuadraticForm:
     """Nonsingular symmetric rational Gram matrix with cached exact data.
 
-    The rational diagonalization is computed eagerly at construction, so
-    instances are immutable and safe to share.  Every congruence step of
-    the diagonalization has determinant +-1, so det is the product of the
-    diagonal.
+    The diagonalization is computed eagerly at construction, so instances
+    are immutable and safe to share; odd primes and local invariants are
+    cached on first use.  Every congruence step has determinant +-1, so
+    det is the product of the diagonal.
     """
 
     def __init__(self, rows):
@@ -33,14 +36,14 @@ class QuadraticForm:
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise FormError("gram matrix not square")
-        for i in range(n):
-            for j in range(i):
-                if gram[i][j] != gram[j][i]:
-                    raise FormError("gram matrix not symmetric")
+        if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+            raise FormError("gram matrix not symmetric")
         self.gram = gram
         self.dim = n
         self.diagonal: tuple[Fraction, ...] = tuple(_diagonalize(gram))
         self.det: Fraction = math.prod(self.diagonal, start=Fraction(1))
+        self._odd_primes: tuple[int, ...] | None = None
+        self._local: dict[int, LocalInvariants] = {}
 
     @property
     def is_integral(self) -> bool:
@@ -51,14 +54,18 @@ class QuadraticForm:
 
 
 def _diagonalize(gram) -> list[Fraction]:
-    """Symmetric congruence diagonalization over Q.
+    """Symmetric congruence diagonalization over Q, fraction-free.
 
     The pivot is the first nonzero diagonal entry of the remaining block;
     when the whole block diagonal vanishes, a variable substitution
-    x_k -> x_k + x_j with a[k][j] != 0 creates one.
+    x_k -> x_k + x_j with a[k][j] != 0 creates one.  Bareiss steps on
+    L * gram (L the lcm of the denominators) keep the trailing block at
+    p_{k-1} * L times the rational Schur complement: the same zero pattern,
+    hence the same pivots, and d_k = p_k / (p_{k-1} * L).
     """
-    a = [list(row) for row in gram]
-    n = len(a)
+    n = len(gram)
+    scale = math.lcm(*(x.denominator for row in gram for x in row))
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in gram]
 
     def swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -71,7 +78,7 @@ def _diagonalize(gram) -> list[Fraction]:
         for row in a:
             row[k] += row[j]
 
-    diag = []
+    diag, prev = [], 1
     for k in range(n):
         if a[k][k] == 0:
             piv = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
@@ -86,41 +93,42 @@ def _diagonalize(gram) -> list[Fraction]:
                 if r != k:
                     swap(k, r)
                 add_into(k, c)
-        d = a[k][k]
-        diag.append(d)
+        ak, p = a[k], a[k][k]
+        diag.append(Fraction(p, prev * scale))
+        # Bareiss step on the upper triangle, mirrored for swap and add_into
         for i in range(k + 1, n):
-            f = a[i][k] / d
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-                for row in a:
-                    row[i] -= f * row[k]
+            ai, f = a[i], ak[i]
+            ai[i:] = [(p * x - f * y) // prev for x, y in zip(ai[i:], ak[i:])]
+            for j in range(i + 1, n):
+                a[j][i] = ai[j]
+        prev = p
     return diag
+
+
+def _split(r: Fraction, p: int) -> tuple[int, int, int]:
+    """(a, num, den) with r = p^a * num / den and num, den prime to p."""
+    a, num, den = 0, r.numerator, r.denominator
+    if num == 0:
+        raise FormError("p_split of zero")
+    while num % p == 0:
+        num, a = num // p, a + 1
+    while den % p == 0:
+        den, a = den // p, a - 1
+    return a, num, den
 
 
 def p_split(r, p: int) -> tuple[int, Fraction]:
     """Write a nonzero rational as p^a * b with b prime to p."""
-    r = Fraction(r)
-    if r == 0:
-        raise FormError("p_split of zero")
-    a = 0
-    num, den = r.numerator, r.denominator
-    while num % p == 0:
-        num //= p
-        a += 1
-    while den % p == 0:
-        den //= p
-        a -= 1
+    a, num, den = _split(Fraction(r), p)
     return a, Fraction(num, den)
 
 
-def _unit_mod8(b: Fraction) -> int:
-    # b has odd numerator and denominator here
-    return b.numerator * pow(b.denominator, -1, 8) % 8
-
-
-def _legendre(b: Fraction, p: int) -> int:
-    x = b.numerator * pow(b.denominator, -1, p) % p
-    return 1 if pow(x, (p - 1) // 2, p) == 1 else -1
+def _antisquare(a: int, num: int, den: int, p: int) -> bool:
+    if a % 2 == 0:
+        return False
+    if p == 2:
+        return num * pow(den, -1, 8) % 8 in (3, 5)
+    return pow(num * pow(den, -1, p), (p - 1) // 2, p) != 1
 
 
 def is_antisquare(r, p: int) -> bool:
@@ -130,11 +138,7 @@ def is_antisquare(r, p: int) -> bool:
     quadratic non-residue.
     """
     a, b = p_split(r, p)
-    if a % 2 == 0:
-        return False
-    if p == 2:
-        return _unit_mod8(b) in (3, 5)
-    return _legendre(b, p) == -1
+    return _antisquare(a, b.numerator, b.denominator, p)
 
 
 @dataclass(frozen=True)
@@ -147,21 +151,20 @@ class LocalInvariants:
 
 def local_invariants(form: QuadraticForm, p: int) -> LocalInvariants:
     """p-signature (oddity at p = 2), p-excess, and antisquare count."""
-    m = sum(1 for d in form.diagonal if is_antisquare(d, p))
-    total = 4 * m
-    for d in form.diagonal:
-        a, b = p_split(d, p)
-        if p == 2:
-            total += _unit_mod8(b)
-        else:
-            # odd squares are 1 mod 8, so p^a mod 8 only sees a mod 2
-            total += p % 8 if a % 2 else 1
-    sig = total % 8
-    if p == 2:
-        excess = (form.dim - sig) % 8
-    else:
-        excess = (sig - form.dim) % 8
-    return LocalInvariants(p, sig, excess, m)
+    if p not in form._local:
+        m = total = 0
+        for d in form.diagonal:
+            a, num, den = _split(d, p)
+            m += _antisquare(a, num, den, p)
+            if p == 2:
+                total += num * pow(den, -1, 8) % 8  # the unit mod 8
+            else:
+                # odd squares are 1 mod 8, so p^a mod 8 only sees a mod 2
+                total += p % 8 if a % 2 else 1
+        sig = (total + 4 * m) % 8
+        excess = (form.dim - sig if p == 2 else sig - form.dim) % 8
+        form._local[p] = LocalInvariants(p, sig, excess, m)
+    return form._local[p]
 
 
 def oddity(form: QuadraticForm) -> int:
@@ -175,16 +178,20 @@ def real_signature(form: QuadraticForm) -> int:
 
 def relevant_odd_primes(form: QuadraticForm) -> list[int]:
     """Odd primes at which the form can have nonzero p-excess."""
-    ps: set[int] = set()
-    for d in form.diagonal:
-        for part in (abs(d.numerator), d.denominator):
-            odd = part // (part & -part)
+    if form._odd_primes is None:
+        ps: set[int] = set()
+        parts = {part // (part & -part) for d in form.diagonal
+                 for part in (abs(d.numerator), d.denominator)}
+        for odd in sorted(parts):
+            for p in ps:  # factor only what earlier parts left unexplained
+                while odd % p == 0:
+                    odd //= p
             if odd > 1:
-                # sympy costs more to import than most forms take to
-                # diagonalize, so only a form that needs factoring loads it
+                # sympy's import outweighs most forms: load it only to factor
                 from sympy import factorint
                 ps.update(factorint(odd))
-    return sorted(ps)
+        form._odd_primes = tuple(sorted(ps))
+    return list(form._odd_primes)
 
 
 def reciprocity_residual(form: QuadraticForm) -> int:
@@ -204,10 +211,8 @@ def signature_mod8_from_local(form: QuadraticForm) -> int:
 
 
 def _is_square(r: Fraction) -> bool:
-    if r <= 0:
-        return False
-    num, den = r.numerator, r.denominator
-    return math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
+    return r > 0 and all(math.isqrt(x) ** 2 == x
+                         for x in (r.numerator, r.denominator))
 
 
 @dataclass(frozen=True)
@@ -247,26 +252,21 @@ def is_even(form: QuadraticForm) -> bool:
 
 
 def direct_sum(f: QuadraticForm, g: QuadraticForm) -> QuadraticForm:
-    rows = []
-    for i, row in enumerate(f.gram):
-        rows.append(list(row) + [Fraction(0)] * g.dim)
-    for i, row in enumerate(g.gram):
-        rows.append([Fraction(0)] * f.dim + list(row))
-    return QuadraticForm(rows)
+    zf, zg = [Fraction(0)] * f.dim, [Fraction(0)] * g.dim
+    return QuadraticForm([list(row) + zg for row in f.gram]
+                         + [zf + list(row) for row in g.gram])
 
 
 def parse_gram(text: str) -> QuadraticForm:
     """Parse the Gram file format: a 'dim d' header, then d rows of d
     exact rational entries."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = [line for line in (raw.split("#", 1)[0].strip()
+                               for raw in text.splitlines()) if line]
     if not lines:
         raise FormError("empty gram file")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "dim" or not head[1].isdigit():
+    if (len(head) != 2 or head[0] != "dim" or not head[1].isascii()
+            or not head[1].isdigit()):
         raise FormError(f"malformed dimension header: {lines[0]!r}")
     n = int(head[1])
     if len(lines) - 1 != n:

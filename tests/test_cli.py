@@ -113,6 +113,37 @@ def test_qf_equiv_exit_codes(files, capsys):
     assert code == 0
 
 
+def odd_parts(path):
+    form = qf.parse_gram(Path(path).read_text())
+    return {part // (part & -part) for d in form.diagonal
+            for part in (abs(d.numerator), d.denominator)} - {1}
+
+
+def test_qf_factors_each_odd_part_once(files, capsys, monkeypatch, tmp_path):
+    import sympy
+    seen = []
+    factorint = sympy.factorint
+    monkeypatch.setattr(sympy, "factorint",
+                        lambda n: seen.append(n) or factorint(n))
+    code, out, err = run(capsys, "qf", files["E8"], "--json")
+    assert code == 0
+    assert json.loads(out)["reciprocity_residual"] == 0
+    assert 0 < len(seen) <= len(odd_parts(files["E8"]))
+    assert len(set(seen)) == len(seen)
+    # a congruent copy P^T E8 P, P = I plus ones below the diagonal
+    e8 = catalog.e8_gram()
+    p = [[int(j in (i, i - 1)) for j in range(8)] for i in range(8)]
+    g = [[sum(p[a][i] * e8[a][b] * p[b][j] for a in range(8) for b in range(8))
+          for j in range(8)] for i in range(8)]
+    copy = tmp_path / "E8copy.qf"
+    copy.write_text(qf.gram_text(qf.QuadraticForm(g)))
+    seen.clear()
+    code, out, err = run(capsys, "qf-equiv", files["E8"], str(copy), "--json")
+    assert code == 0
+    assert len(seen) <= len(odd_parts(files["E8"])) + len(odd_parts(copy))
+    assert all(seen.count(n) <= 2 for n in seen)
+
+
 def test_panel_text(files, capsys):
     code, out, err = run(capsys, "panel", files["S2xS2"])
     assert code == 0

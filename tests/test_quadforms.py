@@ -248,6 +248,146 @@ def test_det_matches_bareiss(rng):
     assert singular
 
 
+def reference_diagonal(gram):
+    """Symmetric congruence diagonalization in Fraction arithmetic, with
+    the pivot rule of QuadraticForm: first nonzero diagonal entry, else
+    x_k -> x_k + x_c for the first nonzero off-diagonal (r, c)."""
+    a = [[Fraction(x) for x in row] for row in gram]
+    n = len(a)
+
+    def swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    diag = []
+    for k in range(n):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if piv is not None:
+                swap(k, piv)
+            else:
+                off = next(((r, c) for r in range(k, n)
+                            for c in range(r + 1, n) if a[r][c] != 0), None)
+                if off is None:
+                    raise qf.FormError("singular form")
+                r, c = off
+                if r != k:
+                    swap(k, r)
+                a[k] = [x + y for x, y in zip(a[k], a[c])]
+                for row in a:
+                    row[k] += row[c]
+        d = a[k][k]
+        diag.append(d)
+        for i in range(k + 1, n):
+            f = a[i][k] / d
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+                for row in a:
+                    row[i] -= f * row[k]
+    return tuple(diag)
+
+
+def assert_same_diagonal(gram):
+    try:
+        want = reference_diagonal(gram)
+    except qf.FormError as e:
+        with pytest.raises(qf.FormError, match=str(e)):
+            qf.QuadraticForm(gram)
+        return False
+    got = qf.QuadraticForm(gram).diagonal
+    assert all(isinstance(d, Fraction) for d in got)
+    assert got == want
+    return True
+
+
+def random_symmetric(rng, n, zero_diagonal=False):
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            if i == j and zero_diagonal:
+                continue
+            g[i][j] = g[j][i] = Fraction(rng.randint(-4, 4),
+                                         rng.choice((1, 1, 2, 3, 4, 9)))
+    return g
+
+
+def test_diagonal_matches_fraction_reference_random(rng):
+    nonsingular = singular = 0
+    for t in range(400):
+        g = random_symmetric(rng, rng.randint(1, 7), zero_diagonal=t % 2)
+        if assert_same_diagonal(g):
+            nonsingular += 1
+        else:
+            singular += 1
+    assert nonsingular > 100 and singular > 10
+
+
+def test_diagonal_matches_fraction_reference_zero_diagonal(rng):
+    # hyperbolic blocks have no diagonal pivot: every step goes through
+    # x_k -> x_k + x_c
+    h = catalog.hyperbolic_gram()
+    for k in (1, 2, 3, 5):
+        n = 2 * k
+        g = [[h[i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(n)]
+             for i in range(n)]
+        assert assert_same_diagonal(g)
+        assert assert_same_diagonal([[Fraction(x, 3) for x in row]
+                                     for row in congruent_gram(rng, g)])
+    assert assert_same_diagonal([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    assert not assert_same_diagonal([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    assert not assert_same_diagonal([[0, 0], [0, 0]])
+
+
+def test_diagonal_matches_fraction_reference_e8_copies(rng):
+    e8 = catalog.e8_gram()
+    for k in (1, 2, 4, 8):
+        n = 8 * k
+        block = [[e8[i % 8][j % 8] if i // 8 == j // 8 else 0
+                  for j in range(n)] for i in range(n)]
+        assert assert_same_diagonal(congruent_gram(rng, block))
+
+
+def test_local_invariants_match_per_entry_definition(rng):
+    # local_invariants splits each entry once; is_antisquare and p_split
+    # are the per-entry definitions it must agree with
+    for _ in range(60):
+        f = congruent_form(rng, random_form(rng, max_dim=5,
+                                            allow_fractions=True))
+        for p in [2, *qf.relevant_odd_primes(f), 17]:
+            m = sum(qf.is_antisquare(d, p) for d in f.diagonal)
+            total = 4 * m
+            for d in f.diagonal:
+                a, b = qf.p_split(d, p)
+                if p == 2:
+                    total += b.numerator * pow(b.denominator, -1, 8) % 8
+                else:
+                    total += pow(p, a % 2, 8)
+            li = qf.local_invariants(f, p)
+            assert (li.antisquare_count, li.p_signature) == (m, total % 8)
+            assert qf.local_invariants(f, p) is li
+
+
+def test_relevant_odd_primes_factors_each_part_once(rng, monkeypatch):
+    import sympy
+    seen = []
+    factorint = sympy.factorint
+    monkeypatch.setattr(sympy, "factorint",
+                        lambda n: seen.append(n) or factorint(n))
+    for _ in range(30):
+        f = congruent_form(rng, random_form(rng, allow_fractions=True))
+        seen.clear()
+        primes = qf.relevant_odd_primes(f)
+        assert qf.relevant_odd_primes(f) == primes
+        assert qf.reciprocity_residual(f) == 0
+        assert len(seen) == len(set(seen))
+        # the primes of every odd part, each part factored in full
+        want = {p for d in f.diagonal
+                for part in (abs(d.numerator), d.denominator)
+                for p in factorint(part) if p > 2}
+        assert primes == sorted(want)
+
+
 def test_congruence_invariance_of_local_data(rng):
     for _ in range(40):
         f = random_form(rng, max_dim=4, max_prime=7)
@@ -301,6 +441,9 @@ def test_parse_gram_errors():
         qf.parse_gram("")
     with pytest.raises(qf.FormError, match="dimension header"):
         qf.parse_gram("x 2\n1 0\n0 1\n")
+    # '²' passes str.isdigit but not int()
+    with pytest.raises(qf.FormError, match="dimension header: 'dim ²'"):
+        qf.parse_gram("dim \u00b2\n1 0\n0 1\n")
     with pytest.raises(qf.FormError, match="matrix rows"):
         qf.parse_gram("dim 2\n1 0\n")
     with pytest.raises(qf.FormError, match="entries per row"):
