@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -289,7 +290,10 @@ def _cmd_compare(args) -> int:
     return 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every main()
+    call: parse_args leaves it unchanged, and callers must not add to it."""
     parser = argparse.ArgumentParser(
         prog="topinv",
         description="exact invariants of triangulated manifolds and forms")

@@ -250,7 +250,7 @@ class ZCohomology:
                 for row in K.boundary_z(k)]
         relmat = [[sum(p[t] * v for t, v in col) for col in cols]
                   for p in coord_rows]
-        self._cdz = zlinalg.diagonalize(relmat, len(cols))
+        self._cdz = zlinalg.diagonalize(relmat, len(cols), uinv=True)
         summands = []
         kept = []
         for i in range(len(coord_rows)):

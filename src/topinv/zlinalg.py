@@ -1,17 +1,16 @@
 """Exact integer matrix algebra: diagonalization, kernels, solving.
 
 Matrices are lists of rows of Python ints.  Everything here is exact;
-no floating point appears anywhere.
+no floating point appears anywhere.  diagonalize works on sparse rows
+({column: nonzero entry}) inside, because coboundary matrices and their
+transforms are mostly zero, and hands back dense rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+from itertools import compress
 
 
 def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -20,7 +19,9 @@ def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def matvec(a: list[list[int]], v: list[int]) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    """A v, summed over the nonzero entries of v only."""
+    nz = [(j, x) for j, x in enumerate(v) if x]
+    return [sum(row[j] * x for j, x in nz) for row in a]
 
 
 @dataclass
@@ -30,6 +31,7 @@ class Diagonalization:
     diag holds the nonnegative diagonal entries with all nonzero ones
     first; rank is their count.  The diagonal entries need not form a
     divisibility chain; see invariant_factors for that normalization.
+    uinv is None unless diagonalize was asked for it.
     """
 
     diag: list[int]
@@ -37,70 +39,91 @@ class Diagonalization:
     m: int
     n: int
     u: list[list[int]]
-    uinv: list[list[int]]
+    uinv: list[list[int]] | None
     v: list[list[int]]
     vinv: list[list[int]]
 
 
-def diagonalize(a: list[list[int]], ncols: int | None = None) -> Diagonalization:
+def _axpy(dst: dict, src: dict, q: int, cols=None, r=None) -> None:
+    """dst += q * src on sparse rows {index: nonzero value}; if given,
+    cols[c] is kept as the set of rows r holding index c."""
+    for c, x in src.items():
+        y = dst.get(c, 0) + q * x
+        if y:
+            if cols is not None and c not in dst:
+                cols[c].add(r)
+            dst[c] = y
+        else:
+            del dst[c]
+            if cols is not None:
+                cols[c].discard(r)
+
+
+def _dense(rows: list[dict], size: int, transpose: bool = False):
+    out = [[0] * size for _ in range(size)]
+    for row, r in zip(rows, out):
+        for j, x in row.items():
+            r[j] = x
+    return [list(c) for c in zip(*out)] if transpose else out
+
+
+def diagonalize(a: list[list[int]], ncols: int | None = None, *,
+                uinv: bool = False) -> Diagonalization:
     """Diagonalize by unimodular row and column operations.
 
-    The pivot at each stage is a nonzero entry of minimal absolute value
-    in the remaining block, which keeps intermediate entries small.
-    ncols pins the column count when the matrix has no rows.
+    The pivot at each stage is the first entry of least absolute value,
+    in row-major order, of the remaining block, which keeps intermediate
+    entries small.  The pivot column is cleared top to bottom, then the
+    pivot row left to right; a nonzero remainder is swapped in as the new
+    pivot and the clearing starts over.  Consumers read cocycle bases off
+    V, so this sequence is part of the contract: it is the dense
+    elimination's, step for step, and U, V, V^-1 and U^-1 are equal to
+    its transforms entry for entry.
+
+    D is kept as sparse rows plus, per column, the set of rows holding
+    it; V and U^-1 are kept transposed, so every operation is a row
+    operation on sparse rows.  The transforms are made dense once, on
+    return.  U^-1 is built only when uinv is set.  ncols pins the column
+    count when a has no rows.
     """
     m = len(a)
     n = len(a[0]) if m else (ncols or 0)
-    d = [row[:] for row in a]
-    u, uinv = identity(m), identity(m)
-    v, vinv = identity(n), identity(n)
+    d = [dict(zip(compress(range(n), row), filter(None, row))) for row in a]
+    cols: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(d):
+        for j in row:
+            cols[j].add(i)
+    u, v_t, vinv = ([{i: 1} for i in range(s)] for s in (m, n, n))
+    uinv_t = [{i: 1} for i in range(m)] if uinv else None
+    by_row = (d, u, uinv_t) if uinv else (d, u)
 
     def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
+        for rows in by_row:
+            rows[i], rows[j] = rows[j], rows[i]
+        for c in d[i].keys() ^ d[j].keys():
+            cols[c] ^= {i, j}
 
     def col_swap(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def row_add(j, i, q):
-        # row j += q * row i
-        d[j] = [x + q * y for x, y in zip(d[j], d[i])]
-        u[j] = [x + q * y for x, y in zip(u[j], u[i])]
-        for r in uinv:
-            r[i] -= q * r[j]
-
-    def col_add(j, i, q):
-        # col j += q * col i
-        for r in d:
-            r[j] += q * r[i]
-        for r in v:
-            r[j] += q * r[i]
-        vinv[i] = [x - q * y for x, y in zip(vinv[i], vinv[j])]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
+        for r in cols[i] | cols[j]:
+            row = d[r]
+            x, y = row.pop(i, 0), row.pop(j, 0)
+            if x:
+                row[j] = x
+            if y:
+                row[i] = y
+        for rows in (cols, v_t, vinv):
+            rows[i], rows[j] = rows[j], rows[i]
 
     for k in range(min(m, n)):
-        # locate a minimal-magnitude nonzero entry in the trailing block
+        # rows from k on hold no entry left of column k
         best = None
         for i in range(k, m):
-            for j in range(k, n):
-                e = d[i][j]
-                if e and (best is None or abs(e) < best[0]):
-                    best = (abs(e), i, j)
-                    if best[0] == 1:
-                        break
-            if best and best[0] == 1:
-                break
+            if d[i]:
+                e, j = min((abs(x), j) for j, x in d[i].items())
+                if best is None or e < best[0]:
+                    best = (e, i, j)
+                if e == 1:
+                    break
         if best is None:
             break
         _, bi, bj = best
@@ -110,38 +133,45 @@ def diagonalize(a: list[list[int]], ncols: int | None = None) -> Diagonalization
             col_swap(k, bj)
         while True:
             pivot = d[k][k]
-            # clear the pivot column; leftover remainders become new pivots
-            dirty = False
-            for i in range(k + 1, m):
-                if d[i][k]:
-                    q = d[i][k] // pivot
+            for i in sorted(cols[k] - {k}):
+                q = d[i][k] // pivot
+                if q:
+                    # row i -= q * row k; U^-1 takes the inverse column step
+                    _axpy(d[i], d[k], -q, cols, i)
+                    _axpy(u[i], u[k], -q)
+                    if uinv:
+                        _axpy(uinv_t[k], uinv_t[i], q)
+                if k in d[i]:
+                    row_swap(k, i)
+                    break
+            else:
+                # column k holds the pivot alone, so col j -= q * col k
+                # changes only d[k][j], to the remainder
+                row = d[k]
+                for j in sorted(c for c in row if c > k):
+                    q, r = divmod(row[j], pivot)
                     if q:
-                        row_add(i, k, -q)
-                    if d[i][k]:
-                        row_swap(k, i)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(k + 1, n):
-                if d[k][j]:
-                    q = d[k][j] // pivot
-                    if q:
-                        col_add(j, k, -q)
-                    if d[k][j]:
+                        _axpy(v_t[j], v_t[k], -q)
+                        _axpy(vinv[k], vinv[j], q)
+                    if r:
+                        row[j] = r
                         col_swap(k, j)
-                        dirty = True
                         break
-            if not dirty:
-                break
+                    del row[j]
+                    cols[j].discard(k)
+                else:
+                    break
         if d[k][k] < 0:
-            negate_row(k)
+            for rows in by_row:
+                rows[k] = {c: -x for c, x in rows[k].items()}
 
-    diag = [d[i][i] for i in range(min(m, n))]
+    diag = [d[i].get(i, 0) for i in range(min(m, n))]
     rank = sum(1 for x in diag if x)
     # nonzero entries are already leading because pivoting stops at the
     # first all-zero block
-    return Diagonalization(diag, rank, m, n, u, uinv, v, vinv)
+    return Diagonalization(diag, rank, m, n, _dense(u, m),
+                           _dense(uinv_t, m, True) if uinv else None,
+                           _dense(v_t, n, True), _dense(vinv, n))
 
 
 def invariant_factors(diag: list[int]) -> list[int]:

@@ -240,6 +240,18 @@ def test_usage_errors_exit_1_not_2(capsys):
     capsys.readouterr()
 
 
+def test_parser_built_once_per_process(files, capsys):
+    cli.build_parser.cache_clear()
+    assert run(capsys, "homology", files["S2"])[0] == 0
+    assert run(capsys, "homology", "--ring", "F2", files["T2"])[0] == 0
+    assert cli.build_parser.cache_info().misses == 1
+    # the shared parser still maps a usage error to exit 1, after a success
+    code, out, err = run(capsys, "homology")
+    assert code == 1 and "usage: topinv homology" in err
+    assert run(capsys, "homology", files["RP2"])[0] == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_help_exits_0(capsys):
     assert cli.main(["--help"]) == 0
     out = capsys.readouterr().out

@@ -130,9 +130,9 @@ def test_panel_eliminates_each_coboundary_once(monkeypatch):
     seen = []
     diagonalize = zlinalg.diagonalize
 
-    def recording(a, ncols=None):
+    def recording(a, ncols=None, **kwargs):
         seen.append(a)
-        return diagonalize(a, ncols)
+        return diagonalize(a, ncols, **kwargs)
 
     monkeypatch.setattr(zlinalg, "diagonalize", recording)
     intersection.panel(K)

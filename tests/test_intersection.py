@@ -171,3 +171,18 @@ def test_panel_relabeling_invariant(fixtures):
         res = intersection.compare_panels(K, L)
         assert res.consistent, (name, res.differing)
         assert res.differing == [], name
+
+
+def test_t2xs2_panel_matches_kunneth_and_bounds():
+    # a rung of the scale ladder: 336 facets, once a 68 s panel
+    K = cx.product_complex(catalog.torus(), catalog.sphere(2))
+    assert [K.n_simplices(k) for k in range(5)] == [28, 252, 728, 840, 336]
+    # Kunneth: (1, 2, 1) x (1, 0, 1), and neither factor has torsion
+    assert [(h.betti, h.torsion) for h in cx.homology(K, "Z")] == [
+        (1, ()), (2, ()), (2, ()), (2, ()), (1, ())]
+    p = intersection.panel(K)
+    assert p.orientable and p.spin and p.spin_c and p.even_form
+    # T2 x S2 bounds S1 x D2 x S2, so its signature and every
+    # Stiefel-Whitney number vanish
+    assert p.signature == 0 and p.signature_mod8 == 0
+    assert len(p.sw_numbers) == 5 and set(p.sw_numbers.values()) == {0}
