@@ -8,7 +8,10 @@ All arithmetic is exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
+from array import array
 from dataclasses import dataclass
 
 from . import f2linalg, zlinalg
@@ -20,6 +23,25 @@ class ParseError(ValueError):
 
 class TopologyError(ValueError):
     pass
+
+
+@functools.lru_cache(maxsize=None)
+def cut_patterns(n: int, i: int, p: int) -> tuple:
+    """(even blocks, odd blocks) of vertex positions of an n-simplex for
+    each choice of i+1 cuts (see steenrod), keeping those whose even part
+    has p+1 positions.  For i = 0 the one pattern is the front p-face and
+    the back (n-p)-face."""
+    pats = []
+    for cuts in itertools.combinations(range(n + 1), i + 1):
+        xpos: list[int] = []
+        ypos: list[int] = []
+        prev = 0
+        for t, c in enumerate(cuts + (n,)):
+            (xpos if t % 2 == 0 else ypos).extend(range(prev, c + 1))
+            prev = c
+        if len(xpos) == p + 1:
+            pats.append((tuple(xpos), tuple(ypos)))
+    return tuple(pats)
 
 
 class SimplicialComplex:
@@ -71,6 +93,41 @@ class SimplicialComplex:
 
     def n_simplices(self, k: int) -> int:
         return len(self.simplices(k))
+
+    def face_table(self, n: int, pos: tuple[int, ...]) -> array:
+        """Entry s is the index of the face of the n-simplex s spanned by
+        its vertices at positions pos, among the (len(pos)-1)-simplices."""
+        def build():
+            idx = self.simplex_index(len(pos) - 1)
+            faces = map(operator.itemgetter(*pos), self.simplices(n))
+            if len(pos) == 1:
+                faces = zip(faces)  # the lone vertex, as a 1-tuple key
+            return array("i", map(idx.__getitem__, faces))
+        return self._memo(("face", n, pos), build)
+
+    def gather(self, n: int, pos: tuple[int, ...], x: int) -> int:
+        """Mask over n-simplices whose bit s is the bit of the cochain x at
+        the face of s on positions pos; bits of x past the faces are ignored.
+
+        One string pass: x's bits in ascending order, picked by
+        operator.itemgetter over the face table, read back by int(_, 2).
+        """
+        pick = operator.itemgetter(*self.face_table(n, pos))
+        bits = format(x, f"0{self.n_simplices(len(pos) - 1)}b")[::-1]
+        # with one n-simplex, pick returns a lone character; join takes both
+        return int("".join(pick(bits))[::-1], 2)
+
+    def cup_f2(self, x: int, p: int, y: int, q: int, i: int = 0) -> int:
+        """Cochain-level x cup_i y of F2 cochains of degrees p and q, a mask
+        over the (p+q-i)-simplices: the xor over the cut patterns of the
+        gathered x on the even blocks and gathered y on the odd ones."""
+        n = p + q - i
+        if n > self.dimension or n < 0:
+            return 0
+        out = 0
+        for xpos, ypos in cut_patterns(n, i, p):
+            out ^= self.gather(n, xpos, x) & self.gather(n, ypos, y)
+        return out
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * self.n_simplices(k)
@@ -378,20 +435,7 @@ def _norm_ring(ring: str) -> str:
 
 def cup_cochain_f2(K: SimplicialComplex, p: int, q: int, x: int, y: int) -> int:
     """Cochain-level cup product of an F2 p-cochain and q-cochain."""
-    n = p + q
-    if n > K.dimension:
-        return 0
-    ip = K.simplex_index(p)
-    iq = K.simplex_index(q)
-    out = 0
-    for s_i, s in enumerate(K.simplices(n)):
-        front = ip.get(s[:p + 1])
-        back = iq.get(s[p:])
-        if front is None or back is None:
-            continue
-        if (x >> front) & (y >> back) & 1:
-            out ^= 1 << s_i
-    return out
+    return K.cup_f2(x, p, y, q)
 
 
 def cup_cochain_z(K: SimplicialComplex, p: int, q: int, x, y) -> tuple[int, ...]:
@@ -399,15 +443,9 @@ def cup_cochain_z(K: SimplicialComplex, p: int, q: int, x, y) -> tuple[int, ...]
     n = p + q
     if n > K.dimension:
         return ()
-    ip = K.simplex_index(p)
-    iq = K.simplex_index(q)
-    out = []
-    for s in K.simplices(n):
-        front = ip.get(s[:p + 1])
-        back = iq.get(s[p:])
-        out.append(0 if front is None or back is None
-                   else x[front] * y[back])
-    return tuple(out)
+    front = K.face_table(n, tuple(range(p + 1)))
+    back = K.face_table(n, tuple(range(p, n + 1)))
+    return tuple(x[f] * y[b] for f, b in zip(front, back))
 
 
 def cup_product(K: SimplicialComplex, x: CohomologyClass,
@@ -455,16 +493,16 @@ def duality_pairing_f2(K: SimplicialComplex, k: int) -> list[int]:
     transpose, since the cup product is commutative on F2 cohomology.
     """
     def build():
+        # <x cup y, [K]> = parity(x on front faces & y on back faces & [K]),
+        # so each basis class is gathered once, not once per pair
         n = K.dimension
         fc = K.fundamental_class_f2()
-        hc = K.cohomology_f2(n - k)
+        front, back = tuple(range(k + 1)), tuple(range(k, n + 1))
+        ys = [K.gather(n, back, yb) for yb in K.cohomology_f2(n - k).basis]
         rows = []
         for xb in K.cohomology_f2(k).basis:
-            mask = 0
-            for j, yb in enumerate(hc.basis):
-                if f2linalg.dot(cup_cochain_f2(K, k, n - k, xb, yb), fc):
-                    mask |= 1 << j
-            rows.append(mask)
+            xf = K.gather(n, front, xb) & fc
+            rows.append(sum(f2linalg.dot(xf, y) << j for j, y in enumerate(ys)))
         return rows
     return K._memo(("pair", k), build)
 
@@ -532,17 +570,6 @@ def relabel(K: SimplicialComplex, mapping: dict[int, int]) -> SimplicialComplex:
         raise ValueError("relabeling not injective")
     return SimplicialComplex(
         tuple(mapping[v] for v in s) for s in K.maximal_simplices)
-
-
-def transport_f2_cochain(src: SimplicialComplex, dst: SimplicialComplex,
-                         k: int, mask: int, mapping: dict[int, int]) -> int:
-    """Push an F2 cochain through a vertex relabeling."""
-    idx = dst.simplex_index(k)
-    out = 0
-    for i, s in enumerate(src.simplices(k)):
-        if (mask >> i) & 1:
-            out ^= 1 << idx[tuple(sorted(mapping[v] for v in s))]
-    return out
 
 
 def product_complex(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:

@@ -251,12 +251,6 @@ def is_even(form: QuadraticForm) -> bool:
     return all(form.gram[i][i] % 2 == 0 for i in range(form.dim))
 
 
-def direct_sum(f: QuadraticForm, g: QuadraticForm) -> QuadraticForm:
-    zf, zg = [Fraction(0)] * f.dim, [Fraction(0)] * g.dim
-    return QuadraticForm([list(row) + zg for row in f.gram]
-                         + [zf + list(row) for row in g.gram])
-
-
 def parse_gram(text: str) -> QuadraticForm:
     """Parse the Gram file format: a 'dim d' header, then d rows of d
     exact rational entries."""

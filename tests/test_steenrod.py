@@ -4,8 +4,69 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topinv import catalog, steenrod
+from topinv import catalog, f2linalg, steenrod
 from topinv import complexes as cx
+
+
+def reference_cup_i(K, x, p, y, q, i):
+    """Per-simplex cup-i: the loop the face-table kernel replaced."""
+    n = p + q - i
+    if n > K.dimension or n < 0:
+        return 0
+    ip = K.simplex_index(p)
+    iq = K.simplex_index(q)
+    pats = cx.cut_patterns(n, i, p)
+    out = 0
+    for s_i, s in enumerate(K.simplices(n)):
+        acc = 0
+        for xpos, ypos in pats:
+            xv = tuple(s[t] for t in xpos)
+            yv = tuple(s[t] for t in ypos)
+            acc ^= (x >> ip[xv]) & (y >> iq[yv])
+        if acc & 1:
+            out |= 1 << s_i
+    return out
+
+
+def reference_cup_cochain_f2(K, p, q, x, y):
+    """Per-simplex front-face times back-face cup product."""
+    n = p + q
+    if n > K.dimension:
+        return 0
+    ip = K.simplex_index(p)
+    iq = K.simplex_index(q)
+    out = 0
+    for s_i, s in enumerate(K.simplices(n)):
+        front = ip.get(s[:p + 1])
+        back = iq.get(s[p:])
+        if front is None or back is None:
+            continue
+        if (x >> front) & (y >> back) & 1:
+            out ^= 1 << s_i
+    return out
+
+
+def coboundary_defect(K, x, p, y, q, i):
+    """delta(x cup_i y) minus its Leibniz-plus-shift expansion, over F2:
+    zero for all cochains, the identity behind the Steenrod squares."""
+    cup_i = steenrod.cup_i
+    lhs = K.coboundary_apply_f2(p + q - i, cup_i(K, x, p, y, q, i))
+    rhs = cup_i(K, K.coboundary_apply_f2(p, x), p + 1, y, q, i)
+    rhs ^= cup_i(K, x, p, K.coboundary_apply_f2(q, y), q + 1, i)
+    if i > 0:
+        rhs ^= cup_i(K, x, p, y, q, i - 1)
+        rhs ^= cup_i(K, y, q, x, p, i - 1)
+    return lhs ^ rhs
+
+
+def transport_f2_cochain(src, dst, k, mask, mapping):
+    """Push an F2 cochain through a vertex relabeling."""
+    idx = dst.simplex_index(k)
+    out = 0
+    for i, s in enumerate(src.simplices(k)):
+        if (mask >> i) & 1:
+            out ^= 1 << idx[tuple(sorted(mapping[v] for v in s))]
+    return out
 
 
 def all_f2_classes(K):
@@ -37,6 +98,78 @@ def test_cup_0_is_cup_product(fixtures):
                 cx.cup_cochain_f2(K, p, q, x, y)
 
 
+def degree_triples(n):
+    """Every (p, q, i) with a cup-i product landing in degrees 0..n."""
+    return [(p, q, i) for p in range(n + 1) for q in range(n + 1)
+            for i in range(min(p, q) + 1) if p + q - i <= n]
+
+
+def operand_pairs(K, p, q, rng):
+    """Random cochains, zero, all ones, and cochains with bits above f_p."""
+    fp, fq = K.n_simplices(p), K.n_simplices(q)
+    ones_p, ones_q = (1 << fp) - 1, (1 << fq) - 1
+    x, y = rng.getrandbits(fp), rng.getrandbits(fq)
+    high = rng.getrandbits(40) | 1
+    return [(x, y), (0, y), (x, 0), (ones_p, ones_q), (ones_p, y),
+            (x | high << fp, y | high << fq)]
+
+
+@pytest.fixture(scope="module")
+def products():
+    """Fresh product complexes from the f2-nonorientable benchmark."""
+    return {"RP2xS3": cx.product_complex(catalog.projective_plane(),
+                                         catalog.sphere(3)),
+            "K2xT2": cx.product_complex(catalog.klein_bottle(),
+                                        catalog.torus())}
+
+
+def assert_kernel_matches_oracle(K, rng, name):
+    for p, q, i in degree_triples(K.dimension):
+        for x, y in operand_pairs(K, p, q, rng):
+            want = reference_cup_i(K, x, p, y, q, i)
+            assert steenrod.cup_i(K, x, p, y, q, i) == want, (name, p, q, i)
+            if i == 0:
+                assert want == reference_cup_cochain_f2(K, p, q, x, y)
+                assert cx.cup_cochain_f2(K, p, q, x, y) == want, (name, p, q)
+
+
+def test_kernel_matches_oracle_on_fixtures(fixtures):
+    rng = random.Random(11)
+    for name, K in fixtures.items():
+        assert_kernel_matches_oracle(K, rng, name)
+
+
+@pytest.mark.parametrize("name", ["RP2xS3", "K2xT2"])
+def test_kernel_matches_oracle_on_products(products, name):
+    assert_kernel_matches_oracle(products[name], random.Random(12), name)
+
+
+@pytest.mark.parametrize("facets", [[(0, 1, 2)], [(0, 1, 2, 3)],
+                                    [(0, 1, 2), (1, 2, 3)], [(0, 1)]])
+def test_kernel_matches_oracle_exhaustively_on_small_complexes(facets):
+    # a single top simplex makes itemgetter over the face table return one
+    # character rather than a tuple
+    K = cx.SimplicialComplex(facets)
+    for p, q, i in degree_triples(K.dimension):
+        for x in range(1 << (K.n_simplices(p) + 1)):
+            for y in range(1 << (K.n_simplices(q) + 1)):
+                assert steenrod.cup_i(K, x, p, y, q, i) == \
+                    reference_cup_i(K, x, p, y, q, i), (facets, p, q, i, x, y)
+
+
+def test_duality_pairing_matches_per_pair_cup(fixtures, products):
+    for name, K in {**fixtures, **products}.items():
+        n = K.dimension
+        fc = K.fundamental_class_f2()
+        for k in range(n + 1):
+            ys = K.cohomology_f2(n - k).basis
+            want = [sum(f2linalg.dot(reference_cup_cochain_f2(
+                            K, k, n - k, xb, yb), fc) << j
+                        for j, yb in enumerate(ys))
+                    for xb in K.cohomology_f2(k).basis]
+            assert cx.duality_pairing_f2(K, k) == want, (name, k)
+
+
 def test_coboundary_identity_random(fixtures, rng):
     # d(x u_i y) = dx u_i y + x u_i dy + x u_{i-1} y + y u_{i-1} x
     for name in ("RP2", "T2", "K2", "S2"):
@@ -48,7 +181,7 @@ def test_coboundary_identity_random(fixtures, rng):
             i = rng.randint(0, min(p, q))
             x = rng.getrandbits(K.n_simplices(p))
             y = rng.getrandbits(K.n_simplices(q))
-            assert steenrod.coboundary_defect(K, x, p, y, q, i) == 0
+            assert coboundary_defect(K, x, p, y, q, i) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -63,7 +196,7 @@ def test_coboundary_identity_exhaustive_degrees(xbits, ybits, p, q, i):
         i = min(p, q)
     x = xbits & ((1 << K.n_simplices(p)) - 1)
     y = ybits & ((1 << K.n_simplices(q)) - 1)
-    assert steenrod.coboundary_defect(K, x, p, y, q, i) == 0
+    assert coboundary_defect(K, x, p, y, q, i) == 0
 
 
 def test_sq0_is_identity(fixtures):
@@ -239,10 +372,10 @@ def test_sq_naturality_under_relabeling(fixtures):
         n = K.dimension
         for q in range(n + 1):
             for b in K.cohomology_f2(q).basis:
-                tb = cx.transport_f2_cochain(K, L, q, b, mapping)
+                tb = transport_f2_cochain(K, L, q, b, mapping)
                 for k in range(0, n - q + 1):
                     sk = steenrod.sq(K, k, cx.f2_class(K, q, b))
                     sl = steenrod.sq(L, k, cx.f2_class(L, q, tb))
-                    tsk = cx.transport_f2_cochain(
+                    tsk = transport_f2_cochain(
                         K, L, q + k, sk.cocycle, mapping)
                     assert L.cohomology_f2(q + k).coords(tsk) == sl.coords
