@@ -83,8 +83,8 @@ def sw_numbers(K: SimplicialComplex) -> dict[tuple[int, ...], int]:
     n = K.dimension
     out = {}
     for part in partitions(n):
-        mask = ws[part[0]].cocycle
-        deg = part[0]
+        deg = part[0] if part else 0  # n = 0: () reads <w_0, [pt]> = 1
+        mask = ws[deg].cocycle
         for p in part[1:]:
             mask = cup_cochain_f2(K, deg, p, mask, ws[p].cocycle)
             deg += p

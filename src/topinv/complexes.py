@@ -150,13 +150,15 @@ class SimplicialComplex:
             return rows
         return self._memo(("bdz", k), build)
 
-    def coboundary_z(self, k: int) -> list[list[int]]:
-        """Matrix of delta: C^k -> C^{k+1}, the transpose of boundary_z(k+1)."""
+    def coboundary_z(self, k: int) -> list[dict[int, int]]:
+        """Matrix of delta: C^k -> C^{k+1} as sparse rows, one per
+        (k+1)-simplex: {index of its i-th face: (-1)^i}."""
         def build():
-            b = self.boundary_z(k + 1)
-            nk = self.n_simplices(k)
-            return [[b[i][j] for i in range(nk)]
-                    for j in range(self.n_simplices(k + 1))]
+            if k < 0:
+                return [{} for _ in range(self.n_simplices(0))]
+            idx = self.simplex_index(k)
+            return [{idx[s[:i] + s[i + 1:]]: (-1) ** i for i in range(k + 2)}
+                    for s in self.simplices(k + 1)]
         return self._memo(("cbz", k), build)
 
     def coboundary_f2(self, k: int) -> list[int]:
@@ -241,7 +243,7 @@ class SimplicialComplex:
             if dz.m - dz.rank != 1:
                 raise TopologyError(
                     "not a pseudo-manifold / top homology not rank 1")
-            gen = dz.u[dz.rank]
+            gen = dz.u_row(dz.rank)
             if next(x for x in gen if x) < 0:
                 gen = [-x for x in gen]
             return tuple(gen)
@@ -291,7 +293,8 @@ class ZCohomology:
 
     From K.coboundary_factor(k), U delta_k V = D: the columns of V past
     the rank span the cocycles, and the same rows of V^-1 give coordinates
-    over them.  summands lists the orders: d > 1 for torsion summands, 0
+    over them; those rows times delta_(k-1) are the relations among the
+    coordinates.  summands lists the orders: d > 1 for torsion summands, 0
     for free ones.  Coordinates are normalized, torsion entries reduced
     mod d, so a class is zero exactly when all its coordinates vanish.
     """
@@ -300,14 +303,11 @@ class ZCohomology:
         self.degree = k
         dz = K.coboundary_factor(k)
         self._dz = dz
-        self._zmat = [list(r) for r in zip(*zlinalg.kernel_basis(dz))]
+        self._cocycles = zlinalg.kernel_basis(dz)
         coord_rows = dz.vinv[dz.rank:]
-        # column j of delta_(k-1) is row j of boundary_z(k)
-        cols = [[(t, v) for t, v in enumerate(row) if v]
-                for row in K.boundary_z(k)]
-        relmat = [[sum(p[t] * v for t, v in col) for col in cols]
-                  for p in coord_rows]
-        self._cdz = zlinalg.diagonalize(relmat, len(cols), uinv=True)
+        delta = K.coboundary_z(k - 1)
+        relmat = [zlinalg.combine(p, delta) for p in coord_rows]
+        self._cdz = zlinalg.diagonalize(relmat, K.n_simplices(k - 1))
         summands = []
         kept = []
         for i in range(len(coord_rows)):
@@ -337,9 +337,8 @@ class ZCohomology:
 
     def rep(self, i: int) -> tuple[int, ...]:
         """Cocycle representative of the i-th summand generator."""
-        col = self._kept[i]
-        c = [self._cdz.uinv[row][col] for row in range(len(self._cdz.uinv))]
-        return tuple(zlinalg.matvec(self._zmat, c))
+        x = zlinalg.combine(self._cdz.uinv_t[self._kept[i]], self._cocycles)
+        return tuple(x.get(j, 0) for j in range(self._dz.n))
 
     def is_zero(self, z) -> bool:
         return all(v == 0 for v in self.coords(z))

@@ -1,22 +1,30 @@
 """Exact integer matrix algebra: diagonalization, kernels, solving.
 
-Matrices are lists of rows of Python ints.  Everything here is exact;
-no floating point appears anywhere.  diagonalize works on sparse rows
-({column: nonzero entry}) inside, because coboundary matrices and their
-transforms are mostly zero, and hands back dense rows.
+Matrices are lists of sparse rows ({column: nonzero entry}) of Python
+ints, because coboundary matrices and their transforms are mostly zero;
+vectors are dense lists.  Everything here is exact; no floating point
+appears anywhere.  diagonalize eliminates D alone and logs its steps;
+the transforms are replayed from the log only when something reads them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from functools import cached_property
 
 
-def matvec(a: list[list[int]], v: list[int]) -> list[int]:
-    """A v, summed over the nonzero entries of v only."""
-    nz = [(j, x) for j, x in enumerate(v) if x]
-    return [sum(row[j] * x for j, x in nz) for row in a]
+def matvec(a: list[dict], v: list[int]) -> list[int]:
+    """A v for sparse rows a, summed over the nonzero entries of A only."""
+    return [sum(x * v[j] for j, x in row.items()) for row in a]
+
+
+def combine(coeffs: dict, rows: list[dict]) -> dict:
+    """The sparse row sum of coeffs[i] * rows[i]."""
+    out: dict = {}
+    for i, q in coeffs.items():
+        _axpy(out, rows[i], q)
+    return out
 
 
 @dataclass
@@ -26,17 +34,43 @@ class Diagonalization:
     diag holds the nonnegative diagonal entries with all nonzero ones
     first; rank is their count.  The diagonal entries need not form a
     divisibility chain; see invariant_factors for that normalization.
-    uinv is None unless diagonalize was asked for it.
+
+    The logs hold the elimination's steps in order.  A row step (i, j, q)
+    swaps rows i and j if q = 0, negates row i if i = j, else adds q * row
+    j to row i; a column step (j, k, q) swaps columns j and k if q = 0,
+    else adds q * column k to column j.  The transforms are replayed from
+    them on first access, as sparse rows: u (rows of U), v_t (columns of
+    V), vinv (rows of V^-1) and uinv_t (columns of U^-1).
     """
 
     diag: list[int]
     rank: int
     m: int
     n: int
-    u: list[list[int]]
-    uinv: list[list[int]] | None
-    v: list[list[int]]
-    vinv: list[list[int]]
+    row_log: list[tuple[int, int, int]]
+    col_log: list[tuple[int, int, int]]
+
+    @cached_property
+    def u(self) -> list[dict]:
+        return _replay(self.row_log, _identity(self.m))
+
+    @cached_property
+    def uinv_t(self) -> list[dict]:
+        # U^-1 takes each inverse step on the right, as a column step
+        return _replay(self.row_log, _identity(self.m), True, -1)
+
+    @cached_property
+    def v_t(self) -> list[dict]:
+        return _replay(self.col_log, _identity(self.n))
+
+    @cached_property
+    def vinv(self) -> list[dict]:
+        return _replay(self.col_log, _identity(self.n), True, -1)
+
+    def u_row(self, i: int) -> list[int]:
+        """Row i of U, as U^T e_i: the row steps transposed, in reverse."""
+        e = [int(j == i) for j in range(self.m)]
+        return _dense(_replay(reversed(self.row_log), _sparse(e), True))
 
 
 def _axpy(dst: dict, src: dict, q: int, cols=None, r=None) -> None:
@@ -54,17 +88,38 @@ def _axpy(dst: dict, src: dict, q: int, cols=None, r=None) -> None:
                 cols[c].discard(r)
 
 
-def _dense(rows: list[dict], size: int, transpose: bool = False):
-    out = [[0] * size for _ in range(size)]
-    for row, r in zip(rows, out):
-        for j, x in row.items():
-            r[j] = x
-    return [list(c) for c in zip(*out)] if transpose else out
+def _replay(steps, rows: list[dict], transpose=False, sign=1) -> list[dict]:
+    """rows with each logged step (i, j, q) applied in place: q = 0 swaps
+    rows i and j, i = j negates row i, any other adds sign * q times row j
+    to row i, or with transpose set row i to row j."""
+    for i, j, q in steps:
+        if not q:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif i == j:
+            rows[i] = {c: -x for c, x in rows[i].items()}
+        elif transpose:
+            _axpy(rows[j], rows[i], sign * q)
+        else:
+            _axpy(rows[i], rows[j], sign * q)
+    return rows
 
 
-def diagonalize(a: list[list[int]], ncols: int | None = None, *,
-                uinv: bool = False) -> Diagonalization:
-    """Diagonalize by unimodular row and column operations.
+def _identity(size: int) -> list[dict]:
+    return [{i: 1} for i in range(size)]
+
+
+def _sparse(x: list[int]) -> list[dict]:
+    """A dense vector as a one-column matrix of sparse rows."""
+    return [{0: v} if v else {} for v in x]
+
+
+def _dense(rows: list[dict]) -> list[int]:
+    return [row.get(0, 0) for row in rows]
+
+
+def diagonalize(a: list[dict], ncols: int) -> Diagonalization:
+    """Diagonalize the sparse rows a, of ncols columns, by unimodular row
+    and column operations, logging each one.
 
     The pivot at each stage is the first entry of least absolute value,
     in row-major order, of the remaining block, which keeps intermediate
@@ -72,31 +127,23 @@ def diagonalize(a: list[list[int]], ncols: int | None = None, *,
     pivot row left to right; a nonzero remainder is swapped in as the new
     pivot and the clearing starts over.  Consumers read cocycle bases off
     V, so this sequence is part of the contract: it is the dense
-    elimination's, step for step, and U, V, V^-1 and U^-1 are equal to
-    its transforms entry for entry.
-
-    D is kept as sparse rows plus, per column, the set of rows holding
-    it; V and U^-1 are kept transposed, so every operation is a row
-    operation on sparse rows.  The transforms are made dense once, on
-    return.  U^-1 is built only when uinv is set.  ncols pins the column
-    count when a has no rows.
+    elimination's, step for step, and the replayed transforms are equal
+    to its U, V, V^-1 and U^-1 entry for entry.  Only D is eliminated, on
+    a copy of a plus, per column, the set of rows holding it.
     """
-    m = len(a)
-    n = len(a[0]) if m else (ncols or 0)
-    d = [dict(zip(compress(range(n), row), filter(None, row))) for row in a]
+    m, n = len(a), ncols
+    d = [dict(row) for row in a]
     cols: list[set[int]] = [set() for _ in range(n)]
     for i, row in enumerate(d):
         for j in row:
             cols[j].add(i)
-    u, v_t, vinv = ([{i: 1} for i in range(s)] for s in (m, n, n))
-    uinv_t = [{i: 1} for i in range(m)] if uinv else None
-    by_row = (d, u, uinv_t) if uinv else (d, u)
+    row_log, col_log = [], []
 
     def row_swap(i, j):
-        for rows in by_row:
-            rows[i], rows[j] = rows[j], rows[i]
+        d[i], d[j] = d[j], d[i]
         for c in d[i].keys() ^ d[j].keys():
             cols[c] ^= {i, j}
+        row_log.append((i, j, 0))
 
     def col_swap(i, j):
         for r in cols[i] | cols[j]:
@@ -106,8 +153,8 @@ def diagonalize(a: list[list[int]], ncols: int | None = None, *,
                 row[j] = x
             if y:
                 row[i] = y
-        for rows in (cols, v_t, vinv):
-            rows[i], rows[j] = rows[j], rows[i]
+        cols[i], cols[j] = cols[j], cols[i]
+        col_log.append((i, j, 0))
 
     for k in range(min(m, n)):
         # rows from k on hold no entry left of column k
@@ -131,11 +178,8 @@ def diagonalize(a: list[list[int]], ncols: int | None = None, *,
             for i in sorted(cols[k] - {k}):
                 q = d[i][k] // pivot
                 if q:
-                    # row i -= q * row k; U^-1 takes the inverse column step
                     _axpy(d[i], d[k], -q, cols, i)
-                    _axpy(u[i], u[k], -q)
-                    if uinv:
-                        _axpy(uinv_t[k], uinv_t[i], q)
+                    row_log.append((i, k, -q))
                 if k in d[i]:
                     row_swap(k, i)
                     break
@@ -146,8 +190,7 @@ def diagonalize(a: list[list[int]], ncols: int | None = None, *,
                 for j in sorted(c for c in row if c > k):
                     q, r = divmod(row[j], pivot)
                     if q:
-                        _axpy(v_t[j], v_t[k], -q)
-                        _axpy(vinv[k], vinv[j], q)
+                        col_log.append((j, k, -q))
                     if r:
                         row[j] = r
                         col_swap(k, j)
@@ -157,16 +200,14 @@ def diagonalize(a: list[list[int]], ncols: int | None = None, *,
                 else:
                     break
         if d[k][k] < 0:
-            for rows in by_row:
-                rows[k] = {c: -x for c, x in rows[k].items()}
+            d[k] = {c: -x for c, x in d[k].items()}
+            row_log.append((k, k, -1))
 
     diag = [d[i].get(i, 0) for i in range(min(m, n))]
     rank = sum(1 for x in diag if x)
     # nonzero entries are already leading because pivoting stops at the
     # first all-zero block
-    return Diagonalization(diag, rank, m, n, _dense(u, m),
-                           _dense(uinv_t, m, True) if uinv else None,
-                           _dense(v_t, n, True), _dense(vinv, n))
+    return Diagonalization(diag, rank, m, n, row_log, col_log)
 
 
 def invariant_factors(diag: list[int]) -> list[int]:
@@ -184,26 +225,21 @@ def invariant_factors(diag: list[int]) -> list[int]:
     return [1] * sum(1 for x in diag if abs(x) == 1) + factors
 
 
-def kernel_basis(dz: Diagonalization) -> list[list[int]]:
-    """Basis of the integer kernel of the diagonalized matrix, as column
-    vectors of length n: the columns of V past the rank."""
-    return [[row[j] for row in dz.v] for j in range(dz.rank, dz.n)]
+def kernel_basis(dz: Diagonalization) -> list[dict]:
+    """Basis of the integer kernel of the diagonalized matrix, as sparse
+    column vectors of length n: the columns of V past the rank."""
+    return dz.v_t[dz.rank:]
 
 
 def solve(dz: Diagonalization, b: list[int]) -> list[int] | None:
-    """One integral solution of A x = b for the diagonalized A, or None."""
-    ub = matvec(dz.u, b)
-    y = [0] * dz.n
-    for i in range(dz.m):
-        di = dz.diag[i] if i < len(dz.diag) else 0
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di != 0:
-                return None
-            y[i] = ub[i] // di
-    return matvec(dz.v, y)
+    """One integral solution of A x = b for the diagonalized A, or None:
+    x = V y with D y = U b, replaying the logs on b and y alone."""
+    ub = _dense(_replay(dz.row_log, _sparse(b)))
+    r = dz.rank
+    if any(ub[r:]) or any(x % d for x, d in zip(ub, dz.diag[:r])):
+        return None
+    y = [x // d for x, d in zip(ub, dz.diag[:r])] + [0] * (dz.n - r)
+    return _dense(_replay(reversed(dz.col_log), _sparse(y), True))
 
 
 def det(a: list[list[int]]) -> int:

@@ -273,3 +273,20 @@ def test_sympy_imported_only_to_factor(files):
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           check=True)
     assert proc.stderr.strip() == "[False, False, True]"
+
+
+def test_point_gets_one_report_from_every_sw_verb(capsys, tmp_path):
+    # partitions(0) is [()], the empty partition: <w_0, [pt]> = 1
+    p = tmp_path / "pt.cx"
+    p.write_text("0\n0\n")
+    reports = {}
+    for argv in (["sw-numbers", str(p)], ["obstructions", str(p)],
+                 ["panel", str(p)], ["compare", str(p), str(p)],
+                 ["cobordant", str(p), str(p)]):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 0 and err == "", argv
+        reports[argv[0]] = json.loads(out)
+    assert reports["sw-numbers"]["sw_numbers"] == [
+        {"partition": [], "value": 1}]
+    assert reports["obstructions"]["null_cobordant"] is False
+    assert reports["cobordant"]["cobordant"] is True

@@ -186,3 +186,18 @@ def test_t2xs2_panel_matches_kunneth_and_bounds():
     # Stiefel-Whitney number vanish
     assert p.signature == 0 and p.signature_mod8 == 0
     assert len(p.sw_numbers) == 5 and set(p.sw_numbers.values()) == {0}
+
+
+def test_t2xt2_panel_matches_kunneth_and_bounds():
+    # the next rung: 1,176 facets, once an 8 s panel peaking at 542 MB
+    K = cx.product_complex(catalog.torus(), catalog.torus())
+    assert [K.n_simplices(k) for k in range(5)] == [49, 735, 2450, 2940, 1176]
+    # Kunneth: (1, 2, 1) x (1, 2, 1), and neither factor has torsion
+    assert [(h.betti, h.torsion) for h in cx.homology(K, "Z")] == [
+        (1, ()), (4, ()), (6, ()), (4, ()), (1, ())]
+    p = intersection.panel(K)
+    assert p.orientable and p.spin and p.spin_c and p.even_form
+    # T2 x T2 bounds T2 x D2 x S1, so its signature and every
+    # Stiefel-Whitney number vanish
+    assert p.signature == 0 and p.signature_mod8 == 0
+    assert len(p.sw_numbers) == 5 and set(p.sw_numbers.values()) == {0}

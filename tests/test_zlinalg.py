@@ -2,13 +2,33 @@
 
 Consumers read the cocycle basis off V, so the intersection gram (and the
 goldens) depend on the exact pivot sequence, not only on the diagonal:
-every field must equal the dense elimination's, element for element.
+the diagonal and every transform replayed from the logs must equal the
+dense elimination's, element for element.
 """
 
 import random
+from types import SimpleNamespace
 
-from topinv import catalog, zlinalg
+from topinv import catalog, intersection, zlinalg
 from topinv import complexes as cx
+
+TRANSFORMS = {"u", "v_t", "vinv", "uinv_t"}
+
+
+def sparse(a):
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def dense(rows, size):
+    out = [[0] * size for _ in rows]
+    for row, r in zip(rows, out):
+        for j, x in row.items():
+            r[j] = x
+    return out
+
+
+def transpose(a):
+    return [list(c) for c in zip(*a)]
 
 
 def reference_diagonalize(a, ncols=None):
@@ -108,15 +128,26 @@ def reference_diagonalize(a, ncols=None):
 
     diag = [d[i][i] for i in range(min(m, n))]
     rank = sum(1 for x in diag if x)
-    return zlinalg.Diagonalization(diag, rank, m, n, u, uinv, v, vinv)
+    return SimpleNamespace(diag=diag, rank=rank, m=m, n=n, u=u, uinv=uinv,
+                           v=v, vinv=vinv)
 
 
-def assert_matches_reference(a, ncols=None, uinv=False):
-    got = zlinalg.diagonalize(a, ncols, uinv=uinv)
-    want = reference_diagonalize(a, ncols)
-    for field in ("diag", "rank", "m", "n", "u", "v", "vinv"):
+def assert_matches_reference(rows, ncols):
+    """diagonalize(rows, ncols) against the dense oracle, with every
+    transform made dense here.  u_row replays one row of U at the cost of
+    the whole row log, so past 64 rows only the first, the last and the
+    one at the rank (the fundamental class reads it) are replayed."""
+    got = zlinalg.diagonalize(rows, ncols)
+    want = reference_diagonalize(dense(rows, ncols), ncols)
+    for field in ("diag", "rank", "m", "n"):
         assert getattr(got, field) == getattr(want, field), field
-    assert got.uinv == (want.uinv if uinv else None)
+    m, n = got.m, got.n
+    assert dense(got.u, m) == want.u, "u"
+    for i in range(m) if m <= 64 else {0, min(got.rank, m - 1), m - 1}:
+        assert got.u_row(i) == want.u[i], ("u_row", i)
+    assert transpose(dense(got.v_t, n)) == want.v, "v"
+    assert dense(got.vinv, n) == want.vinv, "vinv"
+    assert transpose(dense(got.uinv_t, m)) == want.uinv, "uinv"
     return got
 
 
@@ -164,53 +195,123 @@ def test_matches_reference_on_fixture_coboundaries():
             assert_matches_reference(K.coboundary_z(k), K.n_simplices(k))
 
 
+def test_coboundary_rows_are_boundary_columns():
+    for K in ladder_complexes():
+        for k in range(-1, K.dimension + 1):
+            b = K.boundary_z(k + 1)
+            assert dense(K.coboundary_z(k), K.n_simplices(k)) == (
+                transpose(b) if b else [[]] * K.n_simplices(k + 1))
+
+
 def test_matches_reference_on_t2xs2_coboundaries():
     K = cx.product_complex(catalog.torus(), catalog.sphere(2))
     for k in range(K.dimension):
         assert_matches_reference(K.coboundary_z(k), K.n_simplices(k))
 
 
-def test_matches_reference_on_random_matrices():
+def random_matrices():
+    """The 400 seeded random matrices, as (dense rows, column count)."""
     rng = random.Random(4242)
+    return [random_matrix(rng) for _ in range(400)]
+
+
+EDGE_CASES = [([], 0), ([], 5), ([[]] * 3, 0), ([[0, 0], [0, 0]], 2),
+              ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], 3)]
+
+
+def test_matches_reference_on_random_matrices():
     non_unit = 0
-    for _ in range(400):
-        a, n = random_matrix(rng)
-        dz = assert_matches_reference(a, n, uinv=True)
+    for a, n in random_matrices():
+        dz = assert_matches_reference(sparse(a), n)
         non_unit += any(x > 1 for x in dz.diag)
     # the remainder path ran: a diagonal entry > 1 needs a non-unit pivot
     assert non_unit >= 50
-    for a, n in [([], 0), ([], 5), ([[]] * 3, None), ([[0, 0], [0, 0]], None),
-                 ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], None)]:
-        assert_matches_reference(a, n, uinv=True)
+    for a, n in EDGE_CASES:
+        assert_matches_reference(sparse(a), n)
+
+
+def reference_solve(ref, b):
+    """x = V y with D y = U b, all dense, or None."""
+    ub = [sum(p * q for p, q in zip(row, b)) for row in ref.u]
+    y = [0] * ref.n
+    for i, x in enumerate(ub):
+        di = ref.diag[i] if i < len(ref.diag) else 0
+        if (x % di if di else x) != 0:
+            return None
+        if di:
+            y[i] = x // di
+    return [sum(p * q for p, q in zip(row, y)) for row in ref.v]
+
+
+def test_solve_matches_dense_oracle():
+    rng = random.Random(1729)
+    unsolvable = 0
+    for a, n in random_matrices() + EDGE_CASES:
+        dz = zlinalg.diagonalize(sparse(a), n)
+        ref = reference_diagonalize(a, n)
+        x0 = [rng.randint(-4, 4) for _ in range(n)]
+        inside = [sum(p * q for p, q in zip(row, x0)) for row in a]
+        outside = [rng.randint(-6, 6) for _ in a]
+        for b in (inside, outside):
+            x = zlinalg.solve(dz, b)
+            assert x == reference_solve(ref, b)
+            if x is not None:
+                assert [sum(p * q for p, q in zip(row, x)) for row in a] == b
+        # every b in the image round-trips
+        assert zlinalg.solve(dz, inside) is not None
+        unsolvable += zlinalg.solve(dz, outside) is None
+    # the rejecting branches ran too
+    assert unsolvable >= 100
 
 
 def test_relation_matrix_uinv_matches_reference(monkeypatch):
     # ZCohomology.rep reads U^-1 of its relation matrix, the one
-    # elimination that asks for it
+    # elimination whose U^-1 anything reads
+    complexes = ladder_complexes()
+    for K in complexes:
+        for k in range(K.dimension + 1):
+            K.coboundary_factor(k)
     seen = []
     diagonalize = zlinalg.diagonalize
 
-    def recording(a, ncols=None, **kwargs):
-        if kwargs.get("uinv"):
-            seen.append((a, ncols))
-        return diagonalize(a, ncols, **kwargs)
+    def recording(a, ncols):
+        seen.append((a, ncols))
+        return diagonalize(a, ncols)
 
+    # the coboundary factors are memoized, so only relation matrices pass
     monkeypatch.setattr(zlinalg, "diagonalize", recording)
-    for K in ladder_complexes():
+    for K in complexes:
         for k in range(K.dimension + 1):
             K.cohomology_z(k)
     monkeypatch.undo()
     torsion = 0
     for a, ncols in seen:
-        dz = assert_matches_reference(a, ncols, uinv=True)
+        dz = assert_matches_reference(a, ncols)
         torsion += any(x > 1 for x in dz.diag)
     # every degree of every complex; RP2 and K2 have torsion in degree 2
     assert len(seen) == 58 and torsion == 2
 
 
 def test_coboundary_factors_skip_uinv(fixtures):
-    assert all(fixtures["CP2"].coboundary_factor(k).uinv is None
-               for k in range(4))
+    K = fixtures["CP2"]
+    intersection.panel(K)
+    for k in range(K.dimension + 1):
+        K.cohomology_z(k)
+    assert all("uinv_t" not in vars(K.coboundary_factor(k))
+               for k in range(K.dimension + 1))
+
+
+def test_transforms_built_only_when_read():
+    s2xs2 = cx.SimplicialComplex(catalog.s2xs2().maximal_simplices)
+    cx.homology(s2xs2, "Z")
+    assert all(not TRANSFORMS & vars(s2xs2.coboundary_factor(k)).keys()
+               for k in range(s2xs2.dimension))
+    # T3's panel solves against delta_2 for the Bockstein of w_2 and reads
+    # no integral cohomology: the solve replays the logs on b alone
+    t3 = cx.product_complex(catalog.torus(), catalog.sphere(1))
+    intersection.panel(t3)
+    dzs = [v for key, v in t3._cache.items() if key[0] == "dz"]
+    assert dzs and all(not TRANSFORMS & vars(dz).keys() for dz in dzs)
 
 
 def test_matvec_matches_dense_product():
@@ -218,5 +319,5 @@ def test_matvec_matches_dense_product():
     for _ in range(100):
         a, n = random_matrix(rng)
         x = [rng.choice([0, 0, 0, rng.randint(-5, 5)]) for _ in range(n)]
-        assert zlinalg.matvec(a, x) == [
+        assert zlinalg.matvec(sparse(a), x) == [
             sum(p * q for p, q in zip(row, x)) for row in a]
