@@ -25,6 +25,10 @@ class TopologyError(ValueError):
     pass
 
 
+class NonOrientableError(TopologyError):
+    pass
+
+
 @functools.lru_cache(maxsize=None)
 def cut_patterns(n: int, i: int, p: int) -> tuple:
     """(even blocks, odd blocks) of vertex positions of an n-simplex for
@@ -176,8 +180,7 @@ class SimplicialComplex:
 
     def coboundary_factor(self, k: int) -> zlinalg.Diagonalization:
         """U delta_k V = D, the one integral elimination of delta_k; it also
-        serves boundary_z(k+1) = delta_k^T, whose kernel is spanned by the
-        rows of U past the rank."""
+        serves boundary_z(k+1) = delta_k^T for integral homology."""
         return self._memo(("dz", k), lambda: zlinalg.diagonalize(
             self.coboundary_z(k), self.n_simplices(k)))
 
@@ -202,52 +205,57 @@ class SimplicialComplex:
     def cohomology_z(self, k: int) -> "ZCohomology":
         return self._memo(("hz", k), lambda: ZCohomology(self, k))
 
-    def fundamental_class_f2(self) -> int:
-        """Mask of the F2 fundamental cycle over top simplices.
-
-        Raises TopologyError naming a simplex unless every facet is
-        top-dimensional and every (n-1)-face lies in exactly two facets.
-        """
+    def _facet_walk(self) -> tuple[int, ...] | None:
+        """Facet signs, +1 on the first, that sum to a cycle, or None if K is
+        non-orientable; raises TopologyError unless K is a pseudo-manifold."""
         def build():
             n = self.dimension
             for s in self.maximal_simplices:
                 if len(s) != n + 1:
                     raise TopologyError(f"not a pseudo-manifold: facet {s} "
                                         f"is not {n}-dimensional")
-            cols = [0] * self.n_simplices(n)
-            if n > 0:
-                idx = self.simplex_index(n - 1)
-                cofaces = [0] * len(idx)
-                for j, s in enumerate(self.simplices(n)):
-                    for i in range(n + 1):
-                        f = idx[s[:i] + s[i + 1:]]
-                        cols[j] ^= 1 << f
-                        cofaces[f] += 1
-                for f, c in enumerate(cofaces):
-                    if c != 2:
-                        raise TopologyError(
-                            f"not a pseudo-manifold: face "
-                            f"{self.simplices(n - 1)[f]} lies in {c} facets")
-            ker = f2linalg.kernel_basis(cols)
-            if len(ker) != 1:
-                raise TopologyError(
-                    "not a pseudo-manifold / top homology not rank 1")
-            return ker[0]
-        return self._memo(("fcf2",), build)
+            tables = [self.face_table(n, tuple(range(i)) + tuple(
+                range(i + 1, n + 1))) for i in range(n + 1)] if n else []
+            ends = [[] for _ in self.simplices(n - 1)]
+            for i, table in enumerate(tables):
+                for s, f in enumerate(table):
+                    ends[f].append((s, i))
+            for face, e in zip(self.simplices(n - 1), ends):
+                if len(e) != 2:
+                    raise TopologyError(f"not a pseudo-manifold: face {face} "
+                                        f"lies in {len(e)} facets")
+            # face i of s is face j of t: t gets -sign(s) (-1)^(i+j) to cancel
+            signs = [1] + [0] * (self.n_simplices(n) - 1)
+            stack, orientable = [0], True
+            while stack:
+                s = stack.pop()
+                for i, table in enumerate(tables):
+                    a, b = ends[table[s]]
+                    t, j = b if a == (s, i) else a
+                    sign = signs[s] if (i + j) % 2 else -signs[s]
+                    if not signs[t]:
+                        signs[t] = sign
+                        stack.append(t)
+                    orientable &= signs[t] == sign
+            if 0 in signs:
+                missed = self.simplices(n)[signs.index(0)]
+                raise TopologyError(f"not a pseudo-manifold: facet {missed} "
+                                    f"is not reached across {n - 1}-faces")
+            return tuple(signs) if orientable else None
+        return self._memo(("fcz",), build)
+
+    def fundamental_class_f2(self) -> int:
+        """Mask of the F2 fundamental cycle: all top simplices."""
+        self._facet_walk()
+        return self._memo(("fcf2",),
+                          lambda: (1 << self.n_simplices(self.dimension)) - 1)
 
     def fundamental_class_z(self) -> tuple[int, ...]:
         """Integral fundamental cycle, +1 on the lex-first top simplex."""
-        def build():
-            # ker boundary_n is the left kernel of delta_(n-1)
-            dz = self.coboundary_factor(self.dimension - 1)
-            if dz.m - dz.rank != 1:
-                raise TopologyError(
-                    "not a pseudo-manifold / top homology not rank 1")
-            gen = dz.u_row(dz.rank)
-            if next(x for x in gen if x) < 0:
-                gen = [-x for x in gen]
-            return tuple(gen)
-        return self._memo(("fcz",), build)
+        signs = self._facet_walk()
+        if signs is None:
+            raise NonOrientableError("non-orientable: no top homology over Z")
+        return signs
 
 
 class F2Cohomology:

@@ -13,12 +13,8 @@ import functools
 from dataclasses import dataclass
 
 from . import charclasses, quadforms
-from .complexes import (SimplicialComplex, TopologyError, cup_cochain_z,
-                        is_poincare_f2)
-
-
-class NonOrientableError(TopologyError):
-    pass
+from .complexes import (NonOrientableError, SimplicialComplex,
+                        TopologyError, cup_cochain_z, is_poincare_f2)
 
 
 @dataclass
@@ -44,14 +40,9 @@ def intersection_form(K: SimplicialComplex) -> IntersectionForm:
         n = K.dimension
         if n % 4 != 0 or n == 0:
             raise TopologyError("dimension not 4m")
-        # first, so that a non-pseudo-manifold is named as one
         if not is_poincare_f2(K):
             raise TopologyError("duality pairing singular")
-        try:
-            fc = K.fundamental_class_z()
-        except TopologyError:
-            raise NonOrientableError(
-                "non-orientable (no integral fundamental class)")
+        fc = K.fundamental_class_z()
         m = n // 4
         h = K.cohomology_z(2 * m)
         free = [i for i, d in enumerate(h.summands) if d == 0]

@@ -57,7 +57,7 @@ class Diagonalization:
     @cached_property
     def uinv_t(self) -> list[dict]:
         # U^-1 takes each inverse step on the right, as a column step
-        return _replay(self.row_log, _identity(self.m), True, -1)
+        return _replay(self.row_log, _identity(self.m), True)
 
     @cached_property
     def v_t(self) -> list[dict]:
@@ -65,12 +65,7 @@ class Diagonalization:
 
     @cached_property
     def vinv(self) -> list[dict]:
-        return _replay(self.col_log, _identity(self.n), True, -1)
-
-    def u_row(self, i: int) -> list[int]:
-        """Row i of U, as U^T e_i: the row steps transposed, in reverse."""
-        e = [int(j == i) for j in range(self.m)]
-        return _dense(_replay(reversed(self.row_log), _sparse(e), True))
+        return _replay(self.col_log, _identity(self.n), True)
 
 
 def _axpy(dst: dict, src: dict, q: int, cols=None, r=None) -> None:
@@ -88,19 +83,19 @@ def _axpy(dst: dict, src: dict, q: int, cols=None, r=None) -> None:
                 cols[c].discard(r)
 
 
-def _replay(steps, rows: list[dict], transpose=False, sign=1) -> list[dict]:
+def _replay(steps, rows: list[dict], inverse=False) -> list[dict]:
     """rows with each logged step (i, j, q) applied in place: q = 0 swaps
-    rows i and j, i = j negates row i, any other adds sign * q times row j
-    to row i, or with transpose set row i to row j."""
+    rows i and j, i = j negates row i, any other adds q * row j to row i,
+    or with inverse, for the inverse step transposed, -q * row i to row j."""
     for i, j, q in steps:
         if not q:
             rows[i], rows[j] = rows[j], rows[i]
         elif i == j:
             rows[i] = {c: -x for c, x in rows[i].items()}
-        elif transpose:
-            _axpy(rows[j], rows[i], sign * q)
+        elif inverse:
+            _axpy(rows[j], rows[i], -q)
         else:
-            _axpy(rows[i], rows[j], sign * q)
+            _axpy(rows[i], rows[j], q)
     return rows
 
 
@@ -108,13 +103,18 @@ def _identity(size: int) -> list[dict]:
     return [{i: 1} for i in range(size)]
 
 
-def _sparse(x: list[int]) -> list[dict]:
-    """A dense vector as a one-column matrix of sparse rows."""
-    return [{0: v} if v else {} for v in x]
-
-
-def _dense(rows: list[dict]) -> list[int]:
-    return [row.get(0, 0) for row in rows]
+def _replay_vector(steps, x: list[int], transpose=False) -> list[int]:
+    """x with each logged step, or its transpose, applied in place."""
+    for i, j, q in steps:
+        if not q:
+            x[i], x[j] = x[j], x[i]
+        elif i == j:
+            x[i] = -x[i]
+        elif transpose:
+            x[j] += q * x[i]
+        else:
+            x[i] += q * x[j]
+    return x
 
 
 def diagonalize(a: list[dict], ncols: int) -> Diagonalization:
@@ -234,12 +234,12 @@ def kernel_basis(dz: Diagonalization) -> list[dict]:
 def solve(dz: Diagonalization, b: list[int]) -> list[int] | None:
     """One integral solution of A x = b for the diagonalized A, or None:
     x = V y with D y = U b, replaying the logs on b and y alone."""
-    ub = _dense(_replay(dz.row_log, _sparse(b)))
+    ub = _replay_vector(dz.row_log, list(b))
     r = dz.rank
     if any(ub[r:]) or any(x % d for x, d in zip(ub, dz.diag[:r])):
         return None
     y = [x // d for x, d in zip(ub, dz.diag[:r])] + [0] * (dz.n - r)
-    return _dense(_replay(reversed(dz.col_log), _sparse(y), True))
+    return _replay_vector(reversed(dz.col_log), y, True)
 
 
 def det(a: list[list[int]]) -> int:

@@ -217,15 +217,20 @@ def test_input_errors_exit_1(files, capsys, tmp_path):
 
 
 def test_non_pseudo_manifold_exits_1_with_one_line(capsys, tmp_path):
-    for base, extra, verbs in (
-            (catalog.sphere(2), "0 10", ("panel", "wu")),
-            (catalog.sphere(4), "0 10 11", ("panel", "wu", "intersection"))):
-        p = tmp_path / f"dangling{base.dimension}.cx"
+    for base, extra, verbs, facet in (
+            (catalog.sphere(2), "0 10", ("panel", "wu"), "(0, "),
+            (catalog.sphere(4), "0 10 11", ("panel", "wu", "intersection"),
+             "(0, "),
+            # a second, disjoint S2: not strongly connected
+            (catalog.sphere(2), "10 11 12\n10 11 13\n10 12 13\n11 12 13",
+             ("panel",), "(10, 11, 12) is not reached")):
+        p = tmp_path / f"bad{base.dimension}.cx"
         p.write_text(cx.complex_text(base) + extra + "\n")
         for verb in verbs:
             code, out, err = run(capsys, verb, str(p))
             assert code == 1 and out == ""
-            assert err.startswith("error: not a pseudo-manifold: facet (0, ")
+            assert err.startswith(
+                "error: not a pseudo-manifold: facet " + facet)
             assert err.count("\n") == 1
         code, out, err = run(capsys, "homology", str(p))
         assert code == 0

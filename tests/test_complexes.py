@@ -132,8 +132,6 @@ def test_z_cohomology_coords_on_random_complexes():
 
 
 def test_panel_eliminates_each_coboundary_once(monkeypatch):
-    # a fresh complex, so nothing is cached from other tests
-    K = cx.product_complex(catalog.sphere(2), catalog.sphere(2))
     seen = []
     diagonalize = zlinalg.diagonalize
 
@@ -142,22 +140,31 @@ def test_panel_eliminates_each_coboundary_once(monkeypatch):
         return diagonalize(a, ncols)
 
     monkeypatch.setattr(zlinalg, "diagonalize", recording)
-    intersection.panel(K)
-    assert len(seen) <= 3
-    n = K.dimension
-    coboundaries = [a for a, _ in seen
-                    if any(a is K.coboundary_z(k) for k in range(n))]
-    # delta_2 for the Bockstein of w_2, delta_3 for the fundamental class
-    assert len(coboundaries) == 2
-    for a, _ in seen:
-        assert all(a != [{j: x for j, x in enumerate(row) if x}
-                         for row in K.boundary_z(k)] for k in range(n + 1))
-    # the other one is the H^2 relation matrix: a column per 1-simplex,
-    # not a cocycle matrix, which has a row per 2-simplex
-    rest = [(a, ncols) for a, ncols in seen
-            if all(a is not b for b in coboundaries)]
-    assert [ncols for _, ncols in rest] == [K.n_simplices(1)]
-    assert all(j < K.n_simplices(1) for a, _ in rest for row in a for j in row)
+    # fresh complexes, so nothing is cached from other tests
+    for K in (cx.SimplicialComplex(catalog.complex_projective_plane()
+                                   .maximal_simplices),
+              cx.product_complex(catalog.sphere(2), catalog.sphere(2))):
+        seen.clear()
+        intersection.panel(K)
+        assert len(seen) <= 2
+        n = K.dimension
+        coboundaries = [a for a, _ in seen
+                        if any(a is K.coboundary_z(k) for k in range(n))]
+        # delta_2, for H^2 and the Bockstein of w_2; the fundamental class
+        # comes from the facet walk, so delta_3 is never eliminated
+        assert len(coboundaries) == 1 and coboundaries[0] is K.coboundary_z(2)
+        assert ("dz", n - 1) not in K._cache
+        for a, _ in seen:
+            assert all(a != [{j: x for j, x in enumerate(row) if x}
+                             for row in K.boundary_z(k)]
+                       for k in range(n + 1))
+        # the other one is the H^2 relation matrix: a column per 1-simplex,
+        # not a cocycle matrix, which has a row per 2-simplex
+        rest = [(a, ncols) for a, ncols in seen
+                if all(a is not b for b in coboundaries)]
+        assert [ncols for _, ncols in rest] == [K.n_simplices(1)]
+        assert all(j < K.n_simplices(1)
+                   for a, _ in rest for row in a for j in row)
 
 
 def test_complex_freed_without_cycle_collector():
@@ -265,8 +272,78 @@ def test_fundamental_class_z_sign_convention(fixtures):
 
 def test_fundamental_class_z_fails_nonorientable(fixtures):
     for name in ("RP2", "K2"):
-        with pytest.raises(cx.TopologyError, match="top homology"):
-            fixtures[name].fundamental_class_z()
+        K = cx.SimplicialComplex(fixtures[name].maximal_simplices)
+        assert K.fundamental_class_f2() == (1 << K.n_simplices(2)) - 1
+        with pytest.raises(cx.NonOrientableError, match="top homology"):
+            K.fundamental_class_z()
+        # the non-orientable outcome is memoized, not walked again
+        assert K._cache[("fcz",)] is None
+
+
+def _fundamental_class_f2_by_kernel(K):
+    """The F2 kernel of boundary_n, if it is one-dimensional."""
+    n = K.dimension
+    idx = K.simplex_index(n - 1)
+    cols = []
+    for s in K.simplices(n):
+        col = 0
+        for i in range(n + 1):
+            col ^= 1 << idx[s[:i] + s[i + 1:]]
+        cols.append(col)
+    ker = f2linalg.kernel_basis(cols)
+    return ker[0] if len(ker) == 1 else None
+
+
+def _fundamental_class_z_by_elimination(K):
+    """Row rank of U in U delta_(n-1) V = D, which spans the left kernel
+    of delta_(n-1), i.e. ker boundary_n, if that has rank 1; first nonzero
+    entry made positive."""
+    dz = K.coboundary_factor(K.dimension - 1)
+    if dz.m - dz.rank != 1:
+        return None
+    gen = [dz.u[dz.rank].get(j, 0) for j in range(dz.m)]
+    if next(x for x in gen if x) < 0:
+        gen = [-x for x in gen]
+    return tuple(gen)
+
+
+def _walk_oracle_complexes(fixtures):
+    yield from fixtures.items()
+    yield "T2xS2", cx.product_complex(catalog.torus(), catalog.sphere(2))
+    yield "RP2xS3", cx.product_complex(catalog.projective_plane(),
+                                       catalog.sphere(3))
+    yield "K2xT2", cx.product_complex(catalog.klein_bottle(), catalog.torus())
+    rng = random.Random(8)
+    for name in ("CP2", "S2xS2"):
+        K = fixtures[name]
+        for i in range(3):
+            perm = list(K.vertices)
+            rng.shuffle(perm)
+            yield f"{name}~{i}", cx.relabel(K, dict(zip(K.vertices, perm)))
+
+
+def test_fundamental_classes_match_kernel_and_elimination(fixtures):
+    for name, K in _walk_oracle_complexes(fixtures):
+        assert (K.fundamental_class_f2()
+                == _fundamental_class_f2_by_kernel(K)), name
+        want = _fundamental_class_z_by_elimination(K)
+        if want is None:
+            with pytest.raises(cx.NonOrientableError):
+                K.fundamental_class_z()
+        else:
+            assert K.fundamental_class_z() == want, name
+
+
+def test_fundamental_classes_of_points():
+    point = cx.SimplicialComplex([(1,)])
+    assert point.fundamental_class_f2() == 1
+    assert point.fundamental_class_z() == (1,)
+    points = cx.SimplicialComplex([(1,), (2,)])
+    for fundamental_class in (points.fundamental_class_f2,
+                              points.fundamental_class_z):
+        with pytest.raises(cx.TopologyError,
+                           match=re.escape("facet (2,) is not reached")):
+            fundamental_class()
 
 
 def test_is_poincare_on_fixtures(fixtures):
@@ -297,6 +374,14 @@ def test_pairing_ranks_above_half_read_from_transpose(fixtures):
     (catalog.sphere(4).maximal_simplices + ((0, 10, 11),),
      "facet (0, 10, 11) is not 4-dimensional"),
     (((0, 1, 2), (0, 1, 3), (0, 1, 4)), "face (0, 1) lies in 3 facets"),
+    # two disjoint S2, then two S2 sharing vertex 0: every 1-face lies in
+    # two facets, but the walk across 1-faces stays on the first sphere
+    (catalog.sphere(2).maximal_simplices
+     + ((10, 11, 12), (10, 11, 13), (10, 12, 13), (11, 12, 13)),
+     "facet (10, 11, 12) is not reached"),
+    (catalog.sphere(2).maximal_simplices
+     + ((0, 10, 11), (0, 10, 12), (0, 11, 12), (10, 11, 12)),
+     "facet (0, 10, 11) is not reached"),
 ])
 def test_non_pseudo_manifolds_rejected(facets, message):
     K = cx.SimplicialComplex(facets)
