@@ -77,18 +77,20 @@ def sw_classes(K: SimplicialComplex) -> list[CohomologyClass]:
 
 
 def sw_numbers(K: SimplicialComplex) -> dict[tuple[int, ...], int]:
-    """All Stiefel-Whitney numbers of K, keyed by descending partitions."""
+    """All Stiefel-Whitney numbers of K, keyed by descending partitions.
+
+    w_p1 ... w_pr is w_pi on the i-th block of consecutive vertices of an
+    n-simplex, so each number is the parity of [K] AND the gathered blocks."""
     ws = sw_classes(K)
-    fc = K.fundamental_class_f2()
     n = K.dimension
     out = {}
     for part in partitions(n):
-        deg = part[0] if part else 0  # n = 0: () reads <w_0, [pt]> = 1
-        mask = ws[deg].cocycle
-        for p in part[1:]:
-            mask = cup_cochain_f2(K, deg, p, mask, ws[p].cocycle)
-            deg += p
-        out[part] = f2linalg.dot(mask, fc)
+        mask, start = K.fundamental_class_f2(), 0
+        for p in part or (0,):  # n = 0: () reads <w_0, [pt]>
+            mask &= K.gather(n, tuple(range(start, start + p + 1)),
+                             ws[p].cocycle)
+            start += p
+        out[part] = mask.bit_count() & 1
     return out
 
 

@@ -168,13 +168,13 @@ class SimplicialComplex:
     def coboundary_f2(self, k: int) -> list[int]:
         """Columns of delta over F2: one mask over (k+1)-simplices per k-simplex."""
         def build():
-            if k < 0:
-                return []
             cols = [0] * self.n_simplices(k)
-            idx = self.simplex_index(k)
-            for t, s in enumerate(self.simplices(k + 1)):
-                for i in range(k + 2):
-                    cols[idx[s[:i] + s[i + 1:]]] ^= 1 << t
+            if not 0 <= k < self.dimension:
+                return cols
+            for i in range(k + 2):
+                pos = tuple(range(i)) + tuple(range(i + 1, k + 2))
+                for t, f in enumerate(self.face_table(k + 1, pos)):
+                    cols[f] |= 1 << t
             return cols
         return self._memo(("cbf2", k), build)
 
@@ -183,16 +183,6 @@ class SimplicialComplex:
         serves boundary_z(k+1) = delta_k^T for integral homology."""
         return self._memo(("dz", k), lambda: zlinalg.diagonalize(
             self.coboundary_z(k), self.n_simplices(k)))
-
-    def coboundary_apply_f2(self, k: int, x: int) -> int:
-        """delta(x) for an F2 k-cochain mask."""
-        out = 0
-        cols = self.coboundary_f2(k)
-        while x:
-            b = x & -x
-            out ^= cols[b.bit_length() - 1]
-            x ^= b
-        return out
 
     def coboundary_apply_z(self, k: int, x: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(zlinalg.matvec(self.coboundary_z(k), list(x)))
@@ -259,17 +249,25 @@ class SimplicialComplex:
 
 
 class F2Cohomology:
-    """H^k(K; F2) with a fixed cocycle basis and coordinate reduction."""
+    """H^k(K; F2) with a fixed cocycle basis and coordinate reduction.
+
+    delta_k is eliminated once, for its kernel here; H^(k+1) starts from
+    the echelon rows of its image, kept as image_rows."""
 
     def __init__(self, K: SimplicialComplex, k: int):
         self.degree = k
         # coboundaries first (expression 0), then each new cocycle residue
         # as basis vector i (expression 1 << i)
-        ech = f2linalg.Echelon()
-        for c in (K.coboundary_f2(k - 1) if k >= 1 else []):
-            ech.insert(c)
+        image = K.cohomology_f2(k - 1).image_rows if k >= 1 else {}
+        ker, self.image_rows = f2linalg.kernel_basis(K.coboundary_f2(k))
+        ech = f2linalg.Echelon(image)
+        # im delta_(k-1) lies in ker delta_k, so once dim ker - rank residues
+        # are found every later kernel vector reduces to zero
+        dim = len(ker) - len(image)
         basis: list[int] = []
-        for z in f2linalg.kernel_basis(K.coboundary_f2(k)):
+        for z in ker:
+            if len(basis) == dim:
+                break
             res, _ = ech.residue(z)
             if res:
                 ech.insert(res, 1 << len(basis))
@@ -415,11 +413,9 @@ def homology(K: SimplicialComplex, ring: str = "Z") -> list[HomologySummary]:
     out = []
     n = K.dimension
     if ring == "F2":
-        for k in range(n + 1):
-            rk_in = f2linalg.rank(K.coboundary_f2(k - 1)) if k >= 1 else 0
-            rk_out = f2linalg.rank(K.coboundary_f2(k))
-            out.append(HomologySummary(k, K.n_simplices(k) - rk_in - rk_out, ()))
-        return out
+        # over a field dim H_k = dim H^k
+        return [HomologySummary(k, K.cohomology_f2(k).dim, ())
+                for k in range(n + 1)]
     # boundary_(k+1) is the transpose of delta_k: same rank, same factors
     dzs = [K.coboundary_factor(k) for k in range(n)]
     ranks = [0] + [dz.rank for dz in dzs] + [0]

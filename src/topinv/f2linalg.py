@@ -21,20 +21,21 @@ class Echelon:
     vector that reduces to zero yields an explicit linear combination.
     """
 
-    def __init__(self):
-        self._rows: dict[int, int] = {}
-        self._expr: dict[int, int] = {}
+    def __init__(self, rows: dict[int, int] | None = None):
+        """Empty, or a copy of rows handed back by kernel_basis, expression 0."""
+        self._rows: dict[int, int] = dict(rows or {})
+        self._expr: dict[int, int] = dict.fromkeys(self._rows, 0)
 
     def residue(self, v: int, expr: int = 0) -> tuple[int, int]:
         """Reduce v against the stored rows; return (residue, expression)."""
-        rows = self._rows
+        rows, exprs = self._rows, self._expr
         while v:
             b = v.bit_length() - 1
             row = rows.get(b)
             if row is None:
                 break
             v ^= row
-            expr ^= self._expr[b]
+            expr ^= exprs[b]
         return v, expr
 
     def insert(self, v: int, expr: int = 0) -> int | None:
@@ -51,9 +52,6 @@ class Echelon:
         self._expr[res.bit_length() - 1] = expr
         return None
 
-    def contains(self, v: int) -> bool:
-        return self.residue(v)[0] == 0
-
     @property
     def rank(self) -> int:
         return len(self._rows)
@@ -66,15 +64,18 @@ def rank(vectors: list[int]) -> int:
     return ech.rank
 
 
-def kernel_basis(columns: list[int]) -> list[int]:
-    """Kernel of the map with the given columns, as masks over column indices."""
+def kernel_basis(columns: list[int]) -> tuple[list[int], dict[int, int]]:
+    """Kernel of the map with the given columns, as masks over column
+    indices, and the echelon rows of its image (leading bit -> row): the
+    rows do not depend on the expressions, so inserting the columns with
+    expression 0 builds the same ones."""
     ech = Echelon()
     ker = []
     for j, c in enumerate(columns):
         combo = ech.insert(c, 1 << j)
         if combo is not None:
             ker.append(combo)
-    return ker
+    return ker, ech._rows
 
 
 def solve_square(columns: list[int], b: int) -> int | None:

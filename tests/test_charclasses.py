@@ -193,6 +193,36 @@ def test_cobordant_pairs(fixtures):
         charclasses.cobordant(fixtures["S2"], fixtures["S4"])
 
 
+def _sw_numbers_by_nested_cups(K):
+    """SW numbers as one cochain cup per partition factor, paired with [K]."""
+    ws = charclasses.sw_classes(K)
+    fc = K.fundamental_class_f2()
+    out = {}
+    for part in charclasses.partitions(K.dimension):
+        deg = part[0] if part else 0
+        mask = ws[deg].cocycle
+        for p in part[1:]:
+            mask = cx.cup_cochain_f2(K, deg, p, mask, ws[p].cocycle)
+            deg += p
+        out[part] = f2linalg.dot(mask, fc)
+    return out
+
+
+def test_sw_numbers_match_nested_cups(fixtures):
+    complexes = dict(fixtures)
+    complexes["RP2xS3"] = cx.product_complex(catalog.projective_plane(),
+                                             catalog.sphere(3))
+    complexes["K2xT2"] = cx.product_complex(catalog.klein_bottle(),
+                                            catalog.torus())
+    complexes["point"] = cx.SimplicialComplex([(0,)])
+    for name, K in complexes.items():
+        got = charclasses.sw_numbers(K)
+        assert got == _sw_numbers_by_nested_cups(K), name
+        assert list(got) == charclasses.partitions(K.dimension)
+    # a product of two factors that is nonzero: w_2^2[CP2] = 1
+    assert charclasses.sw_numbers(fixtures["CP2"])[(2, 2)] == 1
+
+
 def test_middle_wu_reads_squares_of_integral_reductions(fixtures):
     # <v_2m u xbar, [K]> = <xbar u xbar, [K]> for xbar the mod-2 reduction
     # of an integral middle-degree class

@@ -1,10 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topinv import catalog, cli
 from topinv import complexes as cx
@@ -295,3 +299,75 @@ def test_point_gets_one_report_from_every_sw_verb(capsys, tmp_path):
         {"partition": [], "value": 1}]
     assert reports["obstructions"]["null_cobordant"] is False
     assert reports["cobordant"]["cobordant"] is True
+
+
+# Fuzzed input files: free text, and lines of tokens near the two formats
+# (vertex labels, a dimension line, comments, Gram headers and rationals),
+# kept small so a parsed complex has at most 5 vertices per simplex.
+_free_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
+_complex_tokens = st.one_of(st.integers(-2, 7).map(str), st.sampled_from(
+    ["x", "#", "", "-0", "+1", "1.0", "007", "9" * 30]))
+_gram_tokens = st.sampled_from(
+    ["0", "1", "2", "-1", "1/2", "-3/4", "0.5", "1e3", "1/0", "x", "nan", "#"])
+
+
+def _token_lines(tokens):
+    return st.lists(st.lists(tokens, max_size=5).map(" ".join),
+                    max_size=7).map("\n".join)
+
+
+@st.composite
+def _gram_texts(draw):
+    """A 'dim n' header over up to n + 1 rows of up to n + 1 entries."""
+    n = draw(st.integers(0, 3))
+    rows = draw(st.lists(st.lists(_gram_tokens, min_size=n, max_size=n + 1)
+                         .map(" ".join), min_size=n, max_size=n + 1))
+    return "\n".join([f"dim {n}", *rows])
+
+
+def _main_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def _check_fuzzed_run(argv):
+    code, err = _main_quietly(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=st.one_of(_free_text, _token_lines(_complex_tokens)),
+       verb=st.sampled_from([["homology"], ["homology", "--ring", "F2"],
+                             ["wu"], ["sw"], ["sw-numbers"], ["obstructions"],
+                             ["intersection"], ["panel"], ["cobordant"],
+                             ["compare"]]),
+       json_flag=st.booleans())
+def test_fuzzed_complex_text_exits_cleanly(tmp_path_factory, text, verb,
+                                           json_flag):
+    try:
+        cx.parse_complex(text)
+    except cx.ParseError:
+        pass
+    path = tmp_path_factory.getbasetemp() / "fuzz.cx"
+    path.write_text(text, encoding="utf-8")
+    paths = [str(path)] * (2 if verb[0] in ("cobordant", "compare") else 1)
+    _check_fuzzed_run([*verb, *paths] + ["--json"] * json_flag)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=st.one_of(_free_text, _token_lines(_gram_tokens), _gram_texts()),
+       verb=st.sampled_from(["qf", "qf-equiv"]), json_flag=st.booleans())
+def test_fuzzed_gram_text_exits_cleanly(tmp_path_factory, text, verb,
+                                        json_flag):
+    try:
+        qf.parse_gram(text)
+    except qf.FormError:
+        pass
+    path = tmp_path_factory.getbasetemp() / "fuzz.qf"
+    path.write_text(text, encoding="utf-8")
+    paths = [str(path)] * (2 if verb == "qf-equiv" else 1)
+    _check_fuzzed_run([verb, *paths] + ["--json"] * json_flag)

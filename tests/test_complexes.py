@@ -1,7 +1,9 @@
 import ast
+import collections
 import gc
 import random
 import re
+import sys
 import weakref
 from pathlib import Path
 
@@ -16,6 +18,15 @@ from topinv import complexes as cx
 def matmul(a, b):
     cols = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def coboundary_apply_f2(K, k, x):
+    """delta(x) for an F2 k-cochain mask: the xor of the columns at its bits."""
+    out = 0
+    for j, col in enumerate(K.coboundary_f2(k)):
+        if (x >> j) & 1:
+            out ^= col
+    return out
 
 
 def test_parse_roundtrip():
@@ -67,7 +78,7 @@ def test_boundary_squared_zero(fixtures):
             prod = matmul(K.boundary_z(k), K.boundary_z(k + 1))
             assert all(all(x == 0 for x in row) for row in prod)
             for col in K.coboundary_f2(k - 1):
-                assert K.coboundary_apply_f2(k, col) == 0
+                assert coboundary_apply_f2(K, k, col) == 0
 
 
 HOMOLOGY_ORACLES = {
@@ -165,6 +176,99 @@ def test_panel_eliminates_each_coboundary_once(monkeypatch):
         assert [ncols for _, ncols in rest] == [K.n_simplices(1)]
         assert all(j < K.n_simplices(1)
                    for a, _ in rest for row in a for j in row)
+
+
+def _f2_oracle_complexes(fixtures):
+    yield from fixtures.items()
+    rng = random.Random(909)
+    P, S, KB, T = (catalog.projective_plane(), catalog.sphere(3),
+                   catalog.klein_bottle(), catalog.torus())
+    for name, A, B in (("RP2xRP2", P, P), ("RP2xS3", P, S),
+                       ("RP2xK2", P, KB), ("K2xT2", KB, T)):
+        K = cx.product_complex(A, B)
+        image = rng.sample(range(2 * len(K.vertices)), len(K.vertices))
+        yield f"{name}~", cx.relabel(K, dict(zip(K.vertices, image)))
+
+
+def _coboundary_f2_by_slices(K, k):
+    """Columns of delta_k from each (k+1)-simplex's faces, sliced out and
+    looked up in the simplex index."""
+    cols = [0] * K.n_simplices(k)
+    idx = K.simplex_index(k)
+    for t, s in enumerate(K.simplices(k + 1)):
+        for i in range(k + 2):
+            cols[idx[s[:i] + s[i + 1:]]] ^= 1 << t
+    return cols
+
+
+def _f2_cohomology_by_two_eliminations(K, k):
+    """H^k(K; F2) with delta_(k-1) eliminated apart from delta_k: an image
+    echelon of delta_(k-1), kernel_basis(delta_k), and a residue for every
+    kernel vector.  Returns the basis and the echelon that gives coords."""
+    ech = f2linalg.Echelon()
+    for c in K.coboundary_f2(k - 1):
+        ech.insert(c)
+    ker, _ = f2linalg.kernel_basis(K.coboundary_f2(k))
+    basis = []
+    for z in ker:
+        res, _ = ech.residue(z)
+        if res:
+            ech.insert(res, 1 << len(basis))
+            basis.append(res)
+    return basis, ech
+
+
+def test_coboundary_f2_matches_slices(fixtures):
+    for name, K in _f2_oracle_complexes(fixtures):
+        assert K.coboundary_f2(-1) == []
+        for k in range(K.dimension + 1):
+            assert K.coboundary_f2(k) == _coboundary_f2_by_slices(K, k), name
+
+
+def test_f2_cohomology_matches_two_eliminations(fixtures):
+    rng = random.Random(77)
+    for name, K in _f2_oracle_complexes(fixtures):
+        for k in range(K.dimension + 1):
+            h = K.cohomology_f2(k)
+            basis, ech = _f2_cohomology_by_two_eliminations(K, k)
+            assert h.basis == basis and h.dim == len(basis), (name, k)
+            assert h._ech._rows == ech._rows, (name, k)
+            for _ in range(5):
+                z = h.rep(rng.getrandbits(h.dim)) ^ coboundary_apply_f2(
+                    K, k - 1, rng.getrandbits(K.n_simplices(k - 1)))
+                res, want = ech.residue(z)
+                assert res == 0 and h.coords(z) == want, (name, k)
+
+
+def test_panel_inserts_each_f2_coboundary_once(monkeypatch):
+    callers = collections.Counter()
+    insert = f2linalg.Echelon.insert
+
+    def recording_insert(self, v, expr=0):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return insert(self, v, expr)
+
+    eliminated = []
+    kernel_basis = f2linalg.kernel_basis
+
+    def recording_kernel_basis(columns):
+        eliminated.append(columns)
+        return kernel_basis(columns)
+
+    monkeypatch.setattr(f2linalg.Echelon, "insert", recording_insert)
+    monkeypatch.setattr(f2linalg, "kernel_basis", recording_kernel_basis)
+    K = cx.product_complex(catalog.klein_bottle(), catalog.torus())
+    intersection.panel(K)
+    n = K.dimension
+    # kernel_basis sees each delta_k once (past the top degree there are no
+    # columns) and is the only caller that inserts coboundary columns;
+    # F2Cohomology.__init__ inserts only the new cocycle residues
+    eliminated = [cols for cols in eliminated if cols]
+    assert len(eliminated) == n + 1
+    assert all(cols is K.coboundary_f2(k) for k, cols in enumerate(eliminated))
+    assert callers["kernel_basis"] == sum(map(K.n_simplices, range(n + 1)))
+    assert callers["__init__"] == sum(
+        K.cohomology_f2(k).dim for k in range(n + 1))
 
 
 def test_complex_freed_without_cycle_collector():
@@ -290,7 +394,7 @@ def _fundamental_class_f2_by_kernel(K):
         for i in range(n + 1):
             col ^= 1 << idx[s[:i] + s[i + 1:]]
         cols.append(col)
-    ker = f2linalg.kernel_basis(cols)
+    ker, _ = f2linalg.kernel_basis(cols)
     return ker[0] if len(ker) == 1 else None
 
 
@@ -490,7 +594,7 @@ def test_solve_square_against_brute_force(rng):
 def test_not_a_cocycle_rejected(fixtures):
     K = fixtures["T2"]
     mask = 1  # a single edge is not an F2 cocycle on the torus
-    assert K.coboundary_apply_f2(1, mask) != 0
+    assert coboundary_apply_f2(K, 1, mask) != 0
     with pytest.raises(ValueError, match="not a cocycle"):
         K.cohomology_f2(1).coords(mask)
 

@@ -46,13 +46,22 @@ def reference_cup_cochain_f2(K, p, q, x, y):
     return out
 
 
+def coboundary_apply_f2(K, k, x):
+    """delta(x) for an F2 k-cochain mask: the xor of the columns at its bits."""
+    out = 0
+    for j, col in enumerate(K.coboundary_f2(k)):
+        if (x >> j) & 1:
+            out ^= col
+    return out
+
+
 def coboundary_defect(K, x, p, y, q, i):
     """delta(x cup_i y) minus its Leibniz-plus-shift expansion, over F2:
     zero for all cochains, the identity behind the Steenrod squares."""
     cup_i = steenrod.cup_i
-    lhs = K.coboundary_apply_f2(p + q - i, cup_i(K, x, p, y, q, i))
-    rhs = cup_i(K, K.coboundary_apply_f2(p, x), p + 1, y, q, i)
-    rhs ^= cup_i(K, x, p, K.coboundary_apply_f2(q, y), q + 1, i)
+    lhs = coboundary_apply_f2(K, p + q - i, cup_i(K, x, p, y, q, i))
+    rhs = cup_i(K, coboundary_apply_f2(K, p, x), p + 1, y, q, i)
+    rhs ^= cup_i(K, x, p, coboundary_apply_f2(K, q, y), q + 1, i)
     if i > 0:
         rhs ^= cup_i(K, x, p, y, q, i - 1)
         rhs ^= cup_i(K, y, q, x, p, i - 1)
