@@ -184,9 +184,6 @@ class SimplicialComplex:
         return self._memo(("dz", k), lambda: zlinalg.diagonalize(
             self.coboundary_z(k), self.n_simplices(k)))
 
-    def coboundary_apply_z(self, k: int, x: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(zlinalg.matvec(self.coboundary_z(k), list(x)))
-
     # ---- cohomology structures ----
 
     def cohomology_f2(self, k: int) -> "F2Cohomology":
@@ -300,29 +297,22 @@ class ZCohomology:
     From K.coboundary_factor(k), U delta_k V = D: the columns of V past
     the rank span the cocycles, and the same rows of V^-1 give coordinates
     over them; those rows times delta_(k-1) are the relations among the
-    coordinates.  summands lists the orders: d > 1 for torsion summands, 0
-    for free ones.  Coordinates are normalized, torsion entries reduced
-    mod d, so a class is zero exactly when all its coordinates vanish.
+    coordinates, R, with U_rel R V_rel = D_rel.  coords replays V^-1 then
+    U_rel on the cocycle, rep U_rel^-1 then V on a unit vector, from the
+    logs.  summands lists the orders: d > 1 for torsion summands, 0 for
+    free ones.  Coordinates are normalized, torsion entries reduced mod
+    d, so a class is zero exactly when all its coordinates vanish.
     """
 
     def __init__(self, K: SimplicialComplex, k: int):
         self.degree = k
         dz = K.coboundary_factor(k)
         self._dz = dz
-        self._cocycles = zlinalg.kernel_basis(dz)
-        coord_rows = dz.vinv[dz.rank:]
-        delta = K.coboundary_z(k - 1)
-        relmat = [zlinalg.combine(p, delta) for p in coord_rows]
-        self._cdz = zlinalg.diagonalize(relmat, K.n_simplices(k - 1))
-        summands = []
-        kept = []
-        for i in range(len(coord_rows)):
-            di = self._cdz.diag[i] if i < len(self._cdz.diag) else 0
-            if di != 1:
-                summands.append(di)
-                kept.append(i)
-        self.summands: tuple[int, ...] = tuple(summands)
-        self._kept = kept
+        relmat = zlinalg._vinv_rows(dz.col_log, K.coboundary_z(k - 1))
+        self._cdz = zlinalg.diagonalize(relmat[dz.rank:], K.n_simplices(k - 1))
+        diag = self._cdz.diag + [0] * (self._cdz.m - len(self._cdz.diag))
+        self._kept = [i for i, d in enumerate(diag) if d != 1]
+        self.summands: tuple[int, ...] = tuple(diag[i] for i in self._kept)
 
     @property
     def dim(self) -> int:
@@ -330,11 +320,12 @@ class ZCohomology:
 
     def coords(self, z) -> tuple[int, ...]:
         """Normalized coordinates of an integral cocycle over the summands."""
-        c = zlinalg.matvec(self._dz.vinv, list(z))
+        c = zlinalg._replay_vector(self._dz.col_log, list(z), transpose=True,
+                                   inverse=True)
         rank = self._dz.rank
         if any(c[:rank]):
             raise ValueError("not a cocycle")
-        y = zlinalg.matvec(self._cdz.u, c[rank:])
+        y = zlinalg._replay_vector(self._cdz.row_log, c[rank:])
         out = []
         for i in self._kept:
             d = self.summands[len(out)]
@@ -343,8 +334,10 @@ class ZCohomology:
 
     def rep(self, i: int) -> tuple[int, ...]:
         """Cocycle representative of the i-th summand generator."""
-        x = zlinalg.combine(self._cdz.uinv_t[self._kept[i]], self._cocycles)
-        return tuple(x.get(j, 0) for j in range(self._dz.n))
+        e = [int(j == self._kept[i]) for j in range(self._cdz.m)]
+        y = zlinalg._replay_vector(reversed(self._cdz.row_log), e, inverse=True)
+        return tuple(zlinalg._replay_vector(reversed(self._dz.col_log),
+                                           [0] * self._dz.rank + y, transpose=True))
 
     def is_zero(self, z) -> bool:
         return all(v == 0 for v in self.coords(z))
@@ -530,8 +523,9 @@ def is_poincare_f2(K: SimplicialComplex) -> PoincareReport:
 # ---- construction helpers ----
 
 def parse_complex(text: str) -> SimplicialComplex:
-    """Parse the complex file format: a dimension hint line, then one
-    maximal simplex per line as space-separated vertex labels."""
+    """Parse the complex file format: a dimension hint line, which must
+    equal the largest facet's dimension, then one maximal simplex per line
+    as space-separated vertex labels."""
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -550,7 +544,11 @@ def parse_complex(text: str) -> SimplicialComplex:
         simplices.append(tuple(int(p) for p in parts))
     if not simplices:
         raise ParseError("complex file lists no simplices")
-    return SimplicialComplex(simplices)
+    K = SimplicialComplex(simplices)
+    if int(head[0]) != K.dimension:
+        raise ParseError(f"dimension hint {int(head[0])} differs from the "
+                         f"largest facet's dimension {K.dimension}")
+    return K
 
 
 def _is_int(tok: str) -> bool:

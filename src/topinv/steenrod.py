@@ -60,7 +60,7 @@ def bockstein(K: SimplicialComplex, x: CohomologyClass
     k = x.degree
     nk = K.n_simplices(k)
     lift = [(x.cocycle >> i) & 1 for i in range(nk)]
-    dz = K.coboundary_apply_z(k, tuple(lift))
+    dz = zlinalg.matvec(K.coboundary_z(k), lift)
     if any(v % 2 for v in dz):
         raise ValueError("not a cocycle mod 2")
     beta = tuple(v // 2 for v in dz)

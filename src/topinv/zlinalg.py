@@ -1,30 +1,22 @@
 """Exact integer matrix algebra: diagonalization, kernels, solving.
 
 Matrices are lists of sparse rows ({column: nonzero entry}) of Python
-ints, because coboundary matrices and their transforms are mostly zero;
-vectors are dense lists.  Everything here is exact; no floating point
-appears anywhere.  diagonalize eliminates D alone and logs its steps;
-the transforms are replayed from the log only when something reads them.
+ints, because coboundary matrices are mostly zero; vectors are dense
+lists.  Everything here is exact; no floating point appears anywhere.
+diagonalize eliminates D alone and logs its steps.  The logs are the
+only form of U and V: each consumer replays them on just the vectors
+it needs (see Diagonalization for which replay gives what).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 
 def matvec(a: list[dict], v: list[int]) -> list[int]:
     """A v for sparse rows a, summed over the nonzero entries of A only."""
     return [sum(x * v[j] for j, x in row.items()) for row in a]
-
-
-def combine(coeffs: dict, rows: list[dict]) -> dict:
-    """The sparse row sum of coeffs[i] * rows[i]."""
-    out: dict = {}
-    for i, q in coeffs.items():
-        _axpy(out, rows[i], q)
-    return out
 
 
 @dataclass
@@ -35,12 +27,16 @@ class Diagonalization:
     first; rank is their count.  The diagonal entries need not form a
     divisibility chain; see invariant_factors for that normalization.
 
-    The logs hold the elimination's steps in order.  A row step (i, j, q)
-    swaps rows i and j if q = 0, negates row i if i = j, else adds q * row
-    j to row i; a column step (j, k, q) swaps columns j and k if q = 0,
-    else adds q * column k to column j.  The transforms are replayed from
-    them on first access, as sparse rows: u (rows of U), v_t (columns of
-    V), vinv (rows of V^-1) and uinv_t (columns of U^-1).
+    The logs hold the elimination's steps in order and are the only U and
+    V.  A row step (i, j, q) swaps rows i and j if q = 0, negates row i
+    if i = j, else adds q * row j to row i; a column step (j, k, q) swaps
+    columns j and k if q = 0, else adds q * column k to column j (the
+    column log holds no negations).  _replay_vector gives U b from the
+    row log forward (solve, ZCohomology.coords), U^-1 b backward and
+    inverted (ZCohomology.rep), V y from the column log backward and
+    transposed (solve, rep, kernel_basis) and V^-1 z forward, transposed
+    and inverted (coords); _vinv_rows gives V^-1 A on sparse rows (the
+    relation matrix of ZCohomology).
     """
 
     diag: list[int]
@@ -49,23 +45,6 @@ class Diagonalization:
     n: int
     row_log: list[tuple[int, int, int]]
     col_log: list[tuple[int, int, int]]
-
-    @cached_property
-    def u(self) -> list[dict]:
-        return _replay(self.row_log, _identity(self.m))
-
-    @cached_property
-    def uinv_t(self) -> list[dict]:
-        # U^-1 takes each inverse step on the right, as a column step
-        return _replay(self.row_log, _identity(self.m), True)
-
-    @cached_property
-    def v_t(self) -> list[dict]:
-        return _replay(self.col_log, _identity(self.n))
-
-    @cached_property
-    def vinv(self) -> list[dict]:
-        return _replay(self.col_log, _identity(self.n), True)
 
 
 def _axpy(dst: dict, src: dict, q: int, cols=None, r=None) -> None:
@@ -83,38 +62,35 @@ def _axpy(dst: dict, src: dict, q: int, cols=None, r=None) -> None:
                 cols[c].discard(r)
 
 
-def _replay(steps, rows: list[dict], inverse=False) -> list[dict]:
-    """rows with each logged step (i, j, q) applied in place: q = 0 swaps
-    rows i and j, i = j negates row i, any other adds q * row j to row i,
-    or with inverse, for the inverse step transposed, -q * row i to row j."""
-    for i, j, q in steps:
-        if not q:
-            rows[i], rows[j] = rows[j], rows[i]
-        elif i == j:
-            rows[i] = {c: -x for c, x in rows[i].items()}
-        elif inverse:
-            _axpy(rows[j], rows[i], -q)
-        else:
-            _axpy(rows[i], rows[j], q)
-    return rows
-
-
-def _identity(size: int) -> list[dict]:
-    return [{i: 1} for i in range(size)]
-
-
-def _replay_vector(steps, x: list[int], transpose=False) -> list[int]:
-    """x with each logged step, or its transpose, applied in place."""
+def _replay_vector(steps, x: list[int], transpose=False,
+                   inverse=False) -> list[int]:
+    """x with each logged step, or its transpose, applied in place; with
+    inverse, each add step is applied with -q (swaps and negations are
+    their own inverses)."""
+    sign = -1 if inverse else 1
     for i, j, q in steps:
         if not q:
             x[i], x[j] = x[j], x[i]
         elif i == j:
             x[i] = -x[i]
         elif transpose:
-            x[j] += q * x[i]
+            x[j] += sign * q * x[i]
         else:
-            x[i] += q * x[j]
+            x[i] += sign * q * x[j]
     return x
+
+
+def _vinv_rows(col_log, rows: list[dict]) -> list[dict]:
+    """V^-1 times the matrix of sparse rows, on copies of them: each column
+    step, inverted, taken in log order as a row step (a swap, or -q * row
+    j added to row k for the step (j, k, q))."""
+    rows = [dict(row) for row in rows]
+    for j, k, q in col_log:
+        if q:
+            _axpy(rows[k], rows[j], -q)
+        else:
+            rows[j], rows[k] = rows[k], rows[j]
+    return rows
 
 
 def diagonalize(a: list[dict], ncols: int) -> Diagonalization:
@@ -127,9 +103,9 @@ def diagonalize(a: list[dict], ncols: int) -> Diagonalization:
     pivot row left to right; a nonzero remainder is swapped in as the new
     pivot and the clearing starts over.  Consumers read cocycle bases off
     V, so this sequence is part of the contract: it is the dense
-    elimination's, step for step, and the replayed transforms are equal
-    to its U, V, V^-1 and U^-1 entry for entry.  Only D is eliminated, on
-    a copy of a plus, per column, the set of rows holding it.
+    elimination's, step for step, and the logs replayed on unit vectors
+    give its U, V, V^-1 and U^-1 entry for entry.  Only D is eliminated,
+    on a copy of a plus, per column, the set of rows holding it.
     """
     m, n = len(a), ncols
     d = [dict(row) for row in a]
@@ -227,8 +203,10 @@ def invariant_factors(diag: list[int]) -> list[int]:
 
 def kernel_basis(dz: Diagonalization) -> list[dict]:
     """Basis of the integer kernel of the diagonalized matrix, as sparse
-    column vectors of length n: the columns of V past the rank."""
-    return dz.v_t[dz.rank:]
+    column vectors of length n: V e_j for each j past the rank."""
+    units = ([int(i == j) for i in range(dz.n)] for j in range(dz.rank, dz.n))
+    cols = (_replay_vector(reversed(dz.col_log), e, True) for e in units)
+    return [{i: v for i, v in enumerate(x) if v} for x in cols]
 
 
 def solve(dz: Diagonalization, b: list[int]) -> list[int] | None:

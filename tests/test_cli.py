@@ -220,6 +220,15 @@ def test_input_errors_exit_1(files, capsys, tmp_path):
     assert "rational" in err
 
 
+def test_dimension_hint_mismatch_exits_1_with_one_line(capsys, tmp_path):
+    p = tmp_path / "s2_hint7.cx"
+    p.write_text("7\n" + cx.complex_text(catalog.sphere(2)).split("\n", 1)[1])
+    code, out, err = run(capsys, "homology", str(p))
+    assert code == 1 and out == ""
+    assert err == ("error: dimension hint 7 differs from the largest "
+                   "facet's dimension 2\n")
+
+
 def test_non_pseudo_manifold_exits_1_with_one_line(capsys, tmp_path):
     for base, extra, verbs, facet in (
             (catalog.sphere(2), "0 10", ("panel", "wu"), "(0, "),

@@ -3,16 +3,16 @@
 Consumers read the cocycle basis off V, so the intersection gram (and the
 goldens) depend on the exact pivot sequence, not only on the diagonal:
 the diagonal and every transform replayed from the logs must equal the
-dense elimination's, element for element.
+dense elimination's, element for element.  The program never builds a
+transform, so the tests build each one here, a column at a time, by
+replaying the logs on unit vectors.
 """
 
 import random
 from types import SimpleNamespace
 
-from topinv import catalog, intersection, zlinalg
+from topinv import catalog, zlinalg
 from topinv import complexes as cx
-
-TRANSFORMS = {"u", "v_t", "vinv", "uinv_t"}
 
 
 def sparse(a):
@@ -29,6 +29,14 @@ def dense(rows, size):
 
 def transpose(a):
     return [list(c) for c in zip(*a)]
+
+
+def replayed(steps, size, **mode):
+    """The dense size x size matrix whose column j is _replay_vector run,
+    in the given mode, over steps (in the order given) on e_j."""
+    return transpose([zlinalg._replay_vector(
+        steps, [int(i == j) for i in range(size)], **mode)
+        for j in range(size)])
 
 
 def reference_diagonalize(a, ncols=None):
@@ -134,16 +142,23 @@ def reference_diagonalize(a, ncols=None):
 
 def assert_matches_reference(rows, ncols):
     """diagonalize(rows, ncols) against the dense oracle, with every
-    transform made dense here."""
+    transform made dense here through the replay mode the program uses
+    for it: U forward, V backward and transposed, V^-1 forward, transposed
+    and inverted, U^-1 backward and inverted.  V^-1 is also built by
+    _vinv_rows on the rows of the identity."""
     got = zlinalg.diagonalize(rows, ncols)
     want = reference_diagonalize(dense(rows, ncols), ncols)
     for field in ("diag", "rank", "m", "n"):
         assert getattr(got, field) == getattr(want, field), field
     m, n = got.m, got.n
-    assert dense(got.u, m) == want.u, "u"
-    assert transpose(dense(got.v_t, n)) == want.v, "v"
-    assert dense(got.vinv, n) == want.vinv, "vinv"
-    assert transpose(dense(got.uinv_t, m)) == want.uinv, "uinv"
+    assert replayed(got.row_log, m) == want.u, "u"
+    assert replayed(got.col_log[::-1], n, transpose=True) == want.v, "v"
+    assert replayed(got.col_log, n, transpose=True,
+                    inverse=True) == want.vinv, "vinv"
+    assert replayed(got.row_log[::-1], m, inverse=True) == want.uinv, "uinv"
+    # the sparse-row replay that builds ZCohomology's relation matrix
+    identity = [{i: 1} for i in range(n)]
+    assert dense(zlinalg._vinv_rows(got.col_log, identity), n) == want.vinv
     return got
 
 
@@ -261,8 +276,9 @@ def test_solve_matches_dense_oracle():
 
 
 def test_relation_matrix_uinv_matches_reference(monkeypatch):
-    # ZCohomology.rep reads U^-1 of its relation matrix, the one
-    # elimination whose U^-1 anything reads
+    # ZCohomology's relation matrix is V^-1[rank:] delta_(k-1), replayed
+    # from delta_k's column log on the rows of delta_(k-1); coords and rep
+    # replay its row log as U and U^-1, built dense here and nowhere else
     complexes = ladder_complexes()
     for K in complexes:
         for k in range(K.dimension + 1):
@@ -276,38 +292,36 @@ def test_relation_matrix_uinv_matches_reference(monkeypatch):
 
     # the coboundary factors are memoized, so only relation matrices pass
     monkeypatch.setattr(zlinalg, "diagonalize", recording)
+    degrees = []
     for K in complexes:
         for k in range(K.dimension + 1):
             K.cohomology_z(k)
+            degrees.append((K, k))
     monkeypatch.undo()
+    assert len(seen) == len(degrees)
     torsion = 0
-    for a, ncols in seen:
+    for (a, ncols), (K, k) in zip(seen, degrees):
+        nk = K.n_simplices(k)
+        ref = reference_diagonalize(dense(K.coboundary_z(k), nk), nk)
+        delta = dense(K.coboundary_z(k - 1), ncols)
+        want = [[sum(p * q for p, q in zip(row, col)) for col in zip(*delta)]
+                for row in ref.vinv[ref.rank:]]
+        assert dense(a, ncols) == want
         dz = assert_matches_reference(a, ncols)
         torsion += any(x > 1 for x in dz.diag)
     # every degree of every complex; RP2 and K2 have torsion in degree 2
     assert len(seen) == 58 and torsion == 2
 
 
-def test_coboundary_factors_skip_uinv(fixtures):
-    K = fixtures["CP2"]
-    intersection.panel(K)
-    for k in range(K.dimension + 1):
-        K.cohomology_z(k)
-    assert all("uinv_t" not in vars(K.coboundary_factor(k))
-               for k in range(K.dimension + 1))
-
-
-def test_transforms_built_only_when_read():
-    s2xs2 = cx.SimplicialComplex(catalog.s2xs2().maximal_simplices)
-    cx.homology(s2xs2, "Z")
-    assert all(not TRANSFORMS & vars(s2xs2.coboundary_factor(k)).keys()
-               for k in range(s2xs2.dimension))
-    # T3's panel solves against delta_2 for the Bockstein of w_2 and reads
-    # no integral cohomology: the solve replays the logs on b alone
-    t3 = cx.product_complex(catalog.torus(), catalog.sphere(1))
-    intersection.panel(t3)
-    dzs = [v for key, v in t3._cache.items() if key[0] == "dz"]
-    assert dzs and all(not TRANSFORMS & vars(dz).keys() for dz in dzs)
+def test_kernel_basis_is_v_past_the_rank():
+    for a, n in random_matrices() + EDGE_CASES:
+        dz = zlinalg.diagonalize(sparse(a), n)
+        ref = reference_diagonalize(a, n)
+        ker = zlinalg.kernel_basis(dz)
+        assert all(all(x.values()) for x in ker)
+        assert dense(ker, n) == transpose(ref.v)[ref.rank:]
+        for x in dense(ker, n):
+            assert zlinalg.matvec(sparse(a), x) == [0] * len(a)
 
 
 def test_matvec_matches_dense_product():
