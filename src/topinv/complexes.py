@@ -133,10 +133,6 @@ class SimplicialComplex:
             out ^= self.gather(n, xpos, x) & self.gather(n, ypos, y)
         return out
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * self.n_simplices(k)
-                   for k in range(self.dimension + 1))
-
     # ---- boundary and coboundary matrices ----
 
     def boundary_z(self, k: int) -> list[list[int]]:
@@ -179,8 +175,10 @@ class SimplicialComplex:
         return self._memo(("cbf2", k), build)
 
     def coboundary_factor(self, k: int) -> zlinalg.Diagonalization:
-        """U delta_k V = D, the one integral elimination of delta_k; it also
-        serves boundary_z(k+1) = delta_k^T for integral homology."""
+        """U delta_k V = D in the pinned pivot order, memoized: the one
+        integral elimination whose V gives ZCohomology its cocycle basis.
+        The Bockstein solves against it once it is memoized; integral
+        homology never reads it (see zlinalg.eliminate_units)."""
         return self._memo(("dz", k), lambda: zlinalg.diagonalize(
             self.coboundary_z(k), self.n_simplices(k)))
 
@@ -380,17 +378,6 @@ def z_class(K: SimplicialComplex, k: int, vec) -> CohomologyClass:
     return CohomologyClass("Z", k, vec, K.cohomology_z(k).coords(vec))
 
 
-def reduce_mod2(K: SimplicialComplex, x: CohomologyClass) -> CohomologyClass:
-    """Coefficient reduction of an integral class to F2."""
-    if x.ring != "Z":
-        raise ValueError("reduce_mod2 expects an integral class")
-    mask = 0
-    for i, v in enumerate(x.cocycle):
-        if v & 1:
-            mask |= 1 << i
-    return f2_class(K, x.degree, mask)
-
-
 # ---- module-level operations ----
 
 @dataclass(frozen=True)
@@ -403,21 +390,23 @@ class HomologySummary:
 def homology(K: SimplicialComplex, ring: str = "Z") -> list[HomologySummary]:
     """Homology of K in all degrees 0..dim, exact."""
     ring = _norm_ring(ring)
-    out = []
     n = K.dimension
     if ring == "F2":
         # over a field dim H_k = dim H^k
         return [HomologySummary(k, K.cohomology_f2(k).dim, ())
                 for k in range(n + 1)]
-    # boundary_(k+1) is the transpose of delta_k: same rank, same factors
-    dzs = [K.coboundary_factor(k) for k in range(n)]
-    ranks = [0] + [dz.rank for dz in dzs] + [0]
-    for k in range(n + 1):
-        torsion = () if k == n else tuple(
-            f for f in zlinalg.invariant_factors(dzs[k].diag) if f > 1)
-        out.append(HomologySummary(
-            k, K.n_simplices(k) - ranks[k] - ranks[k + 1], torsion))
-    return out
+    # boundary_(k+1) is the transpose of delta_k: same rank, same factors.
+    # No basis is read, so the unit pivots go first, in any order.
+    ranks, torsion = [0] * (n + 2), [()] * (n + 1)
+    for k in range(n):
+        units, rest, _ = zlinalg.eliminate_units(K.coboundary_z(k),
+                                                 K.n_simplices(k))
+        dz = zlinalg.diagonalize(rest, K.n_simplices(k))
+        ranks[k + 1] = units + dz.rank
+        torsion[k] = tuple(
+            f for f in zlinalg.invariant_factors(dz.diag) if f > 1)
+    return [HomologySummary(k, K.n_simplices(k) - ranks[k] - ranks[k + 1],
+                            torsion[k]) for k in range(n + 1)]
 
 
 def _norm_ring(ring: str) -> str:

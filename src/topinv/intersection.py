@@ -44,9 +44,12 @@ def intersection_form(K: SimplicialComplex) -> IntersectionForm:
             raise TopologyError("duality pairing singular")
         fc = K.fundamental_class_z()
         m = n // 4
-        h = K.cohomology_z(2 * m)
-        free = [i for i, d in enumerate(h.summands) if d == 0]
-        basis = [h.rep(i) for i in free]
+        # rank H^2m(K; Z) <= dim H^2m(K; F2), so an F2-trivial middle
+        # degree gives the rank-0 form with no integral elimination
+        basis = []
+        if K.cohomology_f2(2 * m).dim:
+            h = K.cohomology_z(2 * m)
+            basis = [h.rep(i) for i, d in enumerate(h.summands) if d == 0]
         gram = []
         for x in basis:
             row = []
@@ -122,10 +125,11 @@ class InvariantPanel:
 
 
 def panel(K: SimplicialComplex) -> InvariantPanel:
-    ob = charclasses.obstructions(K)
-    numbers = charclasses.sw_numbers(K)
+    # the form goes first: its H^2m memoizes the pinned delta_2m, which
+    # the Bockstein of w_2 in obstructions then reads for m = 1
     even = sig8 = sig = None
-    if K.dimension % 4 == 0 and K.dimension > 0 and ob.orientable:
+    n = K.dimension
+    if n % 4 == 0 and n > 0 and charclasses.sw_classes(K)[1].is_zero:
         try:
             intersection_form(K)
         except NonOrientableError:
@@ -134,6 +138,8 @@ def panel(K: SimplicialComplex) -> InvariantPanel:
             even = form_even(K)
             sig = signature(K)
             sig8 = signature_mod8(K)
+    ob = charclasses.obstructions(K)
+    numbers = charclasses.sw_numbers(K)
     return InvariantPanel(
         dim=K.dimension,
         sw_numbers=numbers,

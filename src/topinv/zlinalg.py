@@ -3,9 +3,17 @@
 Matrices are lists of sparse rows ({column: nonzero entry}) of Python
 ints, because coboundary matrices are mostly zero; vectors are dense
 lists.  Everything here is exact; no floating point appears anywhere.
-diagonalize eliminates D alone and logs its steps.  The logs are the
-only form of U and V: each consumer replays them on just the vectors
-it needs (see Diagonalization for which replay gives what).
+
+Two eliminations serve two kinds of consumer.  diagonalize runs in a
+pinned pivot order, eliminates D alone and logs its steps.  The logs are
+the only form of U and V: each consumer replays them on just the vectors
+it needs (see Diagonalization for which replay gives what).  Its
+consumers are those that read a basis off V: ZCohomology, and through
+it the cocycles of the intersection gram; the Bockstein solve reads it
+too once it is memoized.  eliminate_units first takes the +-1 pivots in
+a fill-limiting order and leaves diagonalize only the rows without a
+unit; it serves the answers that need no basis: the ranks and torsion
+of integral homology, and the Bockstein's yes or no otherwise.
 """
 
 from __future__ import annotations
@@ -184,6 +192,56 @@ def diagonalize(a: list[dict], ncols: int) -> Diagonalization:
     # nonzero entries are already leading because pivoting stops at the
     # first all-zero block
     return Diagonalization(diag, rank, m, n, row_log, col_log)
+
+
+def eliminate_units(a: list[dict], ncols: int, b: list[int] | None = None
+                    ) -> tuple[int, list[dict], list[int]]:
+    """Eliminate the +-1 pivots of the sparse rows a by row operations,
+    carrying b (zero if not given) along, and drop each pivot row and
+    column.
+
+    Returns (r, rest, rest_b): r pivots were taken, and rest holds the
+    rows left, over the original columns, with their entries of b.  A
+    pivot's column then meets no other row, so column operations clear
+    its row too: Smith(A) = I_r + Smith(rest), and A x = b has an
+    integral solution exactly when rest y = rest_b has one, since each
+    pivot equation has a unit coefficient.  rest holds no unit entry;
+    rows left empty are dropped unless their entry of b is nonzero.
+
+    Each pass visits the live rows once, by ascending nonzero count, and
+    takes the unit entry whose column meets the fewest rows, which limits
+    fill without a rescan per pivot; passes repeat while fill makes new
+    units.  The pivot order is free, so consumers that read a basis off
+    U or V use diagonalize instead.
+    """
+    d = [dict(row) for row in a]
+    b = list(b) if b is not None else [0] * len(d)
+    cols: list[set[int]] = [set() for _ in range(ncols)]
+    for i, row in enumerate(d):
+        for j in row:
+            cols[j].add(i)
+    live = [True] * len(d)
+    r, found = 0, True
+    while found:
+        found = False
+        for i in sorted((i for i in range(len(d)) if live[i]),
+                        key=lambda i: len(d[i])):
+            row = d[i]
+            units = [j for j, x in row.items() if x == 1 or x == -1]
+            if not units:
+                continue
+            j = min(units, key=lambda c: len(cols[c]))
+            for c in row:
+                cols[c].discard(i)
+            for s in list(cols[j]):
+                q = d[s][j] * row[j]
+                _axpy(d[s], row, -q, cols, s)
+                b[s] -= q * b[i]
+            live[i] = False
+            r += 1
+            found = True
+    keep = [i for i in range(len(d)) if live[i] and (d[i] or b[i])]
+    return r, [d[i] for i in keep], [b[i] for i in keep]
 
 
 def invariant_factors(diag: list[int]) -> list[int]:

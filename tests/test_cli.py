@@ -229,6 +229,16 @@ def test_dimension_hint_mismatch_exits_1_with_one_line(capsys, tmp_path):
                    "facet's dimension 2\n")
 
 
+def test_long_simplex_homology_is_acyclic(capsys, tmp_path):
+    # a two-line file whose one 12-simplex has 2^13 - 1 faces
+    p = tmp_path / "d12.cx"
+    p.write_text("12\n" + " ".join(map(str, range(13))) + "\n")
+    code, out, err = run(capsys, "homology", "--json", str(p))
+    assert code == 0 and err == ""
+    assert [(h["betti"], h["torsion"]) for h in json.loads(out)["summaries"]
+            ] == [(1, [])] + [(0, [])] * 12
+
+
 def test_non_pseudo_manifold_exits_1_with_one_line(capsys, tmp_path):
     for base, extra, verbs, facet in (
             (catalog.sphere(2), "0 10", ("panel", "wu"), "(0, "),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topinv import catalog, f2linalg, steenrod
+from topinv import catalog, f2linalg, steenrod, zlinalg
 from topinv import complexes as cx
 
 
@@ -349,6 +349,33 @@ def test_bockstein_flag_matches_integral_cohomology(fixtures):
             for b in K.cohomology_f2(q).basis:
                 bz, zero = steenrod.bockstein(K, cx.f2_class(K, q, b))
                 assert zero == K.cohomology_z(q + 1).is_zero(bz), (name, q)
+
+
+def test_bockstein_verdicts_match_both_ways(fixtures):
+    # beta of every F2 basis class, decided on delta_k with its unit pivots
+    # eliminated first (nothing memoized), then against the pinned factor;
+    # and beta of a zero class, delta y mod 2, which needs no solve
+    rng = random.Random(99)
+    nonzero = 0
+    for name, K0 in fixtures.items():
+        K = cx.SimplicialComplex(K0.maximal_simplices)
+        for q in range(K.dimension + 1):
+            classes = [cx.f2_class(K, q, b) for b in K.cohomology_f2(q).basis]
+            zero = 0
+            for col in K.coboundary_f2(q - 1) if q else []:
+                if rng.random() < 0.5:
+                    zero ^= col
+            classes.append(cx.f2_class(K, q, zero))
+            front = [steenrod.bockstein(K, x) for x in classes]
+            assert ("dz", q) not in K._cache
+            pinned_dz = K.coboundary_factor(q)
+            assert [steenrod.bockstein(K, x) for x in classes] == front
+            for bz, is_zero in front:
+                solved = zlinalg.solve(pinned_dz, list(bz)) is not None
+                assert is_zero == solved, (name, q)
+                nonzero += not is_zero
+    # RP2 and K2 have 2-torsion in H^2, hit by beta
+    assert nonzero >= 2
 
 
 def test_bockstein_rejects_non_cocycle(fixtures):

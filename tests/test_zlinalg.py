@@ -4,8 +4,10 @@ Consumers read the cocycle basis off V, so the intersection gram (and the
 goldens) depend on the exact pivot sequence, not only on the diagonal:
 the diagonal and every transform replayed from the logs must equal the
 dense elimination's, element for element.  The program never builds a
-transform, so the tests build each one here, a column at a time, by
-replaying the logs on unit vectors.
+transform, so the tests build each one here by replaying the logs once
+over the rows of the identity.  The unit-pivot front end, which takes
+its pivots in a free order, is checked against the pinned elimination on
+rank, invariant factors and solvability.
 """
 
 import random
@@ -31,12 +33,31 @@ def transpose(a):
     return [list(c) for c in zip(*a)]
 
 
+class Row(dict):
+    """A sparse row vector with the arithmetic _replay_vector applies to
+    the entries of its vector: += of a row, an int times a row, -row."""
+
+    def __iadd__(self, other):
+        zlinalg._axpy(self, other, 1)
+        return self
+
+    def __rmul__(self, q):
+        return Row({c: q * x for c, x in self.items()})
+
+    def __neg__(self):
+        return Row({c: -x for c, x in self.items()})
+
+
 def replayed(steps, size, **mode):
     """The dense size x size matrix whose column j is _replay_vector run,
-    in the given mode, over steps (in the order given) on e_j."""
-    return transpose([zlinalg._replay_vector(
-        steps, [int(i == j) for i in range(size)], **mode)
-        for j in range(size)])
+    in the given mode, over steps (in the order given) on e_j.
+
+    The replay is linear, so one pass over the rows of the identity, as
+    the entries of one vector, gives every column at once: entry i ends as
+    row i of the matrix."""
+    rows = zlinalg._replay_vector(steps, [Row({i: 1}) for i in range(size)],
+                                  **mode)
+    return dense(rows, size)
 
 
 def reference_diagonalize(a, ncols=None):
@@ -331,3 +352,64 @@ def test_matvec_matches_dense_product():
         x = [rng.choice([0, 0, 0, rng.randint(-5, 5)]) for _ in range(n)]
         assert zlinalg.matvec(sparse(a), x) == [
             sum(p * q for p, q in zip(row, x)) for row in a]
+
+
+def assert_units_match_pinned(rows, ncols, bs):
+    """eliminate_units, then diagonalize of the rest, against the pinned
+    diagonalize of the whole: rank, invariant factors and, for each b,
+    whether A x = b has an integral solution.  Returns the rest."""
+    pinned = zlinalg.diagonalize(rows, ncols)
+    units, rest, _ = zlinalg.eliminate_units(rows, ncols)
+    assert all(abs(x) > 1 for row in rest for x in row.values())
+    dz = zlinalg.diagonalize(rest, ncols)
+    assert units + dz.rank == pinned.rank
+    assert [1] * units + zlinalg.invariant_factors(dz.diag) == \
+        zlinalg.invariant_factors(pinned.diag)
+    for b in bs:
+        r, rows_b, rest_b = zlinalg.eliminate_units(rows, ncols, b)
+        # b changes no pivot; it keeps only the empty rows where it is not 0
+        assert r == units and [row for row in rows_b if row] == rest
+        assert all(x for row, x in zip(rows_b, rest_b) if not row)
+        got = zlinalg.solve(zlinalg.diagonalize(rows_b, ncols), rest_b)
+        assert (got is None) == (zlinalg.solve(pinned, b) is None)
+    return rest
+
+
+def test_unit_front_end_matches_pinned_on_random_matrices():
+    rng = random.Random(1730)
+    left = unsolvable = 0
+    for a, n in random_matrices() + EDGE_CASES:
+        x0 = [rng.randint(-4, 4) for _ in range(n)]
+        inside = [sum(p * q for p, q in zip(row, x0)) for row in a]
+        outside = [rng.randint(-6, 6) for _ in a]
+        left += bool(assert_units_match_pinned(sparse(a), n,
+                                               [inside, outside]))
+        unsolvable += zlinalg.solve(zlinalg.diagonalize(sparse(a), n),
+                                    outside) is None
+    # diagonalize had non-unit entries left to eliminate, and the
+    # rejecting branches ran
+    assert left >= 50 and unsolvable >= 100
+
+
+def test_unit_front_end_matches_pinned_on_coboundaries():
+    rng = random.Random(1731)
+    S, RP2 = catalog.sphere, catalog.projective_plane
+    rp2_products = [cx.product_complex(RP2(), S(1)),
+                    cx.product_complex(RP2(), RP2()),
+                    cx.product_complex(RP2(), catalog.klein_bottle())]
+    complexes = [*ladder_complexes(),
+                 *(catalog.random_complex(rng) for _ in range(50)),
+                 *rp2_products]
+    left = unsolvable = 0
+    for K in complexes:
+        for k in range(K.dimension):
+            nk, delta = K.n_simplices(k), K.coboundary_z(k)
+            inside = zlinalg.matvec(delta, [rng.randint(-2, 2)
+                                            for _ in range(nk)])
+            outside = [rng.randint(-2, 2) for _ in delta]
+            left += bool(assert_units_match_pinned(delta, nk,
+                                                   [inside, outside]))
+            unsolvable += zlinalg.solve(K.coboundary_factor(k),
+                                        outside) is None
+    # the 2-torsion of RP2, K2 and the RP2 products is left for diagonalize
+    assert left >= 10 and unsolvable >= 100
