@@ -1,6 +1,6 @@
 """Time the slow rungs of the integral side, each in a fresh process.
 
-Usage: PYTHONPATH=src python scripts/ladder.py [--only NAME]
+Usage: PYTHONPATH=src python scripts/ladder.py
 
 Builds S2xS2xS2, CP2xT2 and S4xS4 with the staircase product_complex and
 times panel, panel and integral homology on them.  Each rung runs in its
@@ -10,7 +10,6 @@ reports the process's peak RSS (ru_maxrss).  Prints one JSON line,
 {name: {"op", "f_vector", "s", "peak_rss_mb"}}.
 """
 
-import argparse
 import json
 import subprocess
 import sys
@@ -40,13 +39,8 @@ print(json.dumps({{"op": {op!r}, "f_vector": f_vector, "s": round(s, 3),
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--only", choices=sorted(RUNGS))
-    args = ap.parse_args()
     out = {}
     for name, (build, op) in RUNGS.items():
-        if args.only and name != args.only:
-            continue
         code = CHILD.format(build=build, op=op)
         res = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True)

@@ -177,10 +177,23 @@ class SimplicialComplex:
     def coboundary_factor(self, k: int) -> zlinalg.Diagonalization:
         """U delta_k V = D in the pinned pivot order, memoized: the one
         integral elimination whose V gives ZCohomology its cocycle basis.
-        The Bockstein solves against it once it is memoized; integral
+        in_coboundary_image solves against it once it is memoized; integral
         homology never reads it (see zlinalg.eliminate_units)."""
         return self._memo(("dz", k), lambda: zlinalg.diagonalize(
             self.coboundary_z(k), self.n_simplices(k)))
+
+    def in_coboundary_image(self, k: int, b) -> bool:
+        """Whether delta_k x = b has an integral solution x.  Solves against
+        the pinned coboundary_factor(k) once ZCohomology has memoized it,
+        else against delta_k with its unit pivots eliminated first, which
+        needs no basis and so no pinned order."""
+        if ("dz", k) in self._cache:
+            factor, b = self.coboundary_factor(k), list(b)
+        else:
+            nk = self.n_simplices(k)
+            _, rest, b = zlinalg.eliminate_units(self.coboundary_z(k), nk, b)
+            factor = zlinalg.diagonalize(rest, nk)
+        return zlinalg.solve(factor, b) is not None
 
     # ---- cohomology structures ----
 

@@ -54,10 +54,10 @@ def bockstein(K: SimplicialComplex, x: CohomologyClass
     Returns the integral (k+1)-cocycle beta together with an is_zero
     flag: beta is zero in H^(k+1)(K; Z) exactly when it lies in the image
     of delta_k.  beta is a homomorphism on classes, so the zero class
-    needs no solve.  Otherwise one solve decides it: against the pinned
-    K.coboundary_factor(k) if ZCohomology has memoized it, else against
-    delta_k with its unit pivots eliminated first (zlinalg.eliminate_units),
-    which needs no basis and so no pinned order.
+    needs no solve.  Otherwise K.in_coboundary_image decides it: against
+    the pinned K.coboundary_factor(k) if ZCohomology has memoized it, else
+    against delta_k with its unit pivots eliminated first
+    (zlinalg.eliminate_units), which needs no basis and so no pinned order.
     """
     if x.ring != "F2":
         raise ValueError("Bockstein here takes an F2 class")
@@ -68,14 +68,9 @@ def bockstein(K: SimplicialComplex, x: CohomologyClass
     if any(v % 2 for v in dz):
         raise ValueError("not a cocycle mod 2")
     beta = tuple(v // 2 for v in dz)
-    if x.coords == 0:
+    if x.is_zero:
         return beta, True
-    if ("dz", k) in K._cache:
-        factor, b = K.coboundary_factor(k), list(beta)
-    else:
-        _, rest, b = zlinalg.eliminate_units(K.coboundary_z(k), nk, beta)
-        factor = zlinalg.diagonalize(rest, nk)
-    return beta, zlinalg.solve(factor, b) is not None
+    return beta, K.in_coboundary_image(k, beta)
 
 
 def binom2(m: int, n: int) -> int:
