@@ -4,7 +4,12 @@ Each case runs one `topinv` verb with `--json` on the files written by
 `scripts/export_fixtures.py` and compares stdout, stderr and the exit
 code with the files under tests/golden/.  The snapshot was written from
 the code before any refactor of the F2 and quadratic-form internals, and
-is not to be regenerated to make a change pass:
+is not to be regenerated to make a change pass.
+
+tests/golden/text.json holds the text mode of the same cases, plus `-h`
+of the parser and of each verb and a few usage errors, all at an
+80-column help width.  It was written from the code before the verb
+handlers were rewritten to return their report, under the same rule:
 
     PYTHONPATH=src python tests/test_golden.py    # rewrites tests/golden/
 """
@@ -18,6 +23,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -35,6 +41,12 @@ PAIRS = [("S2", "RP2"), ("S2", "T2"), ("RP2", "T2"), ("RP2", "K2"),
          ("T2", "K2"), ("S2", "K2"), ("S4", "CP2"), ("S4", "S2xS2"),
          ("CP2", "S2xS2"), ("CP2", "CP2"), ("S2", "S4"), ("S4", "S5")]
 GRAMS = ["I2", "I8", "E8", "hyperbolic", "diag_1_3", "diag_1_m1"]
+VERBS = ["homology", "wu", "sw", "sw-numbers", "obstructions", "cobordant",
+         "intersection", "qf", "qf-equiv", "panel", "compare"]
+USAGE = {"usage__no-verb": [], "usage__bad-verb": ["no-such-verb"],
+         "usage__no-input": ["homology"],
+         "usage__bad-ring": ["homology", "--ring", "Q", "S2.cx"],
+         "usage__extra-input": ["panel", "S2.cx", "extra"]}
 
 
 def cases() -> dict[str, list[str]]:
@@ -53,17 +65,28 @@ def cases() -> dict[str, list[str]]:
     return out
 
 
+def text_cases() -> dict[str, list[str]]:
+    """Case id -> argv for the text snapshot: every golden case, plus
+    `-h` of the parser and of each verb, plus the usage errors."""
+    out = {**cases(), "help": ["-h"], **USAGE}
+    for verb in VERBS:
+        out[f"help__{verb}"] = [verb, "-h"]
+    return out
+
+
 def export_fixtures(outdir: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     subprocess.run([sys.executable, str(ROOT / "scripts" / "export_fixtures.py"),
                     str(outdir)], check=True, env=env, capture_output=True)
 
 
-def run_case(argv: list[str], fixture_dir: Path) -> dict:
+def run_case(argv: list[str], fixture_dir: Path, as_json=True) -> dict:
     args = [str(fixture_dir / a) if a.endswith((".cx", ".qf")) else a
-            for a in argv] + ["--json"]
+            for a in argv] + (["--json"] if as_json else [])
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # argparse wraps help and usage to the terminal width it reads here
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = cli.main(args)
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
@@ -92,6 +115,22 @@ def test_golden(case, fixture_dir, index):
     assert got["stdout"] == (GOLDEN / f"{case}.json").read_text()
 
 
+@pytest.fixture(scope="module")
+def text_snapshot():
+    return json.loads((GOLDEN / "text.json").read_text())
+
+
+def test_text_cases_listed(text_snapshot):
+    assert sorted(text_snapshot) == sorted(text_cases())
+
+
+@pytest.mark.parametrize("case", sorted(text_cases()))
+def test_text(case, fixture_dir, text_snapshot):
+    want = text_snapshot[case]
+    got = run_case(want["argv"], fixture_dir, as_json=False)
+    assert got == {k: want[k] for k in ("exit", "stdout", "stderr")}
+
+
 def write_snapshot() -> None:
     GOLDEN.mkdir(exist_ok=True)
     index = {}
@@ -102,8 +141,12 @@ def write_snapshot() -> None:
             (GOLDEN / f"{case}.json").write_text(got["stdout"])
             index[case] = {"argv": argv, "exit": got["exit"],
                            "stderr": got["stderr"]}
+        text = {case: {"argv": argv, **run_case(argv, Path(tmp), False)}
+                for case, argv in sorted(text_cases().items())}
     (GOLDEN / "index.json").write_text(
         json.dumps(index, sort_keys=True, indent=2) + "\n")
+    (GOLDEN / "text.json").write_text(
+        json.dumps(text, sort_keys=True, indent=2) + "\n")
 
 
 if __name__ == "__main__":
