@@ -1,9 +1,20 @@
 """Command-line front end for complex and Gram-matrix reports.
 
+Every verb is one row of VERBS: its name, its handler, the names of its
+input files and its help.  main parses the files and calls the handler,
+which returns (payload, lines, exit code); main prints the payload as
+JSON under --json and the lines otherwise.
+
 Comparison verbs signal their verdict through the exit code: 0 when the
 inputs are equivalent or consistent, 2 when an invariant distinguishes
-them, 1 on input errors.  --json emits a stable machine report whose
-keys are the field names of the underlying dataclasses.
+them, 1 on input errors.  --json emits a stable machine report.  The
+obstructions, qf-equiv, panel and compare payloads are dataclasses.asdict
+of ObstructionReport, EquivalenceResult, InvariantPanel and
+PanelComparison (compare adds both panels; a panel lists its SW numbers
+by partition), and homology's are asdict of each HomologySummary.  The
+other verbs keep the hand-named keys that tests/golden/ holds them to:
+qf names its p-adic entries excess and antisquares, and intersection,
+cobordant, wu, sw and sw-numbers build their payloads field by field.
 """
 
 from __future__ import annotations
@@ -19,39 +30,29 @@ from .complexes import (CohomologyClass, SimplicialComplex, homology,
                         parse_complex)
 
 
-def _read(path: str) -> str:
+def _load(name: str, path: str):
+    """Parse the input file of the argument `name`: a Gram matrix for
+    gram, gram1 and gram2, a complex otherwise."""
+    parse = quadforms.parse_gram if name.startswith("gram") else parse_complex
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        return parse(fh.read())
 
 
-def _load_complex(path: str) -> SimplicialComplex:
-    return parse_complex(_read(path))
-
-
-def _load_form(path: str) -> quadforms.QuadraticForm:
-    return quadforms.parse_gram(_read(path))
-
-
-def _emit(args, payload, lines) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in lines:
-            print(line)
+def _fmt(value) -> str:
+    """A report field as text: booleans lower-case, None as n/a."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return "n/a" if value is None else str(value)
 
 
 def _support_str(K: SimplicialComplex, cls: CohomologyClass) -> str:
-    simp = cls.support(K)
-    if not simp:
+    if cls.is_zero:
         return "0"
-    if cls.ring == "F2":
-        return " + ".join("(" + " ".join(map(str, s)) + ")" for s in simp)
-    parts = []
-    for i, v in enumerate(cls.cocycle):
-        if v:
-            s = K.simplices(cls.degree)[i]
-            parts.append(f"{v}*(" + " ".join(map(str, s)) + ")")
-    return " + ".join(parts)
+    simp = cls.support(K)
+    coefs = ([""] * len(simp) if cls.ring == "F2"
+             else [f"{v}*" for v in cls.cocycle if v])
+    return " + ".join(f"{c}(" + " ".join(map(str, s)) + ")"
+                      for c, s in zip(coefs, simp))
 
 
 def _class_json(K: SimplicialComplex, cls: CohomologyClass) -> dict:
@@ -81,10 +82,9 @@ def _fmt_partition(part) -> str:
     return "(" + ",".join(map(str, part)) + ")"
 
 
-# ---- verb handlers ----
+# ---- verb handlers: (args, *inputs) -> (payload, lines, exit code) ----
 
-def _cmd_homology(args) -> int:
-    K = _load_complex(args.complex)
+def _cmd_homology(args, K):
     summaries = homology(K, args.ring)
     payload = {"ring": args.ring,
                "summaries": [dataclasses.asdict(h) for h in summaries]}
@@ -93,12 +93,10 @@ def _cmd_homology(args) -> int:
         tor = " + ".join(f"Z/{t}" for t in h.torsion)
         desc = f"Z^{h.betti}" if args.ring == "Z" else f"F2^{h.betti}"
         lines.append(f"  H_{h.degree} = {desc}" + (f" + {tor}" if tor else ""))
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def _classes_report(args, kind: str) -> int:
-    K = _load_complex(args.complex)
+def _classes_report(args, K, kind: str):
     if kind == "wu":
         classes = charclasses.wu_classes(K)
         sym = "v"
@@ -109,67 +107,36 @@ def _classes_report(args, kind: str) -> int:
                kind: [_class_json(K, c) for c in classes]}
     lines = [f"{sym}-classes of a dimension-{K.dimension} complex"]
     for k, c in enumerate(classes):
-        if c.is_zero:
-            lines.append(f"  {sym}_{k} = 0")
-        else:
-            lines.append(f"  {sym}_{k} = {_support_str(K, c)}")
-    _emit(args, payload, lines)
-    return 0
+        lines.append(f"  {sym}_{k} = {_support_str(K, c)}")
+    return payload, lines, 0
 
 
-def _cmd_wu(args) -> int:
-    return _classes_report(args, "wu")
-
-
-def _cmd_sw(args) -> int:
-    return _classes_report(args, "sw")
-
-
-def _cmd_sw_numbers(args) -> int:
-    K = _load_complex(args.complex)
+def _cmd_sw_numbers(args, K):
     numbers = charclasses.sw_numbers(K)
     payload = {"n": K.dimension,
                "sw_numbers": _numbers_json(numbers, K.dimension)}
     lines = [f"Stiefel-Whitney numbers (dimension {K.dimension})"]
     for part in charclasses.partitions(K.dimension):
         lines.append(f"  {_fmt_partition(part)}: {numbers[part]}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def _cmd_obstructions(args) -> int:
-    K = _load_complex(args.complex)
-    ob = charclasses.obstructions(K)
-    payload = dataclasses.asdict(ob)
-    lines = [
-        f"orientable: {str(ob.orientable).lower()}",
-        f"k_orientable_max: {ob.k_orientable_max}",
-        f"spin: {str(ob.spin).lower()}",
-        f"spin_c: {str(ob.spin_c).lower()}",
-        f"de_rham: {'n/a' if ob.de_rham is None else ob.de_rham}",
-        f"null_cobordant: {str(ob.null_cobordant).lower()}",
-    ]
-    _emit(args, payload, lines)
-    return 0
+def _cmd_obstructions(args, K):
+    payload = dataclasses.asdict(charclasses.obstructions(K))
+    return payload, [f"{k}: {_fmt(v)}" for k, v in payload.items()], 0
 
 
-def _cmd_cobordant(args) -> int:
-    k1 = _load_complex(args.complex1)
-    k2 = _load_complex(args.complex2)
+def _cmd_cobordant(args, k1, k2):
     same, part = charclasses.cobordant(k1, k2)
     payload = {"cobordant": same,
                "first_differing": None if part is None else list(part)}
-    if same:
-        _emit(args, payload, ["cobordant: true"])
-        return 0
-    _emit(args, payload, [
-        "cobordant: false",
-        f"first differing partition: {_fmt_partition(part)}"])
-    return 2
+    lines = [f"cobordant: {_fmt(same)}"]
+    if not same:
+        lines.append(f"first differing partition: {_fmt_partition(part)}")
+    return payload, lines, 0 if same else 2
 
 
-def _cmd_intersection(args) -> int:
-    K = _load_complex(args.complex)
+def _cmd_intersection(args, K):
     form = intersection.intersection_form(K)
     sig = intersection.signature(K)
     sig8 = intersection.signature_mod8(K)
@@ -189,13 +156,11 @@ def _cmd_intersection(args) -> int:
         lines.append("  [" + " ".join(f"{x:3d}" for x in row) + "]")
     lines.append(f"signature: {sig}")
     lines.append(f"signature mod 8: {sig8}")
-    lines.append(f"even: {str(even).lower()}")
-    _emit(args, payload, lines)
-    return 0
+    lines.append(f"even: {_fmt(even)}")
+    return payload, lines, 0
 
 
-def _cmd_qf(args) -> int:
-    F = _load_form(args.gram)
+def _cmd_qf(args, F):
     locs = [quadforms.local_invariants(F, p)
             for p in quadforms.relevant_odd_primes(F)]
     payload = {
@@ -210,84 +175,81 @@ def _cmd_qf(args) -> int:
         "signature_mod8": quadforms.signature_mod8_from_local(F),
         "even": quadforms.is_even(F) if F.is_integral else None,
     }
-    lines = [
-        f"dim: {F.dim}",
-        f"det: {F.det}",
-        f"signature: {payload['signature']}",
-        f"oddity: {payload['oddity']}",
-    ]
+    lines = [f"{k}: {payload[k]}" for k in ("dim", "det", "signature",
+                                            "oddity")]
     for l in locs:
         lines.append(f"p = {l.p}: p-signature {l.p_signature}, "
                      f"p-excess {l.p_excess}, antisquares {l.antisquare_count}")
     lines.append(f"reciprocity residual: {payload['reciprocity_residual']}")
     lines.append(f"signature mod 8 (local): {payload['signature_mod8']}")
     if payload["even"] is not None:
-        lines.append(f"even: {str(payload['even']).lower()}")
-    _emit(args, payload, lines)
-    return 0
+        lines.append(f"even: {_fmt(payload['even'])}")
+    return payload, lines, 0
 
 
-def _cmd_qf_equiv(args) -> int:
-    f = _load_form(args.gram1)
-    g = _load_form(args.gram2)
+def _cmd_qf_equiv(args, f, g):
     res = quadforms.rationally_equivalent(f, g)
-    payload = {"equivalent": res.equivalent, "failing": res.failing}
-    if res:
-        _emit(args, payload, ["rationally equivalent"])
-        return 0
-    _emit(args, payload,
-          [f"not rationally equivalent (failing: {res.failing})"])
-    return 2
+    line = ("rationally equivalent" if res
+            else f"not rationally equivalent (failing: {res.failing})")
+    return dataclasses.asdict(res), [line], 0 if res else 2
 
 
-def _cmd_panel(args) -> int:
-    K = _load_complex(args.complex)
+def _cmd_panel(args, K):
     p = intersection.panel(K)
-    payload = _panel_json(p)
-    lines = [f"invariant panel (dimension {p.dim})"]
-    nz = [part for part, v in p.sw_numbers.items() if v]
-    lines.append("  sw_numbers nonzero at: " +
-                 (", ".join(_fmt_partition(x)
-                            for x in sorted(nz, reverse=True)) if nz else "none"))
-    lines.append(f"  orientable: {str(p.orientable).lower()}")
-    lines.append(f"  k_orientable_max: {p.k_orientable_max}")
-    lines.append(f"  spin: {str(p.spin).lower()}")
-    lines.append(f"  spin_c: {str(p.spin_c).lower()}")
-    if p.de_rham is not None:
-        lines.append(f"  de_rham: {p.de_rham}")
-    if p.even_form is not None:
-        lines.append(f"  even_form: {str(p.even_form).lower()}")
+    nz = sorted((part for part, v in p.sw_numbers.items() if v), reverse=True)
+    lines = [f"invariant panel (dimension {p.dim})",
+             "  sw_numbers nonzero at: "
+             + (", ".join(map(_fmt_partition, nz)) if nz else "none")]
+    for field in ("orientable", "k_orientable_max", "spin", "spin_c",
+                  "de_rham", "even_form"):
+        value = getattr(p, field)
+        if value is not None:
+            lines.append(f"  {field}: {_fmt(value)}")
     if p.signature is not None:
         lines.append(f"  signature: {p.signature} "
                      f"(mod 8: {p.signature_mod8})")
-    _emit(args, payload, lines)
-    return 0
+    return _panel_json(p), lines, 0
 
 
-def _cmd_compare(args) -> int:
-    k1 = _load_complex(args.complex1)
-    k2 = _load_complex(args.complex2)
+def _cmd_compare(args, k1, k2):
     p1 = intersection.panel(k1)
     p2 = intersection.panel(k2)
     cmp = intersection.compare_panel_values(p1, p2)
-    payload = {
-        "verdict": cmp.verdict,
-        "differing": cmp.differing,
-        "panels": [_panel_json(p1), _panel_json(p2)],
-    }
+    payload = {**dataclasses.asdict(cmp),
+               "panels": [_panel_json(p1), _panel_json(p2)]}
     if cmp.consistent:
-        lines = ["consistent-with-profinite-isomorphism"]
+        lines = [cmp.verdict]
         if cmp.differing:
             lines.append("note, differing non-decisive fields: "
                          + ", ".join(cmp.differing))
-        _emit(args, payload, lines)
-        return 0
-    if cmp.verdict == "distinguished by dimension":
-        _emit(args, payload, ["distinguished by dimension"])
+    elif cmp.verdict == "distinguished by dimension":
+        lines = [cmp.verdict]
     else:
-        _emit(args, payload,
-              ["distinguished by: " + ", ".join(cmp.differing)])
-    return 2
+        lines = ["distinguished by: " + ", ".join(cmp.differing)]
+    return payload, lines, 0 if cmp.consistent else 2
+
+
+# (verb, handler, input names, help), in the order -h lists them
+VERBS = [
+    ("homology", _cmd_homology, ["complex"], "betti numbers and torsion"),
+    ("wu", functools.partial(_classes_report, kind="wu"), ["complex"],
+     "Wu classes"),
+    ("sw", functools.partial(_classes_report, kind="sw"), ["complex"],
+     "Stiefel-Whitney classes"),
+    ("sw-numbers", _cmd_sw_numbers, ["complex"], "Stiefel-Whitney numbers"),
+    ("obstructions", _cmd_obstructions, ["complex"],
+     "orientability, spin, spin_c, de Rham obstructions"),
+    ("intersection", _cmd_intersection, ["complex"],
+     "middle-degree intersection form"),
+    ("panel", _cmd_panel, ["complex"], "full invariant panel"),
+    ("cobordant", _cmd_cobordant, ["complex1", "complex2"],
+     "compare all Stiefel-Whitney numbers"),
+    ("compare", _cmd_compare, ["complex1", "complex2"],
+     "compare full invariant panels"),
+    ("qf", _cmd_qf, ["gram"], "local invariants of a Gram matrix"),
+    ("qf-equiv", _cmd_qf_equiv, ["gram1", "gram2"],
+     "rational equivalence of two Gram matrices"),
+]
 
 
 @functools.cache
@@ -301,49 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         help="emit a stable machine-readable report")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("homology", parents=[common],
-                       help="betti numbers and torsion")
-    p.add_argument("complex")
-    p.add_argument("--ring", choices=["Z", "F2"], default="Z")
-    p.set_defaults(func=_cmd_homology)
-
-    for verb, fn, hlp in [
-            ("wu", _cmd_wu, "Wu classes"),
-            ("sw", _cmd_sw, "Stiefel-Whitney classes"),
-            ("sw-numbers", _cmd_sw_numbers, "Stiefel-Whitney numbers"),
-            ("obstructions", _cmd_obstructions,
-             "orientability, spin, spin_c, de Rham obstructions"),
-            ("intersection", _cmd_intersection,
-             "middle-degree intersection form"),
-            ("panel", _cmd_panel, "full invariant panel")]:
+    for verb, handler, inputs, hlp in VERBS:
         p = sub.add_parser(verb, parents=[common], help=hlp)
-        p.add_argument("complex")
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("cobordant", parents=[common],
-                       help="compare all Stiefel-Whitney numbers")
-    p.add_argument("complex1")
-    p.add_argument("complex2")
-    p.set_defaults(func=_cmd_cobordant)
-
-    p = sub.add_parser("compare", parents=[common],
-                       help="compare full invariant panels")
-    p.add_argument("complex1")
-    p.add_argument("complex2")
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("qf", parents=[common],
-                       help="local invariants of a Gram matrix")
-    p.add_argument("gram")
-    p.set_defaults(func=_cmd_qf)
-
-    p = sub.add_parser("qf-equiv", parents=[common],
-                       help="rational equivalence of two Gram matrices")
-    p.add_argument("gram1")
-    p.add_argument("gram2")
-    p.set_defaults(func=_cmd_qf_equiv)
-
+        for name in inputs:
+            p.add_argument(name)
+        p.set_defaults(handler=handler, inputs=inputs)
+    sub.choices["homology"].add_argument("--ring", choices=["Z", "F2"],
+                                         default="Z")
     return parser
 
 
@@ -355,10 +281,16 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if not e.code else 1
     try:
-        return args.func(args)
+        inputs = [_load(name, getattr(args, name)) for name in args.inputs]
+        payload, lines, code = args.handler(args, *inputs)
+        if args.json:
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            print("\n".join(lines))
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

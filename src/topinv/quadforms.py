@@ -14,6 +14,7 @@ rational equivalence.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -251,9 +252,14 @@ def is_even(form: QuadraticForm) -> bool:
     return all(form.gram[i][i] % 2 == 0 for i in range(form.dim))
 
 
+_ENTRY = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_gram(text: str) -> QuadraticForm:
     """Parse the Gram file format: a 'dim d' header, then d rows of d
-    exact rational entries."""
+    exact rational entries, each an integer or p/q as gram_text writes
+    them.  Decimals and exponents are rejected: Fraction would expand
+    a token such as 1e1000000 into a million-digit integer."""
     lines = [line for line in (raw.split("#", 1)[0].strip()
                                for raw in text.splitlines()) if line]
     if not lines:
@@ -270,6 +276,10 @@ def parse_gram(text: str) -> QuadraticForm:
         parts = line.split()
         if len(parts) != n:
             raise FormError(f"expected {n} entries per row: {line!r}")
+        for p in parts:
+            if not _ENTRY.fullmatch(p):
+                raise FormError(f"bad rational entry in row {line!r}: "
+                                f"{p!r} is not an integer or p/q")
         try:
             rows.append([Fraction(p) for p in parts])
         except (ValueError, ZeroDivisionError) as e:

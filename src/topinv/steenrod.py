@@ -38,13 +38,7 @@ def sq(K: SimplicialComplex, k: int, x: CohomologyClass) -> CohomologyClass:
         raise ValueError("Steenrod squares act on F2 classes")
     if k < 0:
         raise ValueError("negative Steenrod square")
-    q = x.degree
-    if k == 0:
-        return x
-    if k > q:
-        return f2_class(K, q + k, 0)
-    mask = cup_i(K, x.cocycle, q, x.cocycle, q, q - k)
-    return f2_class(K, q + k, mask)
+    return f2_class(K, x.degree + k, sq_on_mask(K, k, x.degree, x.cocycle))
 
 
 def bockstein(K: SimplicialComplex, x: CohomologyClass
@@ -71,13 +65,6 @@ def bockstein(K: SimplicialComplex, x: CohomologyClass
     if x.is_zero:
         return beta, True
     return beta, K.in_coboundary_image(k, beta)
-
-
-def binom2(m: int, n: int) -> int:
-    """Binomial coefficient mod 2 (zero outside 0 <= n <= m)."""
-    if n < 0 or m < 0 or n > m:
-        return 0
-    return 1 if ((m - n) & n) == 0 else 0
 
 
 def sq_on_mask(K: SimplicialComplex, k: int, q: int, mask: int) -> int:

@@ -220,6 +220,14 @@ def test_input_errors_exit_1(files, capsys, tmp_path):
     assert "rational" in err
 
 
+def test_exponent_gram_entry_exits_1_with_one_line(capsys, tmp_path):
+    p = tmp_path / "exp.qf"
+    p.write_text("dim 1\n1e9\n")
+    code, out, err = run(capsys, "qf", str(p))
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad rational entry") and err.count("\n") == 1
+
+
 def test_dimension_hint_mismatch_exits_1_with_one_line(capsys, tmp_path):
     p = tmp_path / "s2_hint7.cx"
     p.write_text("7\n" + cx.complex_text(catalog.sphere(2)).split("\n", 1)[1])

@@ -456,3 +456,16 @@ def test_parse_gram_errors():
         qf.parse_gram("dim 2\n1 0\n0\n")
     with pytest.raises(qf.FormError, match="rational"):
         qf.parse_gram("dim 1\nzebra\n")
+
+
+def test_parse_gram_takes_only_integers_and_fractions():
+    # Fraction would take each of these, and expands an exponent into
+    # 10**e digits: 1e1000000 alone ran for over a minute
+    for token in ("1e9", "1E2", "1.5", ".5", "1_000", "+1", "1/-2", "\u0663",
+                  "nan", "inf"):
+        with pytest.raises(qf.FormError, match="not an integer or p/q"):
+            qf.parse_gram(f"dim 1\n{token}\n")
+    with pytest.raises(qf.FormError, match="rational"):
+        qf.parse_gram("dim 1\n1/0\n")
+    f = qf.parse_gram("dim 2\n-3/6 007\n7 -0\n")
+    assert f.gram == ((Fraction(-1, 2), 7), (7, 0))
