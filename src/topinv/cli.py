@@ -46,24 +46,19 @@ def _fmt(value) -> str:
 
 
 def _support_str(K: SimplicialComplex, cls: CohomologyClass) -> str:
+    """An F2 class as the sum of the simplices of its cocycle."""
     if cls.is_zero:
         return "0"
-    simp = cls.support(K)
-    coefs = ([""] * len(simp) if cls.ring == "F2"
-             else [f"{v}*" for v in cls.cocycle if v])
-    return " + ".join(f"{c}(" + " ".join(map(str, s)) + ")"
-                      for c, s in zip(coefs, simp))
+    return " + ".join("(" + " ".join(map(str, s)) + ")"
+                      for s in cls.support(K))
 
 
 def _class_json(K: SimplicialComplex, cls: CohomologyClass) -> dict:
-    if cls.ring == "F2":
-        coords = [(cls.coords >> i) & 1
-                  for i in range(K.cohomology_f2(cls.degree).dim)]
-    else:
-        coords = list(cls.coords)
+    """An F2 class: its coordinate bits and the simplices of its cocycle."""
     return {
         "degree": cls.degree,
-        "coords": coords,
+        "coords": [(cls.coords >> i) & 1
+                   for i in range(K.cohomology_f2(cls.degree).dim)],
         "support": [list(s) for s in cls.support(K)],
     }
 

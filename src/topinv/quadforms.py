@@ -33,25 +33,31 @@ class QuadraticForm:
     """
 
     def __init__(self, rows):
-        gram = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        # an entry is an int exactly when it is integral, else a Fraction
+        gram = tuple(tuple(x if type(x) is int else _rational(x) for x in row)
+                     for row in rows)
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise FormError("gram matrix not square")
-        if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+        if any(row != col for row, col in zip(gram, zip(*gram))):
             raise FormError("gram matrix not symmetric")
         self.gram = gram
         self.dim = n
+        self.is_integral: bool = all(type(x) is int
+                                     for row in gram for x in row)
         self.diagonal: tuple[Fraction, ...] = tuple(_diagonalize(gram))
         self.det: Fraction = math.prod(self.diagonal, start=Fraction(1))
         self._odd_primes: tuple[int, ...] | None = None
         self._local: dict[int, LocalInvariants] = {}
 
-    @property
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.gram for x in row)
-
     def __repr__(self):
         return f"QuadraticForm(dim={self.dim}, det={self.det})"
+
+
+def _rational(x) -> int | Fraction:
+    """x as an exact rational: an int when integral, else a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _diagonalize(gram) -> list[Fraction]:
@@ -62,11 +68,13 @@ def _diagonalize(gram) -> list[Fraction]:
     x_k -> x_k + x_j with a[k][j] != 0 creates one.  Bareiss steps on
     L * gram (L the lcm of the denominators) keep the trailing block at
     p_{k-1} * L times the rational Schur complement: the same zero pattern,
-    hence the same pivots, and d_k = p_k / (p_{k-1} * L).
+    hence the same pivots, and d_k = p_k / (p_{k-1} * L).  Entries are ints
+    or Fractions; an int has denominator 1, so an integral gram has L = 1.
     """
     n = len(gram)
     scale = math.lcm(*(x.denominator for row in gram for x in row))
-    a = [[x.numerator * (scale // x.denominator) for x in row] for row in gram]
+    a = [[x.numerator * (scale // x.denominator) for x in row]
+         for row in gram]
 
     def swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -177,20 +185,43 @@ def real_signature(form: QuadraticForm) -> int:
     return sum(1 if d > 0 else -1 for d in form.diagonal)
 
 
+# the odd primes below 1000: a cofactor below 1000**2 that none divides
+# is prime
+_SMALL_ODD_PRIMES = tuple(p for p in range(3, 1000, 2)
+                          if all(p % q for q in range(3, math.isqrt(p) + 1, 2)))
+
+
 def relevant_odd_primes(form: QuadraticForm) -> list[int]:
-    """Odd primes at which the form can have nonzero p-excess."""
+    """Odd primes at which the form can have nonzero p-excess: the odd
+    prime factors of the numerators and denominators of the diagonal.
+
+    Each odd part is divided by the odd primes below 1000 while p^2 is at
+    most what is left, then by the primes found so far.  A cofactor below
+    10^6 left after that is prime; only one of 10^6 or more goes to
+    sympy.factorint, which is imported there and nowhere else, so a form
+    whose parts trial division settles never loads sympy.
+    """
     if form._odd_primes is None:
         ps: set[int] = set()
         parts = {part // (part & -part) for d in form.diagonal
                  for part in (abs(d.numerator), d.denominator)}
         for odd in sorted(parts):
+            for p in _SMALL_ODD_PRIMES:
+                if p * p > odd:
+                    break
+                if odd % p == 0:
+                    ps.add(p)
+                    odd //= p
+                    while odd % p == 0:
+                        odd //= p
             for p in ps:  # factor only what earlier parts left unexplained
                 while odd % p == 0:
                     odd //= p
-            if odd > 1:
-                # sympy's import outweighs most forms: load it only to factor
+            if odd >= 10**6:
                 from sympy import factorint
                 ps.update(factorint(odd))
+            elif odd > 1:  # no prime below 1000 divides it
+                ps.add(odd)
         form._odd_primes = tuple(sorted(ps))
     return list(form._odd_primes)
 
@@ -255,6 +286,12 @@ def is_even(form: QuadraticForm) -> bool:
 _ENTRY = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+def _parse_entry(token: str) -> int | Fraction:
+    """An entry token that matches _ENTRY: an int, or p/q as a Fraction."""
+    num, _, den = token.partition("/")
+    return Fraction(int(num), int(den)) if den else int(num)
+
+
 def parse_gram(text: str) -> QuadraticForm:
     """Parse the Gram file format: a 'dim d' header, then d rows of d
     exact rational entries, each an integer or p/q as gram_text writes
@@ -281,7 +318,7 @@ def parse_gram(text: str) -> QuadraticForm:
                 raise FormError(f"bad rational entry in row {line!r}: "
                                 f"{p!r} is not an integer or p/q")
         try:
-            rows.append([Fraction(p) for p in parts])
+            rows.append([_parse_entry(p) for p in parts])
         except (ValueError, ZeroDivisionError) as e:
             raise FormError(f"bad rational entry in row {line!r}: {e}")
     return QuadraticForm(rows)

@@ -129,22 +129,34 @@ def test_qf_factors_each_odd_part_once(files, capsys, monkeypatch, tmp_path):
     factorint = sympy.factorint
     monkeypatch.setattr(sympy, "factorint",
                         lambda n: seen.append(n) or factorint(n))
+    # trial division by the primes below 1000 settles every part of E8
     code, out, err = run(capsys, "qf", files["E8"], "--json")
+    assert code == 0 and seen == []
+    # cofactors of 10**6 or more reach factorint: 1009 * 1013 twice over
+    # (alone and times 3), and 1019 * 1021 * 1031
+    big = [[0] * 3 for _ in range(3)]
+    for i, v in enumerate((1009 * 1013, 3 * 1009 * 1013, 1019 * 1021 * 1031)):
+        big[i][i] = v
+    path = tmp_path / "big.qf"
+    path.write_text(qf.gram_text(qf.QuadraticForm(big)))
+    code, out, err = run(capsys, "qf", str(path), "--json")
     assert code == 0
-    assert json.loads(out)["reciprocity_residual"] == 0
-    assert 0 < len(seen) <= len(odd_parts(files["E8"]))
+    report = json.loads(out)
+    assert report["reciprocity_residual"] == 0
+    assert [e["p"] for e in report["p_excess"]] == [3, 1009, 1013, 1019,
+                                                     1021, 1031]
+    assert 0 < len(seen) <= len(odd_parts(path))
     assert len(set(seen)) == len(seen)
-    # a congruent copy P^T E8 P, P = I plus ones below the diagonal
-    e8 = catalog.e8_gram()
-    p = [[int(j in (i, i - 1)) for j in range(8)] for i in range(8)]
-    g = [[sum(p[a][i] * e8[a][b] * p[b][j] for a in range(8) for b in range(8))
-          for j in range(8)] for i in range(8)]
-    copy = tmp_path / "E8copy.qf"
+    # a congruent copy P^T B P, P = I plus ones below the diagonal
+    p = [[int(j in (i, i - 1)) for j in range(3)] for i in range(3)]
+    g = [[sum(p[a][i] * big[a][b] * p[b][j] for a in range(3) for b in range(3))
+          for j in range(3)] for i in range(3)]
+    copy = tmp_path / "big_copy.qf"
     copy.write_text(qf.gram_text(qf.QuadraticForm(g)))
     seen.clear()
-    code, out, err = run(capsys, "qf-equiv", files["E8"], str(copy), "--json")
+    code, out, err = run(capsys, "qf-equiv", str(path), str(copy), "--json")
     assert code == 0
-    assert len(seen) <= len(odd_parts(files["E8"])) + len(odd_parts(copy))
+    assert 0 < len(seen) <= len(odd_parts(path)) + len(odd_parts(copy))
     assert all(seen.count(n) <= 2 for n in seen)
 
 
@@ -294,21 +306,33 @@ def test_help_exits_0(capsys):
     assert "compare" in out and "qf-equiv" in out
 
 
-def test_sympy_imported_only_to_factor(files):
-    # complex verbs never factor; qf on E8 must factor 3, 5 and 7
-    code = (
-        "import sys, topinv.cli\n"
-        "seen = ['sympy' in sys.modules]\n"
-        f"topinv.cli.main(['panel', {files['CP2']!r}])\n"
-        "seen.append('sympy' in sys.modules)\n"
-        f"topinv.cli.main(['qf', {files['E8']!r}])\n"
-        "seen.append('sympy' in sys.modules)\n"
-        "print(seen, file=sys.stderr)\n")
+def _imports(*argv) -> tuple[set[str], str]:
+    """The modules a fresh `python -m topinv.cli *argv` imports, and its
+    stdout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "topinv.cli", *argv], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           check=True)
-    assert proc.stderr.strip() == "[False, False, True]"
+    names = {line.rsplit("|", 1)[1].strip()
+             for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    assert "topinv.quadforms" in names
+    return names, proc.stdout
+
+
+def test_sympy_imported_only_to_factor(files, tmp_path):
+    # complex verbs never factor, and trial division settles E8's 3, 5, 7
+    assert "sympy" not in _imports("panel", files["CP2"])[0]
+    names, out = _imports("qf", files["E8"], "--json")
+    assert "sympy" not in names
+    assert [e["p"] for e in json.loads(out)["p_excess"]] == [3, 5, 7]
+    # 1009 * 1013 is past 10**6 with no prime factor below 1000
+    path = tmp_path / "big.qf"
+    path.write_text(f"dim 1\n{1009 * 1013}\n")
+    names, out = _imports("qf", str(path), "--json")
+    assert "sympy" in names
+    assert [e["p"] for e in json.loads(out)["p_excess"]] == [1009, 1013]
 
 
 def test_point_gets_one_report_from_every_sw_verb(capsys, tmp_path):
@@ -335,7 +359,8 @@ _free_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
 _complex_tokens = st.one_of(st.integers(-2, 7).map(str), st.sampled_from(
     ["x", "#", "", "-0", "+1", "1.0", "007", "9" * 30]))
 _gram_tokens = st.sampled_from(
-    ["0", "1", "2", "-1", "1/2", "-3/4", "0.5", "1e3", "1/0", "x", "nan", "#"])
+    ["0", "1", "2", "-1", "1/2", "-3/4", "0.5", "1e3", "1/0", "x", "nan", "#",
+     "-0", "007", "2/4", "-0/3", "0/0", "\uff11"])
 
 
 def _token_lines(tokens):

@@ -388,6 +388,38 @@ def test_relevant_odd_primes_factors_each_part_once(rng, monkeypatch):
         assert primes == sorted(want)
 
 
+def odd_primes_by_sympy(f):
+    import sympy
+    return sorted({p for d in f.diagonal
+                   for part in (abs(d.numerator), d.denominator)
+                   for p in sympy.factorint(part) if p > 2})
+
+
+# around the trial-division bound: 997 is the largest prime below 1000,
+# 1009 the smallest above it, 999983 the largest prime below 10**6, and
+# 1009**2 and 1009 * 1013 are past 10**6 with no prime factor below 1000,
+# so they reach sympy
+BOUNDARY = [1, 2**10, 997, 1009, 997**2, 997 * 1009, 1009**2, 999983,
+            3 * 999983, 1009 * 1013, 3**5 * 5**3]
+
+
+def test_relevant_odd_primes_match_sympy_at_the_trial_bound(rng):
+    values = BOUNDARY + [rng.randint(2, 10**15) for _ in range(60)]
+    for v in values:
+        for f in (qf.QuadraticForm([[v]]), qf.QuadraticForm([[-v]]),
+                  qf.QuadraticForm([[Fraction(1, v)]]),
+                  qf.QuadraticForm([[Fraction(-7, v)]])):
+            assert qf.relevant_odd_primes(f) == odd_primes_by_sympy(f), v
+    # many values in one form, so the parts share primes
+    for k in range(0, len(values), 5):
+        vs = values[k:k + 6]
+        diag = [Fraction(a, b) for a, b in zip(vs, vs[1:] + vs[:1])]
+        f = qf.QuadraticForm([[diag[i] if i == j else 0
+                               for j in range(len(diag))]
+                              for i in range(len(diag))])
+        assert qf.relevant_odd_primes(f) == odd_primes_by_sympy(f), vs
+
+
 def test_congruence_invariance_of_local_data(rng):
     for _ in range(40):
         f = random_form(rng, max_dim=4, max_prime=7)
@@ -469,3 +501,62 @@ def test_parse_gram_takes_only_integers_and_fractions():
         qf.parse_gram("dim 1\n1/0\n")
     f = qf.parse_gram("dim 2\n-3/6 007\n7 -0\n")
     assert f.gram == ((Fraction(-1, 2), 7), (7, 0))
+
+
+def fraction_parse(text):
+    """The all-Fraction parse: every token through Fraction(str), rows
+    then wrapped in Fraction again, as gram files were once read."""
+    lines = [line for line in (raw.split("#", 1)[0].strip()
+                               for raw in text.splitlines()) if line]
+    return [[Fraction(Fraction(t)) for t in line.split()]
+            for line in lines[1:]]
+
+
+def gram_text_of(rows):
+    return "\n".join([f"dim {len(rows)}", *(" ".join(row) for row in rows)])
+
+
+def random_gram_tokens(rng, n, tokens):
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = rng.choice(tokens)
+    return rows
+
+
+def test_parse_matches_the_fraction_parse(rng):
+    e8 = catalog.e8_gram()
+    texts = [qf.gram_text(qf.QuadraticForm(e8)),
+             qf.gram_text(qf.QuadraticForm(congruent_gram(rng, e8))),
+             "dim 2\n-3/6 007\n007 -0/3\n", "dim 2\n4/2 -0\n-0 1\n"]
+    integral = ["0", "-0", "1", "-1", "2", "007", "-12", "4/2", "-9/3",
+                "0/5", "-0/3"]
+    fractional = ["1/2", "-3/4", "2/4", "5/3", "-7/9", "10/4"]
+    for t in range(300):
+        tokens = (integral, fractional, integral + fractional)[t % 3]
+        texts.append(gram_text_of(random_gram_tokens(rng, rng.randint(1, 6),
+                                                     tokens)))
+    kinds = set()
+    for text in texts:
+        rows = fraction_parse(text)
+        try:
+            want = reference_diagonal(rows)
+        except qf.FormError:
+            with pytest.raises(qf.FormError, match="singular"):
+                qf.parse_gram(text)
+            continue
+        f = qf.parse_gram(text)
+        assert [[Fraction(x) for x in row] for row in f.gram] == rows
+        assert f.diagonal == want
+        integral_form = all(x.denominator == 1 for row in rows for x in row)
+        assert f.is_integral == integral_form
+        # an entry is an int exactly when it is integral
+        assert all((type(x) is int) == (x.denominator == 1)
+                   for row in f.gram for x in row)
+        if integral_form:
+            assert qf.is_even(f) == all(rows[i][i] % 2 == 0
+                                        for i in range(f.dim))
+        kinds.add((integral_form, any(type(x) is int
+                                      for row in f.gram for x in row)))
+    # integral, fractional with no integral entry, and mixed files
+    assert kinds == {(True, True), (False, False), (False, True)}
