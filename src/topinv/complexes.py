@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import re
 from array import array
 from dataclasses import dataclass
 
@@ -174,26 +175,14 @@ class SimplicialComplex:
             return cols
         return self._memo(("cbf2", k), build)
 
-    def coboundary_factor(self, k: int) -> zlinalg.Diagonalization:
-        """U delta_k V = D in the pinned pivot order, memoized: the one
-        integral elimination whose V gives ZCohomology its cocycle basis.
-        in_coboundary_image solves against it once it is memoized; integral
-        homology never reads it (see zlinalg.eliminate_units)."""
-        return self._memo(("dz", k), lambda: zlinalg.diagonalize(
-            self.coboundary_z(k), self.n_simplices(k)))
-
     def in_coboundary_image(self, k: int, b) -> bool:
-        """Whether delta_k x = b has an integral solution x.  Solves against
-        the pinned coboundary_factor(k) once ZCohomology has memoized it,
-        else against delta_k with its unit pivots eliminated first, which
-        needs no basis and so no pinned order."""
-        if ("dz", k) in self._cache:
-            factor, b = self.coboundary_factor(k), list(b)
-        else:
-            nk = self.n_simplices(k)
-            _, rest, b = zlinalg.eliminate_units(self.coboundary_z(k), nk, b)
-            factor = zlinalg.diagonalize(rest, nk)
-        return zlinalg.solve(factor, b) is not None
+        """Whether delta_k x = b has an integral solution x: the unit pivots
+        of delta_k are eliminated first, with b carried along, and the rows
+        left are diagonalized and solved.  No basis is read, so no pinned
+        order is needed."""
+        nk = self.n_simplices(k)
+        _, rest, b = zlinalg.eliminate_units(self.coboundary_z(k), nk, b)
+        return zlinalg.solve(zlinalg.diagonalize(rest, nk), b) is not None
 
     # ---- cohomology structures ----
 
@@ -305,7 +294,7 @@ class F2Cohomology:
 class ZCohomology:
     """H^k(K; Z) presented as cyclic summands with coordinate reduction.
 
-    From K.coboundary_factor(k), U delta_k V = D: the columns of V past
+    From the pinned elimination U delta_k V = D: the columns of V past
     the rank span the cocycles, and the same rows of V^-1 give coordinates
     over them; those rows times delta_(k-1) are the relations among the
     coordinates, R, with U_rel R V_rel = D_rel.  coords replays V^-1 then
@@ -317,7 +306,7 @@ class ZCohomology:
 
     def __init__(self, K: SimplicialComplex, k: int):
         self.degree = k
-        dz = K.coboundary_factor(k)
+        dz = zlinalg.diagonalize(K.coboundary_z(k), K.n_simplices(k))
         self._dz = dz
         relmat = zlinalg._vinv_rows(dz.col_log, K.coboundary_z(k - 1))
         self._cdz = zlinalg.diagonalize(relmat[dz.rank:], K.n_simplices(k - 1))
@@ -401,8 +390,9 @@ class HomologySummary:
 
 
 def homology(K: SimplicialComplex, ring: str = "Z") -> list[HomologySummary]:
-    """Homology of K in all degrees 0..dim, exact."""
-    ring = _norm_ring(ring)
+    """Homology of K in all degrees 0..dim, exact, over ring "Z" or "F2"."""
+    if ring not in ("Z", "F2"):
+        raise ValueError(f"unknown ring: {ring!r}")
     n = K.dimension
     if ring == "F2":
         # over a field dim H_k = dim H^k
@@ -420,15 +410,6 @@ def homology(K: SimplicialComplex, ring: str = "Z") -> list[HomologySummary]:
             f for f in zlinalg.invariant_factors(dz.diag) if f > 1)
     return [HomologySummary(k, K.n_simplices(k) - ranks[k] - ranks[k + 1],
                             torsion[k]) for k in range(n + 1)]
-
-
-def _norm_ring(ring: str) -> str:
-    r = ring.strip().upper()
-    if r in ("F2", "GF2", "Z/2"):
-        return "F2"
-    if r == "Z":
-        return "Z"
-    raise ValueError(f"unknown ring: {ring!r}")
 
 
 def cup_cochain_f2(K: SimplicialComplex, p: int, q: int, x: int, y: int) -> int:
@@ -524,10 +505,13 @@ def is_poincare_f2(K: SimplicialComplex) -> PoincareReport:
 
 # ---- construction helpers ----
 
+_INT = re.compile(r"-?[0-9]+")
+
+
 def parse_complex(text: str) -> SimplicialComplex:
     """Parse the complex file format: a dimension hint line, which must
     equal the largest facet's dimension, then one maximal simplex per line
-    as space-separated vertex labels."""
+    as space-separated vertex labels, both ASCII integers -?[0-9]+."""
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -536,12 +520,12 @@ def parse_complex(text: str) -> SimplicialComplex:
     if not lines:
         raise ParseError("empty complex file")
     head = lines[0].split()
-    if len(head) != 1 or not _is_int(head[0]):
+    if len(head) != 1 or not _INT.fullmatch(head[0]):
         raise ParseError(f"malformed dimension hint line: {lines[0]!r}")
     simplices = []
     for line in lines[1:]:
         parts = line.split()
-        if not all(_is_int(p) for p in parts):
+        if not all(_INT.fullmatch(p) for p in parts):
             raise ParseError(f"malformed simplex line: {line!r}")
         simplices.append(tuple(int(p) for p in parts))
     if not simplices:
@@ -551,14 +535,6 @@ def parse_complex(text: str) -> SimplicialComplex:
         raise ParseError(f"dimension hint {int(head[0])} differs from the "
                          f"largest facet's dimension {K.dimension}")
     return K
-
-
-def _is_int(tok: str) -> bool:
-    try:
-        int(tok)
-    except ValueError:
-        return False
-    return True
 
 
 def complex_text(K: SimplicialComplex) -> str:

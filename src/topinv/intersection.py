@@ -125,8 +125,6 @@ class InvariantPanel:
 
 
 def panel(K: SimplicialComplex) -> InvariantPanel:
-    # the form goes first: its H^2m memoizes the pinned delta_2m, which
-    # the Bockstein of w_2 in obstructions then reads for m = 1
     even = sig8 = sig = None
     n = K.dimension
     if n % 4 == 0 and n > 0 and charclasses.sw_classes(K)[1].is_zero:

@@ -48,10 +48,8 @@ def bockstein(K: SimplicialComplex, x: CohomologyClass
     Returns the integral (k+1)-cocycle beta together with an is_zero
     flag: beta is zero in H^(k+1)(K; Z) exactly when it lies in the image
     of delta_k.  beta is a homomorphism on classes, so the zero class
-    needs no solve.  Otherwise K.in_coboundary_image decides it: against
-    the pinned K.coboundary_factor(k) if ZCohomology has memoized it, else
-    against delta_k with its unit pivots eliminated first
-    (zlinalg.eliminate_units), which needs no basis and so no pinned order.
+    needs no solve.  Otherwise K.in_coboundary_image decides it, on
+    delta_k with its unit pivots eliminated first.
     """
     if x.ring != "F2":
         raise ValueError("Bockstein here takes an F2 class")

@@ -9,11 +9,10 @@ pinned pivot order, eliminates D alone and logs its steps.  The logs are
 the only form of U and V: each consumer replays them on just the vectors
 it needs (see Diagonalization for which replay gives what).  Its
 consumers are those that read a basis off V: ZCohomology, and through
-it the cocycles of the intersection gram; the Bockstein solve reads it
-too once it is memoized.  eliminate_units first takes the +-1 pivots in
-a fill-limiting order and leaves diagonalize only the rows without a
-unit; it serves the answers that need no basis: the ranks and torsion
-of integral homology, and the Bockstein's yes or no otherwise.
+it the cocycles of the intersection gram.  eliminate_units first takes
+the +-1 pivots in a fill-limiting order and leaves diagonalize only the
+rows without a unit; it serves the answers that need no basis: the
+ranks and torsion of integral homology, and the Bockstein's yes or no.
 """
 
 from __future__ import annotations

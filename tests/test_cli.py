@@ -249,6 +249,21 @@ def test_dimension_hint_mismatch_exits_1_with_one_line(capsys, tmp_path):
                    "facet's dimension 2\n")
 
 
+def test_non_ascii_integer_tokens_exit_1_with_one_line(capsys, tmp_path):
+    # int() reads 1_0 as 10, and the full-width and Arabic-Indic ones as 1
+    p = tmp_path / "tok.cx"
+    for tok in ("1_0", "+1", "\uff11", "\u0661"):
+        facets = ["0 2 3", f"0 2 {tok}", f"0 3 {tok}", f"2 3 {tok}"]
+        for text, message in (
+                ("\n".join(["2", *facets]),
+                 f"error: malformed simplex line: '0 2 {tok}'\n"),
+                (f"{tok}\n0 1\n",
+                 f"error: malformed dimension hint line: '{tok}'\n")):
+            p.write_text(text + "\n", encoding="utf-8")
+            code, out, err = run(capsys, "homology", str(p))
+            assert (code, out, err) == (1, "", message), tok
+
+
 def test_long_simplex_homology_is_acyclic(capsys, tmp_path):
     # a two-line file whose one 12-simplex has 2^13 - 1 faces
     p = tmp_path / "d12.cx"
@@ -321,6 +336,21 @@ def _imports(*argv) -> tuple[set[str], str]:
     return names, proc.stdout
 
 
+def test_invariant_sweep_script_lists_every_fixture():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable,
+                           str(root / "scripts" / "invariant_sweep.py"),
+                           "--random", "5"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert proc.returncode == 0 and proc.stderr == ""
+    table, tail = proc.stdout.split("\n\n")
+    header, *rows = table.splitlines()
+    assert header.split()[0] == "name"
+    assert [r.split()[0] for r in rows] == list(catalog.manifold_fixtures())
+    assert tail.startswith("random complexes with an F2 fundamental class: ")
+    assert tail.rstrip().endswith("/5")
+
+
 def test_sympy_imported_only_to_factor(files, tmp_path):
     # complex verbs never factor, and trial division settles E8's 3, 5, 7
     assert "sympy" not in _imports("panel", files["CP2"])[0]
@@ -357,7 +387,7 @@ def test_point_gets_one_report_from_every_sw_verb(capsys, tmp_path):
 # kept small so a parsed complex has at most 5 vertices per simplex.
 _free_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
 _complex_tokens = st.one_of(st.integers(-2, 7).map(str), st.sampled_from(
-    ["x", "#", "", "-0", "+1", "1.0", "007", "9" * 30]))
+    ["x", "#", "", "-0", "+1", "1.0", "007", "9" * 30, "1_0", "\uff11"]))
 _gram_tokens = st.sampled_from(
     ["0", "1", "2", "-1", "1/2", "-3/4", "0.5", "1e3", "1/0", "x", "nan", "#",
      "-0", "007", "2/4", "-0/3", "0/0", "\uff11"])

@@ -101,6 +101,11 @@ def test_integral_homology_oracles(fixtures):
     for name, K in fixtures.items():
         got = [(h.betti, h.torsion) for h in cx.homology(K, "Z")]
         assert got == HOMOLOGY_ORACLES[name], name
+    # exactly the two rings the CLI offers, spelled as it spells them
+    K = fixtures["S2"]
+    for ring in ("GF2", "Z/2", "f2", "z", " Z", "Q"):
+        with pytest.raises(ValueError, match=f"unknown ring: {ring!r}"):
+            cx.homology(K, ring)
 
 
 def _homology_by_boundaries(K):
@@ -160,26 +165,36 @@ def test_panel_eliminates_each_coboundary_once(monkeypatch):
                                    .maximal_simplices),
               cx.product_complex(catalog.sphere(2), catalog.sphere(2))):
         seen.clear()
-        intersection.panel(K)
-        assert len(seen) <= 2
+        spin = intersection.panel(K).spin
         n = K.dimension
         coboundaries = [a for a, _ in seen
                         if any(a is K.coboundary_z(k) for k in range(n))]
-        # delta_2, for H^2 and the Bockstein of w_2; the fundamental class
-        # comes from the facet walk, so delta_3 is never eliminated
+        # the pinned elimination sees delta_2 once, for H^2; the fundamental
+        # class comes from the facet walk, so delta_3 is never eliminated
         assert len(coboundaries) == 1 and coboundaries[0] is K.coboundary_z(2)
-        assert ("dz", n - 1) not in K._cache
-        for a, _ in seen:
-            assert all(a != [{j: x for j, x in enumerate(row) if x}
-                             for row in K.boundary_z(k)]
+        assert ("hz", n - 1) not in K._cache
+        # no boundary matrix; a matrix is its rows and its column count,
+        # since the Bockstein's rest of delta_2 on CP2 is 0 x 84 and
+        # boundary_0 is 0 x 9
+        for a, ncols in seen:
+            assert all((a, ncols) != ([{j: x for j, x in enumerate(row) if x}
+                                       for row in K.boundary_z(k)],
+                                      K.n_simplices(k))
                        for k in range(n + 1))
-        # the other one is the H^2 relation matrix: a column per 1-simplex,
-        # not a cocycle matrix, which has a row per 2-simplex
+        # the others: the H^2 relation matrix, a column per 1-simplex, not
+        # a cocycle matrix, which has a row per 2-simplex; and unless w_2 = 0,
+        # the rows of delta_2 that eliminate_units left for its Bockstein
         rest = [(a, ncols) for a, ncols in seen
                 if all(a is not b for b in coboundaries)]
-        assert [ncols for _, ncols in rest] == [K.n_simplices(1)]
-        assert all(j < K.n_simplices(1)
-                   for a, _ in rest for row in a for j in row)
+        assert [ncols for _, ncols in rest] == (
+            [K.n_simplices(1)] + [K.n_simplices(2)] * (not spin))
+        assert all(j < ncols for a, ncols in rest for row in a for j in row)
+        assert all(abs(x) > 1 for a, _ in rest[1:]
+                   for row in a for x in row.values())
+        # integral homology reads no basis, so it builds no H^k(K; Z)
+        L = cx.SimplicialComplex(K.maximal_simplices)
+        cx.homology(L, "Z")
+        assert not [key for key in L._cache if key[0] == "hz"]
 
 
 def _f2_oracle_complexes(fixtures):
@@ -335,7 +350,7 @@ def test_basis_free_answers_skip_the_pinned_elimination(monkeypatch):
     for K in catalog.manifold_fixtures().values():
         K = cx.SimplicialComplex(K.maximal_simplices)
         cx.homology(K, "Z")
-        assert not [key for key in K._cache if key[0] == "dz"]
+        assert not [key for key in K._cache if key[0] == "hz"]
 
 
 def test_euler_characteristic(fixtures):
@@ -434,7 +449,8 @@ def _fundamental_class_z_by_elimination(K):
     of delta_(n-1), i.e. ker boundary_n, if that has rank 1; first nonzero
     entry made positive.  The row is read as U^T e_rank, the row log
     replayed backward and transposed."""
-    dz = K.coboundary_factor(K.dimension - 1)
+    n = K.dimension
+    dz = zlinalg.diagonalize(K.coboundary_z(n - 1), K.n_simplices(n - 1))
     if dz.m - dz.rank != 1:
         return None
     unit = [int(j == dz.rank) for j in range(dz.m)]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from topinv import catalog, intersection, zlinalg
+from topinv import catalog, charclasses, intersection, zlinalg
 from topinv import complexes as cx
 
 
@@ -52,6 +52,30 @@ def test_nonorientable_guard():
     K = cx.product_complex(catalog.projective_plane(), catalog.sphere(2))
     with pytest.raises(intersection.NonOrientableError):
         intersection.intersection_form(K)
+
+
+def test_obstructions_do_not_depend_on_the_form_going_first():
+    # the Bockstein of w_2 reads nothing the form leaves in the cache, so
+    # the reports taken before and after it agree, and with the panel's
+    complexes = dict(catalog.manifold_fixtures())
+    complexes["RP2xS2"] = cx.product_complex(catalog.projective_plane(),
+                                             catalog.sphere(2))
+    for name, K in complexes.items():
+        K = cx.SimplicialComplex(K.maximal_simplices)
+        reports = []
+        for _ in range(2):
+            reports.append((charclasses.obstructions(K),
+                            charclasses.integral_sw(K)))
+            try:
+                intersection.intersection_form(K)
+            except cx.TopologyError:
+                pass
+        assert reports[0] == reports[1], name
+        ob = reports[0][0]
+        p = intersection.panel(K)
+        assert (p.orientable, p.k_orientable_max, p.spin, p.spin_c,
+                p.de_rham) == (ob.orientable, ob.k_orientable_max, ob.spin,
+                               ob.spin_c, ob.de_rham), name
 
 
 def test_orientation_flip_negates_gram(fixtures):

@@ -360,8 +360,9 @@ def test_bockstein_flag_matches_integral_cohomology(fixtures):
 
 def test_bockstein_verdicts_match_both_ways(fixtures):
     # beta of every F2 basis class, decided on delta_k with its unit pivots
-    # eliminated first (nothing memoized), then against the pinned factor;
-    # and beta of a zero class, delta y mod 2, which needs no solve
+    # eliminated first, the same again once H^k(K; Z) is memoized, and
+    # against the pinned factor; and beta of a zero class, delta y mod 2,
+    # which needs no solve
     rng = random.Random(99)
     nonzero = 0
     for name, K0 in fixtures.items():
@@ -374,8 +375,10 @@ def test_bockstein_verdicts_match_both_ways(fixtures):
                     zero ^= col
             classes.append(cx.f2_class(K, q, zero))
             front = [steenrod.bockstein(K, x) for x in classes]
-            assert ("dz", q) not in K._cache
-            pinned_dz = K.coboundary_factor(q)
+            assert ("hz", q) not in K._cache
+            pinned_dz = zlinalg.diagonalize(K.coboundary_z(q),
+                                            K.n_simplices(q))
+            K.cohomology_z(q)
             assert [steenrod.bockstein(K, x) for x in classes] == front
             for bz, is_zero in front:
                 solved = zlinalg.solve(pinned_dz, list(bz)) is not None

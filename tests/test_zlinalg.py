@@ -301,9 +301,6 @@ def test_relation_matrix_uinv_matches_reference(monkeypatch):
     # from delta_k's column log on the rows of delta_(k-1); coords and rep
     # replay its row log as U and U^-1, built dense here and nowhere else
     complexes = ladder_complexes()
-    for K in complexes:
-        for k in range(K.dimension + 1):
-            K.coboundary_factor(k)
     seen = []
     diagonalize = zlinalg.diagonalize
 
@@ -311,7 +308,7 @@ def test_relation_matrix_uinv_matches_reference(monkeypatch):
         seen.append((a, ncols))
         return diagonalize(a, ncols)
 
-    # the coboundary factors are memoized, so only relation matrices pass
+    # each H^k diagonalizes delta_k, pinned, then its relation matrix
     monkeypatch.setattr(zlinalg, "diagonalize", recording)
     degrees = []
     for K in complexes:
@@ -319,9 +316,11 @@ def test_relation_matrix_uinv_matches_reference(monkeypatch):
             K.cohomology_z(k)
             degrees.append((K, k))
     monkeypatch.undo()
-    assert len(seen) == len(degrees)
+    assert len(seen) == 2 * len(degrees)
+    assert all(a is K.coboundary_z(k) and ncols == K.n_simplices(k)
+               for (a, ncols), (K, k) in zip(seen[::2], degrees))
     torsion = 0
-    for (a, ncols), (K, k) in zip(seen, degrees):
+    for (a, ncols), (K, k) in zip(seen[1::2], degrees):
         nk = K.n_simplices(k)
         ref = reference_diagonalize(dense(K.coboundary_z(k), nk), nk)
         delta = dense(K.coboundary_z(k - 1), ncols)
@@ -331,7 +330,7 @@ def test_relation_matrix_uinv_matches_reference(monkeypatch):
         dz = assert_matches_reference(a, ncols)
         torsion += any(x > 1 for x in dz.diag)
     # every degree of every complex; RP2 and K2 have torsion in degree 2
-    assert len(seen) == 58 and torsion == 2
+    assert len(degrees) == 58 and torsion == 2
 
 
 def test_kernel_basis_is_v_past_the_rank():
@@ -409,7 +408,7 @@ def test_unit_front_end_matches_pinned_on_coboundaries():
             outside = [rng.randint(-2, 2) for _ in delta]
             left += bool(assert_units_match_pinned(delta, nk,
                                                    [inside, outside]))
-            unsolvable += zlinalg.solve(K.coboundary_factor(k),
+            unsolvable += zlinalg.solve(zlinalg.diagonalize(delta, nk),
                                         outside) is None
     # the 2-torsion of RP2, K2 and the RP2 products is left for diagonalize
     assert left >= 10 and unsolvable >= 100
