@@ -1,9 +1,11 @@
-"""Time the slow rungs of the integral side, each in a fresh process.
+"""Time the slow rungs of the integral and F2 sides, each in a fresh process.
 
 Usage: PYTHONPATH=src python scripts/ladder.py
 
-Builds S2xS2xS2, CP2xT2 and S4xS4 with the staircase product_complex and
-times panel, panel and integral homology on them.  Each rung runs in its
+Builds S2xS2xS2, CP2xT2, S4xS4 and K2xK2 with the staircase
+product_complex and times panel, panel, integral homology and panel on
+them.  K2xK2 is non-orientable (w_1 != 0), so its panel runs the F2
+pipeline alone and never reaches the integral engine.  Each rung runs in its
 own interpreter, so no memoized elimination carries over: the child
 builds its complex, then times the call alone with time.perf_counter and
 reports the process's peak RSS (ru_maxrss).  Prints one JSON line,
@@ -21,6 +23,8 @@ RUNGS = {
                "catalog.torus())", "panel"),
     "S4xS4": ("product_complex(catalog.sphere(4), catalog.sphere(4))",
               "homology Z"),
+    "K2xK2": ("product_complex(catalog.klein_bottle(), catalog.klein_bottle())",
+              "panel"),
 }
 
 CHILD = """

@@ -81,17 +81,19 @@ def sw_numbers(K: SimplicialComplex) -> dict[tuple[int, ...], int]:
 
     w_p1 ... w_pr is w_pi on the i-th block of consecutive vertices of an
     n-simplex, so each number is the parity of [K] AND the gathered blocks."""
-    ws = sw_classes(K)
-    n = K.dimension
-    out = {}
-    for part in partitions(n):
-        mask, start = K.fundamental_class_f2(), 0
-        for p in part or (0,):  # n = 0: () reads <w_0, [pt]>
-            mask &= K.gather(n, tuple(range(start, start + p + 1)),
-                             ws[p].cocycle)
-            start += p
-        out[part] = mask.bit_count() & 1
-    return out
+    def build():
+        ws = sw_classes(K)
+        n = K.dimension
+        out = {}
+        for part in partitions(n):
+            mask, start = K.fundamental_class_f2(), 0
+            for p in part or (0,):  # n = 0: () reads <w_0, [pt]>
+                mask &= K.gather(n, tuple(range(start, start + p + 1)),
+                                 ws[p].cocycle)
+                start += p
+            out[part] = mask.bit_count() & 1
+        return out
+    return K._memo(("swn",), build)
 
 
 def integral_sw(K: SimplicialComplex) -> list[bool]:

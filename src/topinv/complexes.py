@@ -85,6 +85,9 @@ class SimplicialComplex:
         def build():
             if k < 0 or k > self.dimension:
                 return ()
+            if k == self.dimension:  # the top simplices are facets
+                return tuple(s for s in self.maximal_simplices
+                             if len(s) == k + 1)
             out = set()
             for s in self.maximal_simplices:
                 if len(s) >= k + 1:
@@ -249,26 +252,31 @@ class F2Cohomology:
     """H^k(K; F2) with a fixed cocycle basis and coordinate reduction.
 
     delta_k is eliminated once, for its kernel here; H^(k+1) starts from
-    the echelon rows of its image, kept as image_rows."""
+    the echelon rows of its image, kept as image_rows.
+
+    Clearing: the columns of delta_k at the leading bits of im delta_(k-1)
+    are skipped, not eliminated.  A row b = e_j + (lower terms) of that
+    image has delta_k b = 0, so column j depends on earlier columns.  Each
+    kernel vector left, z_j = e_j + (lower terms) for a dependent column j
+    at which no image row leads, gives a new class: the image B lies in
+    ker delta_k, so the cocycles in the span E_j of the first j+1 cochains
+    meet B only in the elements of B within E_j, whose leading bits are
+    image leads.  So every residue is nonzero, the basis is the residues
+    in order, and dim = dim ker delta_k - rank delta_(k-1) = len(ker).
+    """
 
     def __init__(self, K: SimplicialComplex, k: int):
         self.degree = k
         # coboundaries first (expression 0), then each new cocycle residue
         # as basis vector i (expression 1 << i)
         image = K.cohomology_f2(k - 1).image_rows if k >= 1 else {}
-        ker, self.image_rows = f2linalg.kernel_basis(K.coboundary_f2(k))
+        ker, self.image_rows = f2linalg.kernel_basis(K.coboundary_f2(k), image)
         ech = f2linalg.Echelon(image)
-        # im delta_(k-1) lies in ker delta_k, so once dim ker - rank residues
-        # are found every later kernel vector reduces to zero
-        dim = len(ker) - len(image)
         basis: list[int] = []
         for z in ker:
-            if len(basis) == dim:
-                break
             res, _ = ech.residue(z)
-            if res:
-                ech.insert(res, 1 << len(basis))
-                basis.append(res)
+            ech.insert(res, 1 << len(basis))
+            basis.append(res)
         self._ech = ech
         self.basis = basis
 
@@ -506,33 +514,44 @@ def is_poincare_f2(K: SimplicialComplex) -> PoincareReport:
 # ---- construction helpers ----
 
 _INT = re.compile(r"-?[0-9]+")
+_SIMPLEX_LINE = re.compile(r"-?[0-9]+(?:[ \t]+-?[0-9]+)*")
+
+
+def content_lines(text: str) -> list[str]:
+    """The nonblank lines of an input file, '#' comments and the spaces
+    and tabs around them stripped.  Lines end only at \n, \r, \v and \f
+    (an empty line between \r and \n is dropped), and tokens are parted
+    only by spaces and tabs, so any other separator stays inside a token
+    and fails the file's ASCII token grammar."""
+    lines = []
+    for raw in text.replace("\r", "\n").replace("\v", "\n").replace(
+            "\f", "\n").split("\n"):
+        line = raw.split("#", 1)[0].strip(" \t")
+        if line:
+            lines.append(line)
+    return lines
 
 
 def parse_complex(text: str) -> SimplicialComplex:
     """Parse the complex file format: a dimension hint line, which must
     equal the largest facet's dimension, then one maximal simplex per line
-    as space-separated vertex labels, both ASCII integers -?[0-9]+."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    as vertex labels parted by spaces or tabs, both ASCII integers
+    -?[0-9]+, in the line layout of content_lines."""
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty complex file")
-    head = lines[0].split()
-    if len(head) != 1 or not _INT.fullmatch(head[0]):
+    if not _INT.fullmatch(lines[0]):
         raise ParseError(f"malformed dimension hint line: {lines[0]!r}")
     simplices = []
     for line in lines[1:]:
-        parts = line.split()
-        if not all(_INT.fullmatch(p) for p in parts):
+        if not _SIMPLEX_LINE.fullmatch(line):
             raise ParseError(f"malformed simplex line: {line!r}")
-        simplices.append(tuple(int(p) for p in parts))
+        simplices.append(tuple(map(int, line.split())))
     if not simplices:
         raise ParseError("complex file lists no simplices")
     K = SimplicialComplex(simplices)
-    if int(head[0]) != K.dimension:
-        raise ParseError(f"dimension hint {int(head[0])} differs from the "
+    if int(lines[0]) != K.dimension:
+        raise ParseError(f"dimension hint {int(lines[0])} differs from the "
                          f"largest facet's dimension {K.dimension}")
     return K
 

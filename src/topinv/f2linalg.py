@@ -8,6 +8,8 @@ and the dot product is the parity of the bitwise and.
 
 from __future__ import annotations
 
+from collections.abc import Container
+
 
 def dot(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
@@ -64,14 +66,26 @@ def rank(vectors: list[int]) -> int:
     return ech.rank
 
 
-def kernel_basis(columns: list[int]) -> tuple[list[int], dict[int, int]]:
+def kernel_basis(columns: list[int], skip: Container[int] = ()
+                 ) -> tuple[list[int], dict[int, int]]:
     """Kernel of the map with the given columns, as masks over column
     indices, and the echelon rows of its image (leading bit -> row): the
     rows do not depend on the expressions, so inserting the columns with
-    expression 0 builds the same ones."""
+    expression 0 builds the same ones.
+
+    Columns whose index is in `skip` are not inserted and get no kernel
+    vector.  A caller skips only columns it knows to be dependent on the
+    earlier ones (clearing: the leading bits of im delta_(k-1) among the
+    columns of delta_k).  A dependent column stores no row, and the rows
+    and kernel vectors of the others involve only independent columns,
+    so the rows and the remaining kernel vectors are those of the full
+    elimination, without the cost of reducing the skipped columns to zero.
+    """
     ech = Echelon()
     ker = []
     for j, c in enumerate(columns):
+        if j in skip:
+            continue
         combo = ech.insert(c, 1 << j)
         if combo is not None:
             ker.append(combo)

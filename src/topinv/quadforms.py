@@ -18,6 +18,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .complexes import content_lines
+
 
 class FormError(ValueError):
     pass
@@ -284,6 +286,7 @@ def is_even(form: QuadraticForm) -> bool:
 
 
 _ENTRY = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_HEADER = re.compile(r"dim[ \t]+([0-9]+)")
 
 
 def _parse_entry(token: str) -> int | Fraction:
@@ -297,20 +300,18 @@ def parse_gram(text: str) -> QuadraticForm:
     exact rational entries, each an integer or p/q as gram_text writes
     them.  Decimals and exponents are rejected: Fraction would expand
     a token such as 1e1000000 into a million-digit integer."""
-    lines = [line for line in (raw.split("#", 1)[0].strip()
-                               for raw in text.splitlines()) if line]
+    lines = content_lines(text)
     if not lines:
         raise FormError("empty gram file")
-    head = lines[0].split()
-    if (len(head) != 2 or head[0] != "dim" or not head[1].isascii()
-            or not head[1].isdigit()):
+    head = _HEADER.fullmatch(lines[0])
+    if not head:
         raise FormError(f"malformed dimension header: {lines[0]!r}")
     n = int(head[1])
     if len(lines) - 1 != n:
         raise FormError(f"expected {n} matrix rows, found {len(lines) - 1}")
     rows = []
     for line in lines[1:]:
-        parts = line.split()
+        parts = [p for p in line.replace("\t", " ").split(" ") if p]
         if len(parts) != n:
             raise FormError(f"expected {n} entries per row: {line!r}")
         for p in parts:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from topinv import catalog, charclasses, f2linalg, steenrod
+from topinv import catalog, charclasses, f2linalg, intersection, steenrod
 from topinv import complexes as cx
 
 
@@ -221,6 +221,22 @@ def test_sw_numbers_match_nested_cups(fixtures):
         assert list(got) == charclasses.partitions(K.dimension)
     # a product of two factors that is nonzero: w_2^2[CP2] = 1
     assert charclasses.sw_numbers(fixtures["CP2"])[(2, 2)] == 1
+
+
+def test_panel_reads_sw_numbers_once(monkeypatch):
+    calls = []
+    partitions = charclasses.partitions
+
+    def recording_partitions(n):
+        calls.append(n)
+        return partitions(n)
+
+    monkeypatch.setattr(charclasses, "partitions", recording_partitions)
+    K = cx.product_complex(catalog.klein_bottle(), catalog.torus())
+    p = intersection.panel(K)
+    # obstructions (null_cobordant) and the panel itself read one build
+    assert calls == [K.dimension]
+    assert p.sw_numbers is charclasses.sw_numbers(K)
 
 
 def reduce_mod2(K, x):

@@ -264,6 +264,20 @@ def test_non_ascii_integer_tokens_exit_1_with_one_line(capsys, tmp_path):
             assert (code, out, err) == (1, "", message), tok
 
 
+def test_non_ascii_separators_exit_1_with_one_line(capsys, tmp_path):
+    for verb, text, message in (
+            ("homology", "2\x1c0 1 2",
+             "malformed dimension hint line: '2\\x1c0 1 2'"),
+            ("homology", "2\n0\u30001 2",
+             "malformed simplex line: '0\\u30001 2'"),
+            ("qf", "dim 1\u20281", "malformed dimension header: "
+             "'dim 1\\u20281'")):
+        p = tmp_path / "sep.txt"
+        p.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, verb, str(p))
+        assert (code, out, err) == (1, "", f"error: {message}\n"), text
+
+
 def test_long_simplex_homology_is_acyclic(capsys, tmp_path):
     # a two-line file whose one 12-simplex has 2^13 - 1 faces
     p = tmp_path / "d12.cx"

@@ -1,6 +1,7 @@
 import ast
 import collections
 import gc
+import itertools
 import random
 import re
 import sys
@@ -46,6 +47,33 @@ def test_parse_comments_and_blank_lines():
     assert K.maximal_simplices == ((0, 1, 2),)
 
 
+# separators that str.split or str.splitlines break at but the formats
+# do not: the ASCII file, group, record and unit separators, NEL, NBSP,
+# the ideographic space and the Unicode line and paragraph separators
+FOREIGN_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+                      "\u3000", "\u2028", "\u2029")
+
+
+def test_parse_ascii_separators():
+    want = catalog.sphere(2).maximal_simplices
+    text = "2\r\n0\t1  2\v\f0 1 3 \r0 2\t 3\n\n 1 2 3\t# last\n"
+    assert cx.parse_complex(text).maximal_simplices == want
+
+
+def test_parse_rejects_foreign_separators():
+    for text in ("2\x1c0 1 2", "2\n0\u30001 2"):
+        with pytest.raises(cx.ParseError, match="malformed"):
+            cx.parse_complex(text)
+    for sep in FOREIGN_SEPARATORS:
+        for text in (f"2\n0 1 2{sep}0 1 3", f"2\n0 1{sep}2",
+                     f"2{sep}\n0 1 2", f"2\n{sep}0 1 2"):
+            with pytest.raises(cx.ParseError, match="malformed"):
+                cx.parse_complex(text)
+        # a comment runs to the end of the line, whatever it holds
+        K = cx.parse_complex(f"2 # {sep} 7\n0 1 2 #{sep}\n")
+        assert K.maximal_simplices == ((0, 1, 2),)
+
+
 def test_parse_errors():
     with pytest.raises(cx.ParseError):
         cx.parse_complex("")
@@ -74,6 +102,20 @@ def test_maximal_face_normalization():
         cx.SimplicialComplex([(0, 1, 2), (3, 3), ()])
     with pytest.raises(cx.ParseError, match="empty simplex"):
         cx.SimplicialComplex([(0, 1, 2), (), (3, 3)])
+
+
+def test_simplices_match_enumeration(fixtures, rng):
+    """Every k-simplex list, the top one read off the facets included,
+    equals the sorted faces of all maximal simplices."""
+    complexes = list(fixtures.values()) + [
+        cx.SimplicialComplex([(0, 1, 2), (2, 3), (4,), (1, 2, 5)])]
+    complexes += [catalog.random_complex(rng) for _ in range(30)]
+    for K in complexes:
+        for k in range(-1, K.dimension + 2):
+            want = sorted({f for s in K.maximal_simplices
+                           for f in itertools.combinations(s, k + 1)}
+                          if 0 <= k else ())
+            assert K.simplices(k) == tuple(want), (K.maximal_simplices, k)
 
 
 def test_boundary_squared_zero(fixtures):
@@ -221,20 +263,24 @@ def _coboundary_f2_by_slices(K, k):
 
 
 def _f2_cohomology_by_two_eliminations(K, k):
-    """H^k(K; F2) with delta_(k-1) eliminated apart from delta_k: an image
-    echelon of delta_(k-1), kernel_basis(delta_k), and a residue for every
-    kernel vector.  Returns the basis and the echelon that gives coords."""
+    """H^k(K; F2) with no column cleared: an image echelon of delta_(k-1)
+    built apart from delta_k, the full kernel_basis(delta_k), and a residue
+    for every kernel vector.  Returns the basis, the echelon that gives
+    coords, the image rows of delta_k, and the leading bits of the kernel
+    vectors whose residue is zero."""
     ech = f2linalg.Echelon()
     for c in K.coboundary_f2(k - 1):
         ech.insert(c)
-    ker, _ = f2linalg.kernel_basis(K.coboundary_f2(k))
-    basis = []
+    ker, image_rows = f2linalg.kernel_basis(K.coboundary_f2(k))
+    basis, zero = [], set()
     for z in ker:
         res, _ = ech.residue(z)
         if res:
             ech.insert(res, 1 << len(basis))
             basis.append(res)
-    return basis, ech
+        else:
+            zero.add(z.bit_length() - 1)
+    return basis, ech, image_rows, zero
 
 
 def test_coboundary_f2_matches_slices(fixtures):
@@ -249,14 +295,31 @@ def test_f2_cohomology_matches_two_eliminations(fixtures):
     for name, K in _f2_oracle_complexes(fixtures):
         for k in range(K.dimension + 1):
             h = K.cohomology_f2(k)
-            basis, ech = _f2_cohomology_by_two_eliminations(K, k)
+            basis, ech, image_rows, zero = (
+                _f2_cohomology_by_two_eliminations(K, k))
             assert h.basis == basis and h.dim == len(basis), (name, k)
+            assert h.image_rows == image_rows, (name, k)
             assert h._ech._rows == ech._rows, (name, k)
+            # the kernel vectors that reduce to zero are exactly those of
+            # the cleared columns, the leading bits of im delta_(k-1)
+            _, cleared = f2linalg.kernel_basis(K.coboundary_f2(k - 1))
+            assert zero == set(cleared), (name, k)
             for _ in range(5):
                 z = h.rep(rng.getrandbits(h.dim)) ^ coboundary_apply_f2(
                     K, k - 1, rng.getrandbits(K.n_simplices(k - 1)))
                 res, want = ech.residue(z)
                 assert res == 0 and h.coords(z) == want, (name, k)
+
+
+@given(st.lists(st.integers(0, 2 ** 12 - 1), max_size=24), st.randoms())
+@settings(max_examples=200, deadline=None)
+def test_kernel_basis_skipping_dependent_columns(columns, rnd):
+    ker, rows = f2linalg.kernel_basis(columns)
+    dependent = [z.bit_length() - 1 for z in ker]
+    skip = set(rnd.sample(dependent, rnd.randint(0, len(dependent))))
+    ker_s, rows_s = f2linalg.kernel_basis(columns, skip)
+    assert rows_s == rows
+    assert ker_s == [z for z in ker if z.bit_length() - 1 not in skip]
 
 
 def test_panel_inserts_each_f2_coboundary_once(monkeypatch):
@@ -270,9 +333,9 @@ def test_panel_inserts_each_f2_coboundary_once(monkeypatch):
     eliminated = []
     kernel_basis = f2linalg.kernel_basis
 
-    def recording_kernel_basis(columns):
-        eliminated.append(columns)
-        return kernel_basis(columns)
+    def recording_kernel_basis(columns, skip=()):
+        eliminated.append((columns, skip))
+        return kernel_basis(columns, skip)
 
     monkeypatch.setattr(f2linalg.Echelon, "insert", recording_insert)
     monkeypatch.setattr(f2linalg, "kernel_basis", recording_kernel_basis)
@@ -280,12 +343,17 @@ def test_panel_inserts_each_f2_coboundary_once(monkeypatch):
     intersection.panel(K)
     n = K.dimension
     # kernel_basis sees each delta_k once (past the top degree there are no
-    # columns) and is the only caller that inserts coboundary columns;
-    # F2Cohomology.__init__ inserts only the new cocycle residues
-    eliminated = [cols for cols in eliminated if cols]
+    # columns), clearing the leading bits of im delta_(k-1), and is the only
+    # caller that inserts coboundary columns; F2Cohomology.__init__ inserts
+    # only the new cocycle residues
+    eliminated = [call for call in eliminated if call[0]]
     assert len(eliminated) == n + 1
-    assert all(cols is K.coboundary_f2(k) for k, cols in enumerate(eliminated))
-    assert callers["kernel_basis"] == sum(map(K.n_simplices, range(n + 1)))
+    for k, (cols, skip) in enumerate(eliminated):
+        assert cols is K.coboundary_f2(k)
+        assert skip == (K.cohomology_f2(k - 1).image_rows if k else {})
+    assert callers["kernel_basis"] == sum(
+        K.n_simplices(k) - len(K.cohomology_f2(k - 1).image_rows if k else {})
+        for k in range(n + 1))
     assert callers["__init__"] == sum(
         K.cohomology_f2(k).dim for k in range(n + 1))
 

@@ -490,6 +490,22 @@ def test_parse_gram_errors():
         qf.parse_gram("dim 1\nzebra\n")
 
 
+def test_parse_gram_separators():
+    want = ((2, Fraction(1, 2)), (Fraction(1, 2), -1))
+    for text in ("dim\t2\r\n2 1/2\v\f1/2\t -1 # row 2\n",
+                 "  dim 2 \r2\t1/2\r\n\r\n1/2 -1"):
+        assert qf.parse_gram(text).gram == want
+    with pytest.raises(qf.FormError, match="dimension header"):
+        qf.parse_gram("dim 1\u20281")
+    # str.split and str.splitlines break at each of these; the format does not
+    for sep in ("\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u3000",
+                "\u2028", "\u2029"):
+        for text in (f"dim{sep}1\n1\n", f"dim 1{sep}1\n",
+                     f"dim 2\n1 0{sep}0 1\n", f"dim 2\n1{sep}0\n0 1\n"):
+            with pytest.raises(qf.FormError):
+                qf.parse_gram(text)
+
+
 def test_parse_gram_takes_only_integers_and_fractions():
     # Fraction would take each of these, and expands an exponent into
     # 10**e digits: 1e1000000 alone ran for over a minute
