@@ -300,16 +300,15 @@ class F2Cohomology:
 
 
 class ZCohomology:
-    """H^k(K; Z) presented as cyclic summands with coordinate reduction.
+    """H^k(K; Z) as cyclic summands with a cocycle representative of each
+    generator, the basis the intersection gram reads.
 
     From the pinned elimination U delta_k V = D: the columns of V past
-    the rank span the cocycles, and the same rows of V^-1 give coordinates
-    over them; those rows times delta_(k-1) are the relations among the
-    coordinates, R, with U_rel R V_rel = D_rel.  coords replays V^-1 then
-    U_rel on the cocycle, rep U_rel^-1 then V on a unit vector, from the
-    logs.  summands lists the orders: d > 1 for torsion summands, 0 for
-    free ones.  Coordinates are normalized, torsion entries reduced mod
-    d, so a class is zero exactly when all its coordinates vanish.
+    the rank span the cocycles, and the same rows of V^-1 times
+    delta_(k-1) are the relations among them, R, with U_rel R V_rel =
+    D_rel.  rep replays U_rel^-1 then V on a unit vector, from the logs.
+    summands lists the orders: d > 1 for torsion summands, 0 for free
+    ones.
     """
 
     def __init__(self, K: SimplicialComplex, k: int):
@@ -326,20 +325,6 @@ class ZCohomology:
     def dim(self) -> int:
         return len(self.summands)
 
-    def coords(self, z) -> tuple[int, ...]:
-        """Normalized coordinates of an integral cocycle over the summands."""
-        c = zlinalg._replay_vector(self._dz.col_log, list(z), transpose=True,
-                                   inverse=True)
-        rank = self._dz.rank
-        if any(c[:rank]):
-            raise ValueError("not a cocycle")
-        y = zlinalg._replay_vector(self._cdz.row_log, c[rank:])
-        out = []
-        for i in self._kept:
-            d = self.summands[len(out)]
-            out.append(y[i] % d if d else y[i])
-        return tuple(out)
-
     def rep(self, i: int) -> tuple[int, ...]:
         """Cocycle representative of the i-th summand generator."""
         e = [int(j == self._kept[i]) for j in range(self._cdz.m)]
@@ -347,45 +332,28 @@ class ZCohomology:
         return tuple(zlinalg._replay_vector(reversed(self._dz.col_log),
                                            [0] * self._dz.rank + y, transpose=True))
 
-    def is_zero(self, z) -> bool:
-        return all(v == 0 for v in self.coords(z))
-
 
 @dataclass
 class CohomologyClass:
-    """A cohomology class: representative cocycle plus basis coordinates.
+    """An F2 cohomology class of degree k: a representative cocycle and
+    its coordinates over the H^k(K; F2) basis, both bitmasks."""
 
-    Over F2 the cocycle and coords are bitmasks; over Z they are integer
-    tuples, coords normalized per summand.
-    """
-
-    ring: str
     degree: int
-    cocycle: object
-    coords: object
+    cocycle: int
+    coords: int
 
     @property
     def is_zero(self) -> bool:
-        if self.ring == "F2":
-            return self.coords == 0
-        return all(v == 0 for v in self.coords)
+        return self.coords == 0
 
     def support(self, K: SimplicialComplex) -> list[tuple[int, ...]]:
         """Simplices of K where the representative cocycle is nonzero."""
         simp = K.simplices(self.degree)
-        if self.ring == "F2":
-            return [simp[i] for i in range(len(simp))
-                    if (self.cocycle >> i) & 1]
-        return [simp[i] for i, v in enumerate(self.cocycle) if v]
+        return [simp[i] for i in range(len(simp)) if (self.cocycle >> i) & 1]
 
 
 def f2_class(K: SimplicialComplex, k: int, mask: int) -> CohomologyClass:
-    return CohomologyClass("F2", k, mask, K.cohomology_f2(k).coords(mask))
-
-
-def z_class(K: SimplicialComplex, k: int, vec) -> CohomologyClass:
-    vec = tuple(vec)
-    return CohomologyClass("Z", k, vec, K.cohomology_z(k).coords(vec))
+    return CohomologyClass(k, mask, K.cohomology_f2(k).coords(mask))
 
 
 # ---- module-level operations ----
@@ -437,25 +405,16 @@ def cup_cochain_z(K: SimplicialComplex, p: int, q: int, x, y) -> tuple[int, ...]
 
 def cup_product(K: SimplicialComplex, x: CohomologyClass,
                 y: CohomologyClass) -> CohomologyClass:
-    """Cup product of cohomology classes over a common ring."""
-    if x.ring != y.ring:
-        raise ValueError("cup product operands over different rings")
-    if x.ring == "F2":
-        mask = cup_cochain_f2(K, x.degree, y.degree, x.cocycle, y.cocycle)
-        return f2_class(K, x.degree + y.degree, mask)
-    vec = cup_cochain_z(K, x.degree, y.degree, x.cocycle, y.cocycle)
-    return z_class(K, x.degree + y.degree, vec)
+    """Cup product of F2 cohomology classes."""
+    mask = cup_cochain_f2(K, x.degree, y.degree, x.cocycle, y.cocycle)
+    return f2_class(K, x.degree + y.degree, mask)
 
 
 def pairing(K: SimplicialComplex, x: CohomologyClass) -> int:
     """Evaluation of a top-degree class against the fundamental cycle."""
-    n = K.dimension
-    if x.degree != n:
+    if x.degree != K.dimension:
         raise ValueError("pairing requires a top-degree class")
-    if x.ring == "F2":
-        return f2linalg.dot(x.cocycle, K.fundamental_class_f2())
-    fc = K.fundamental_class_z()
-    return sum(a * b for a, b in zip(x.cocycle, fc))
+    return f2linalg.dot(x.cocycle, K.fundamental_class_f2())
 
 
 @dataclass

@@ -39,11 +39,10 @@ class Diagonalization:
     if i = j, else adds q * row j to row i; a column step (j, k, q) swaps
     columns j and k if q = 0, else adds q * column k to column j (the
     column log holds no negations).  _replay_vector gives U b from the
-    row log forward (solve, ZCohomology.coords), U^-1 b backward and
-    inverted (ZCohomology.rep), V y from the column log backward and
-    transposed (solve, rep, kernel_basis) and V^-1 z forward, transposed
-    and inverted (coords); _vinv_rows gives V^-1 A on sparse rows (the
-    relation matrix of ZCohomology).
+    row log forward (solve), U^-1 b backward and inverted
+    (ZCohomology.rep), and V y from the column log backward and
+    transposed (solve, rep, kernel_basis); _vinv_rows gives V^-1 A on
+    sparse rows (the relation matrix of ZCohomology).
     """
 
     diag: list[int]

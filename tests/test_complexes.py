@@ -175,22 +175,56 @@ def test_homology_from_coboundary_factors_matches_boundaries(fixtures):
         assert cx.homology(K, "Z") == _homology_by_boundaries(K)
 
 
-def test_z_cohomology_coords_on_random_complexes():
+def _lattice_rank_and_saturated(rows, ncols):
+    """Rank of the integer row lattice, and whether Z^ncols over it is
+    torsion-free (every invariant factor is 1)."""
+    units, rest, _ = zlinalg.eliminate_units(rows, ncols)
+    dz = zlinalg.diagonalize(rest, ncols)
+    return units + dz.rank, all(
+        f == 1 for f in zlinalg.invariant_factors(dz.diag))
+
+
+def _prime_divisors(d):
+    return [p for p in range(2, d + 1)
+            if d % p == 0 and all(p % q for q in range(2, p))]
+
+
+def test_z_cohomology_reps_generate_with_their_orders(fixtures):
+    # an oracle for rep that reads no coordinates: each rep is a cocycle
+    # of its summand's exact order, the counts agree with universal
+    # coefficients, and im delta_(k-1) plus the reps is a saturated
+    # lattice of rank nullity(delta_k), so all of ker delta_k
     rng = random.Random(2718)
-    for _ in range(50):
-        K = catalog.random_complex(rng)
+    complexes = list(fixtures.items())
+    complexes += [(f"random {i}", catalog.random_complex(rng))
+                  for i in range(50)]
+    for name, K in complexes:
+        hom = cx.homology(K, "Z")
         for k in range(K.dimension + 1):
-            h = K.cohomology_z(k)
+            h, nk = K.cohomology_z(k), K.n_simplices(k)
             reps = [h.rep(i) for i in range(h.dim)]
-            for i, r in enumerate(reps):
-                assert h.coords(r) == tuple(int(j == i) for j in range(h.dim))
-            z = [0] * K.n_simplices(k)
-            for r in reps:
-                m = rng.randint(-3, 3)
-                z = [a + m * b for a, b in zip(z, r)]
-            c = tuple(rng.randint(-2, 2) for _ in range(K.n_simplices(k - 1)))
-            dc = zlinalg.matvec(K.coboundary_z(k - 1), c) if k else (0,) * len(z)
-            assert h.coords([a + b for a, b in zip(z, dc)]) == h.coords(z)
+            for r, d in zip(reps, h.summands):
+                assert not any(zlinalg.matvec(K.coboundary_z(k), r))
+                if d == 0:
+                    assert not K.in_coboundary_image(k - 1, r), (name, k)
+                    continue
+                assert K.in_coboundary_image(k - 1, [d * v for v in r])
+                for p in _prime_divisors(d):
+                    assert not K.in_coboundary_image(
+                        k - 1, [d // p * v for v in r]), (name, k)
+            torsion = [d for d in h.summands if d]
+            assert h.summands.count(0) == hom[k].betti, (name, k)
+            assert [f for f in zlinalg.invariant_factors(torsion) if f > 1] \
+                == list(hom[k - 1].torsion if k else ())
+            image = [{} for _ in range(K.n_simplices(k - 1))]
+            for i, row in enumerate(K.coboundary_z(k - 1)):
+                for j, x in row.items():
+                    image[j][i] = x
+            rows = image + [{i: v for i, v in enumerate(r) if v} for r in reps]
+            rank, saturated = _lattice_rank_and_saturated(rows, nk)
+            assert rank == nk - _lattice_rank_and_saturated(
+                K.coboundary_z(k), nk)[0], (name, k)
+            assert saturated, (name, k)
 
 
 def test_panel_eliminates_each_coboundary_once(monkeypatch):
@@ -648,15 +682,6 @@ def test_z_cohomology_summands(fixtures):
     assert fixtures["RP2"].cohomology_z(2).summands == (2,)
     assert fixtures["K2"].cohomology_z(2).summands == (2,)
     assert fixtures["T2"].cohomology_z(2).summands == (0,)
-
-
-def test_z_class_coords_detect_coboundaries(fixtures):
-    K = fixtures["T2"]
-    h = K.cohomology_z(1)
-    vec = zlinalg.matvec(K.coboundary_z(0), [3, -2] + [0] * (K.n_simplices(0) - 2))
-    assert h.is_zero(vec)
-    rep = h.rep(0)
-    assert not h.is_zero(rep)
 
 
 def test_invariant_factors_prime_power_oracle(rng):

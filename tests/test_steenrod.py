@@ -317,9 +317,13 @@ def test_sq_errors(fixtures):
     x = cx.f2_class(K, 0, K.cohomology_f2(0).basis[0])
     with pytest.raises(ValueError, match="negative"):
         steenrod.sq(K, -1, x)
-    zx = K.cohomology_z(0).rep(0)
-    with pytest.raises(ValueError, match="F2"):
-        steenrod.sq(K, 1, cx.z_class(K, 0, zx))
+
+
+def pinned_in_coboundary_image(K, q, b):
+    """Whether delta_q c = b has an integral solution, by the pinned
+    diagonalization of delta_q alone."""
+    dz = zlinalg.diagonalize(K.coboundary_z(q), K.n_simplices(q))
+    return zlinalg.solve(dz, list(b)) is not None
 
 
 def test_bockstein_rp2(fixtures):
@@ -329,7 +333,7 @@ def test_bockstein_rp2(fixtures):
     bz, zero = steenrod.bockstein(K, a)
     assert not zero
     assert len(bz) == K.n_simplices(2)
-    assert not K.cohomology_z(2).is_zero(bz)
+    assert not pinned_in_coboundary_image(K, 1, bz)
 
 
 def test_bockstein_torus_vanishes(fixtures):
@@ -347,15 +351,7 @@ def test_bockstein_order_two(fixtures):
             for b in K.cohomology_f2(q).basis:
                 bz, _ = steenrod.bockstein(K, cx.f2_class(K, q, b))
                 doubled = tuple(2 * v for v in bz)
-                assert K.cohomology_z(q + 1).is_zero(doubled)
-
-
-def test_bockstein_flag_matches_integral_cohomology(fixtures):
-    for name, K in fixtures.items():
-        for q in range(K.dimension + 1):
-            for b in K.cohomology_f2(q).basis:
-                bz, zero = steenrod.bockstein(K, cx.f2_class(K, q, b))
-                assert zero == K.cohomology_z(q + 1).is_zero(bz), (name, q)
+                assert pinned_in_coboundary_image(K, q, doubled)
 
 
 def test_bockstein_verdicts_match_both_ways(fixtures):
@@ -391,7 +387,7 @@ def test_bockstein_verdicts_match_both_ways(fixtures):
 def test_bockstein_rejects_non_cocycle(fixtures):
     K = fixtures["T2"]
     mask = 1  # a single edge is not an F2 cocycle on the torus
-    x = cx.CohomologyClass("F2", 1, mask, 0)
+    x = cx.CohomologyClass(1, mask, 0)
     with pytest.raises(ValueError, match="not a cocycle mod 2"):
         steenrod.bockstein(K, x)
 
