@@ -3,8 +3,8 @@
 Usage: PYTHONPATH=src python scripts/ladder.py
 
 Builds S2xS2xS2, CP2xT2, S4xS4 and K2xK2 with the staircase
-product_complex and times panel, panel, integral homology and panel on
-them.  K2xK2 is non-orientable (w_1 != 0), so its panel runs the F2
+product_complex and times panel on each, and integral homology on S4xS4
+too.  K2xK2 is non-orientable (w_1 != 0), so its panel runs the F2
 pipeline alone and never reaches the integral engine.  Each rung runs in its
 own interpreter, so no memoized elimination carries over: the child
 builds its complex, then times the call alone with time.perf_counter and
@@ -23,6 +23,8 @@ RUNGS = {
                "catalog.torus())", "panel"),
     "S4xS4": ("product_complex(catalog.sphere(4), catalog.sphere(4))",
               "homology Z"),
+    "S4xS4 panel": ("product_complex(catalog.sphere(4), catalog.sphere(4))",
+                    "panel"),
     "K2xK2": ("product_complex(catalog.klein_bottle(), catalog.klein_bottle())",
               "panel"),
 }

@@ -133,9 +133,7 @@ def _cmd_cobordant(args, k1, k2):
 
 def _cmd_intersection(args, K):
     form = intersection.intersection_form(K)
-    sig = intersection.signature(K)
-    sig8 = intersection.signature_mod8(K)
-    even = intersection.form_even(K)
+    sig, sig8, even = form.signature, form.signature_mod8, form.even(K)
     payload = {
         "m": form.m,
         "rank": form.rank,

@@ -187,6 +187,36 @@ class SimplicialComplex:
         _, rest, b = zlinalg.eliminate_units(self.coboundary_z(k), nk, b)
         return zlinalg.solve(zlinalg.diagonalize(rest, nk), b) is not None
 
+    def free_cocycles(self, k: int) -> list[tuple[int, ...]]:
+        """Cocycles whose classes are a basis of H^k(K; Z)/torsion, units
+        first: modulo the unit pivots of im delta_(k-1), a cochain is 0 on
+        their columns, so delta_k drops them; kernel_quotient reads the
+        generators off what delta_k's own units leave, and back-substitution
+        fills in those units' columns.  No answer prints this basis."""
+        nk = self.n_simplices(k)
+        image_pivots, image, _ = zlinalg.eliminate_units(zlinalg.transpose(
+            self.coboundary_z(k - 1), self.n_simplices(k - 1)), nk)
+        off = {j for j, _ in image_pivots}
+        pivots, rest, _ = zlinalg.eliminate_units(
+            [{c: x for c, x in row.items() if c not in off}
+             for row in self.coboundary_z(k)], nk)
+        free = sorted(set(range(nk)) - off - {j for j, _ in pivots})
+        at = dict(zip(free, range(len(free))))
+        dz = zlinalg.diagonalize(
+            [{at[c]: x for c, x in row.items()} for row in rest], len(free))
+        image_at = zlinalg.transpose(image, nk)
+        orders, gen = zlinalg.kernel_quotient(
+            dz, [image_at[c] for c in free], len(image))
+        out = []
+        for y in (gen(i) for i, d in enumerate(orders) if d == 0):
+            x = [0] * nk
+            for c, v in zip(free, y):
+                x[c] = v
+            for j, row in reversed(pivots):  # x[j] = 0 until row . x = 0
+                x[j] = -row[j] * sum(v * x[c] for c, v in row.items())
+            out.append(tuple(x))
+        return out
+
     # ---- cohomology structures ----
 
     def cohomology_f2(self, k: int) -> "F2Cohomology":
@@ -300,26 +330,15 @@ class F2Cohomology:
 
 
 class ZCohomology:
-    """H^k(K; Z) as cyclic summands with a cocycle representative of each
-    generator, the basis the intersection gram reads.
-
-    From the pinned elimination U delta_k V = D: the columns of V past
-    the rank span the cocycles, and the same rows of V^-1 times
-    delta_(k-1) are the relations among them, R, with U_rel R V_rel =
-    D_rel.  rep replays U_rel^-1 then V on a unit vector, from the logs.
-    summands lists the orders: d > 1 for torsion summands, 0 for free
-    ones.
-    """
+    """H^k(K; Z) as cyclic summands, d > 1 for torsion and 0 for free
+    ones, and a cocycle generating each, read by kernel_quotient off the
+    pinned elimination of delta_k: the basis of the printed gram."""
 
     def __init__(self, K: SimplicialComplex, k: int):
         self.degree = k
         dz = zlinalg.diagonalize(K.coboundary_z(k), K.n_simplices(k))
-        self._dz = dz
-        relmat = zlinalg._vinv_rows(dz.col_log, K.coboundary_z(k - 1))
-        self._cdz = zlinalg.diagonalize(relmat[dz.rank:], K.n_simplices(k - 1))
-        diag = self._cdz.diag + [0] * (self._cdz.m - len(self._cdz.diag))
-        self._kept = [i for i, d in enumerate(diag) if d != 1]
-        self.summands: tuple[int, ...] = tuple(diag[i] for i in self._kept)
+        self.summands, self._gen = zlinalg.kernel_quotient(
+            dz, K.coboundary_z(k - 1), K.n_simplices(k - 1))
 
     @property
     def dim(self) -> int:
@@ -327,10 +346,7 @@ class ZCohomology:
 
     def rep(self, i: int) -> tuple[int, ...]:
         """Cocycle representative of the i-th summand generator."""
-        e = [int(j == self._kept[i]) for j in range(self._cdz.m)]
-        y = zlinalg._replay_vector(reversed(self._cdz.row_log), e, inverse=True)
-        return tuple(zlinalg._replay_vector(reversed(self._dz.col_log),
-                                           [0] * self._dz.rank + y, transpose=True))
+        return tuple(self._gen(i))
 
 
 @dataclass
@@ -378,10 +394,11 @@ def homology(K: SimplicialComplex, ring: str = "Z") -> list[HomologySummary]:
     # No basis is read, so the unit pivots go first, in any order.
     ranks, torsion = [0] * (n + 2), [()] * (n + 1)
     for k in range(n):
-        units, rest, _ = zlinalg.eliminate_units(K.coboundary_z(k),
-                                                 K.n_simplices(k))
+        pivots, rest, _ = zlinalg.eliminate_units(K.coboundary_z(k),
+                                                  K.n_simplices(k))
         dz = zlinalg.diagonalize(rest, K.n_simplices(k))
-        ranks[k + 1] = units + dz.rank
+        ranks[k + 1] = len(pivots) + dz.rank
+        del pivots  # not held while the next degree is eliminated
         torsion[k] = tuple(
             f for f in zlinalg.invariant_factors(dz.diag) if f > 1)
     return [HomologySummary(k, K.n_simplices(k) - ranks[k] - ranks[k + 1],

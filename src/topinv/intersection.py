@@ -5,11 +5,15 @@ torsion-free part of H^(2m)(K;Z), evaluated on the oriented fundamental
 cycle, is a symmetric nonsingular integer form.  The panel bundles its
 signature data with the characteristic-class invariants; the comparator
 reports whether any implemented obstruction separates two complexes.
+intersection_form, on the pinned basis of ZCohomology, serves only the
+intersection verb, which prints its gram; every other answer reads
+panel_form, on the unit-first basis of free_cocycles.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 from . import charclasses, quadforms
@@ -33,75 +37,80 @@ class IntersectionForm:
         """The gram as a rational form, built once per intersection form."""
         return quadforms.QuadraticForm(self.gram)
 
+    @functools.cached_property
+    def signature(self) -> int:
+        """Sylvester signature of the gram, exact."""
+        return quadforms.real_signature(self.quadratic_form)
+
+    @functools.cached_property
+    def signature_mod8(self) -> int:
+        """Signature mod 8, cross-checked through the local invariants."""
+        local = quadforms.signature_mod8_from_local(self.quadratic_form)
+        if local != self.signature % 8:
+            raise TopologyError(
+                "signature mod 8 routes disagree (local vs Sylvester)")
+        return local
+
+    def even(self, K: SimplicialComplex) -> bool:
+        """Evenness of the gram, checked against K's middle Wu class."""
+        gram_even = quadforms.is_even(self.quadratic_form)
+        if gram_even != charclasses.wu_classes(K)[2 * self.m].is_zero:
+            raise TopologyError(
+                "evenness criteria disagree (gram vs middle Wu class)")
+        return gram_even
+
+
+def _form(K: SimplicialComplex, basis_of) -> IntersectionForm:
+    """The checked form on basis_of(2m), a basis of H^(2m)(K; Z)/torsion."""
+    n = K.dimension
+    if n % 4 != 0 or n == 0:
+        raise TopologyError("dimension not 4m")
+    if not is_poincare_f2(K):
+        raise TopologyError("duality pairing singular")
+    fc = K.fundamental_class_z()
+    m = n // 4
+    # rank H^2m(K; Z) <= dim H^2m(K; F2), so an F2-trivial middle
+    # degree gives the rank-0 form with no integral elimination
+    basis = basis_of(2 * m) if K.cohomology_f2(2 * m).dim else []
+    gram = [[sum(map(operator.mul, cup_cochain_z(K, 2 * m, 2 * m, x, y), fc))
+             for y in basis] for x in basis]
+    if gram != [list(col) for col in zip(*gram)]:
+        raise TopologyError("intersection gram not symmetric (internal error)")
+    tag = "+1 on " + " ".join(map(str, K.simplices(n)[0]))
+    form = IntersectionForm(m, basis, gram, tag)
+    try:
+        form.quadratic_form  # its diagonalization raises on a singular gram
+    except quadforms.FormError:
+        raise TopologyError("pairing singular on torsion-free part")
+    return form
+
 
 def intersection_form(K: SimplicialComplex) -> IntersectionForm:
-    """Integral intersection form on the torsion-free part of H^(2m)."""
-    def build():
-        n = K.dimension
-        if n % 4 != 0 or n == 0:
-            raise TopologyError("dimension not 4m")
-        if not is_poincare_f2(K):
-            raise TopologyError("duality pairing singular")
-        fc = K.fundamental_class_z()
-        m = n // 4
-        # rank H^2m(K; Z) <= dim H^2m(K; F2), so an F2-trivial middle
-        # degree gives the rank-0 form with no integral elimination
-        basis = []
-        if K.cohomology_f2(2 * m).dim:
-            h = K.cohomology_z(2 * m)
-            basis = [h.rep(i) for i, d in enumerate(h.summands) if d == 0]
-        gram = []
-        for x in basis:
-            row = []
-            for y in basis:
-                cup = cup_cochain_z(K, 2 * m, 2 * m, x, y)
-                row.append(sum(a * b for a, b in zip(cup, fc)))
-            gram.append(row)
-        for i in range(len(gram)):
-            for j in range(i):
-                if gram[i][j] != gram[j][i]:
-                    raise TopologyError(
-                        "intersection gram not symmetric (internal error)")
-        top = K.simplices(n)[0]
-        tag = "+1 on " + " ".join(str(v) for v in top)
-        form = IntersectionForm(m, basis, gram, tag)
-        try:
-            form.quadratic_form  # its diagonalization raises on a singular gram
-        except quadforms.FormError:
-            raise TopologyError("pairing singular on torsion-free part")
-        return form
-    return K._memo(("iform",), build)
+    """The intersection form on ZCohomology's pinned basis: the printed gram."""
+    def pinned(k):
+        h = K.cohomology_z(k)
+        return [h.rep(i) for i, d in enumerate(h.summands) if d == 0]
+    return K._memo(("iform",), lambda: _form(K, pinned))
+
+
+def panel_form(K: SimplicialComplex) -> IntersectionForm:
+    """The intersection form on free_cocycles, congruent to the printed one."""
+    return K._memo(("pform",), lambda: _form(K, K.free_cocycles))
 
 
 def signature(K: SimplicialComplex) -> int:
     """Sylvester signature of the intersection form, exact."""
-    return quadforms.real_signature(intersection_form(K).quadratic_form)
+    return panel_form(K).signature
 
 
 def signature_mod8(K: SimplicialComplex) -> int:
     """Signature mod 8, cross-checked through the local invariants."""
-    sig = signature(K)
-    local = quadforms.signature_mod8_from_local(
-        intersection_form(K).quadratic_form)
-    if local != sig % 8:
-        raise TopologyError(
-            "signature mod 8 routes disagree (local vs Sylvester)")
-    return sig % 8
+    return panel_form(K).signature_mod8
 
 
 def form_even(K: SimplicialComplex) -> bool:
-    """Evenness of the intersection form, verified both ways.
-
-    The Gram diagonal test must agree with the vanishing of the middle
-    Wu class; a mismatch raises.
-    """
-    form = intersection_form(K)
-    gram_even = quadforms.is_even(form.quadratic_form)
-    v2m_zero = charclasses.wu_classes(K)[2 * form.m].is_zero
-    if gram_even != v2m_zero:
-        raise TopologyError(
-            "evenness criteria disagree (gram vs middle Wu class)")
-    return gram_even
+    """Evenness of the intersection form, verified both ways."""
+    return panel_form(K).even(K)
 
 
 @dataclass
@@ -129,13 +138,11 @@ def panel(K: SimplicialComplex) -> InvariantPanel:
     n = K.dimension
     if n % 4 == 0 and n > 0 and charclasses.sw_classes(K)[1].is_zero:
         try:
-            intersection_form(K)
+            panel_form(K)
         except NonOrientableError:
             pass
         else:
-            even = form_even(K)
-            sig = signature(K)
-            sig8 = signature_mod8(K)
+            even, sig, sig8 = form_even(K), signature(K), signature_mod8(K)
     ob = charclasses.obstructions(K)
     numbers = charclasses.sw_numbers(K)
     return InvariantPanel(
@@ -161,8 +168,8 @@ def forms_rationally_equivalent(
     so the comparison is reported twice: against the second form as-is
     and against its negation.
     """
-    f = intersection_form(k1).quadratic_form
-    g = intersection_form(k2).quadratic_form
+    f = panel_form(k1).quadratic_form
+    g = panel_form(k2).quadratic_form
     gneg = quadforms.QuadraticForm([[-v for v in row] for row in g.gram])
     return (quadforms.rationally_equivalent(f, g),
             quadforms.rationally_equivalent(f, gneg))

@@ -7,12 +7,12 @@ lists.  Everything here is exact; no floating point appears anywhere.
 Two eliminations serve two kinds of consumer.  diagonalize runs in a
 pinned pivot order, eliminates D alone and logs its steps.  The logs are
 the only form of U and V: each consumer replays them on just the vectors
-it needs (see Diagonalization for which replay gives what).  Its
-consumers are those that read a basis off V: ZCohomology, and through
-it the cocycles of the intersection gram.  eliminate_units first takes
-the +-1 pivots in a fill-limiting order and leaves diagonalize only the
-rows without a unit; it serves the answers that need no basis: the
-ranks and torsion of integral homology, and the Bockstein's yes or no.
+it needs (see Diagonalization for which replay gives what).  It serves
+the printed basis alone, ZCohomology's, the intersection verb's gram.
+eliminate_units first takes the +-1 pivots in a fill-limiting order and
+leaves diagonalize only the rows without a unit; it serves every other
+answer: integral homology, the Bockstein's yes or no, and the basis of
+the panel's form, SimplicialComplex.free_cocycles.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ class Diagonalization:
     if i = j, else adds q * row j to row i; a column step (j, k, q) swaps
     columns j and k if q = 0, else adds q * column k to column j (the
     column log holds no negations).  _replay_vector gives U b from the
-    row log forward (solve), U^-1 b backward and inverted
-    (ZCohomology.rep), and V y from the column log backward and
-    transposed (solve, rep, kernel_basis); _vinv_rows gives V^-1 A on
-    sparse rows (the relation matrix of ZCohomology).
+    row log forward (solve), U^-1 b backward and inverted (the
+    generators of kernel_quotient), and V y from the column log backward
+    and transposed (solve, kernel_quotient, kernel_basis); _vinv_rows
+    gives V^-1 A on sparse rows (the relation matrix of kernel_quotient).
     """
 
     diag: list[int]
@@ -193,24 +193,26 @@ def diagonalize(a: list[dict], ncols: int) -> Diagonalization:
 
 
 def eliminate_units(a: list[dict], ncols: int, b: list[int] | None = None
-                    ) -> tuple[int, list[dict], list[int]]:
+                    ) -> tuple[list[tuple[int, dict]], list[dict], list[int]]:
     """Eliminate the +-1 pivots of the sparse rows a by row operations,
     carrying b (zero if not given) along, and drop each pivot row and
     column.
 
-    Returns (r, rest, rest_b): r pivots were taken, and rest holds the
-    rows left, over the original columns, with their entries of b.  A
-    pivot's column then meets no other row, so column operations clear
-    its row too: Smith(A) = I_r + Smith(rest), and A x = b has an
-    integral solution exactly when rest y = rest_b has one, since each
-    pivot equation has a unit coefficient.  rest holds no unit entry;
-    rows left empty are dropped unless their entry of b is nonzero.
+    Returns (pivots, rest, rest_b): (column, row) per pivot in order,
+    the row as it stood then, and the rows left, over the original
+    columns, with their entries of b.  A pivot's column then meets no
+    other row, so column operations clear its row too: Smith(A) = I_r +
+    Smith(rest), and A x = b has an integral solution exactly when rest y
+    = rest_b has one, since each pivot equation has a unit coefficient.
+    rest holds no unit entry; rows left empty are dropped unless their
+    entry of b is nonzero.
 
     Each pass visits the live rows once, by ascending nonzero count, and
     takes the unit entry whose column meets the fewest rows, which limits
     fill without a rescan per pivot; passes repeat while fill makes new
-    units.  The pivot order is free, so consumers that read a basis off
-    U or V use diagonalize instead.
+    units.  The pivot order is free, so the basis of free_cocycles takes
+    it, solving the pivot rows backwards (each meets no earlier pivot's
+    column); the printed basis comes from diagonalize instead.
     """
     d = [dict(row) for row in a]
     b = list(b) if b is not None else [0] * len(d)
@@ -219,7 +221,7 @@ def eliminate_units(a: list[dict], ncols: int, b: list[int] | None = None
         for j in row:
             cols[j].add(i)
     live = [True] * len(d)
-    r, found = 0, True
+    pivots, found = [], True
     while found:
         found = False
         for i in sorted((i for i in range(len(d)) if live[i]),
@@ -236,10 +238,36 @@ def eliminate_units(a: list[dict], ncols: int, b: list[int] | None = None
                 _axpy(d[s], row, -q, cols, s)
                 b[s] -= q * b[i]
             live[i] = False
-            r += 1
+            pivots.append((j, row))
             found = True
     keep = [i for i in range(len(d)) if live[i] and (d[i] or b[i])]
-    return r, [d[i] for i in keep], [b[i] for i in keep]
+    return pivots, [d[i] for i in keep], [b[i] for i in keep]
+
+
+def transpose(a: list[dict], ncols: int) -> list[dict]:
+    """The sparse rows of the transpose of the sparse rows a."""
+    t: list[dict] = [{} for _ in range(ncols)]
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            t[j][i] = x
+    return t
+
+
+def kernel_quotient(dz: Diagonalization, b: list[dict], ncols: int):
+    """ker A / im B for the diagonalized A and the sparse rows b (ncols
+    columns) of a B with A B = 0, as (orders, gen): the summand orders, 0
+    for free ones, and gen(i) in ker A, generating summand i.  R, the rows
+    of V^-1 B past the rank, is diagonalized; gen replays U_R^-1, then V."""
+    rel = diagonalize(_vinv_rows(dz.col_log, b)[dz.rank:], ncols)
+    diag = rel.diag + [0] * (rel.m - len(rel.diag))
+    kept = [i for i, d in enumerate(diag) if d != 1]
+
+    def gen(i: int) -> list[int]:
+        e = [int(j == kept[i]) for j in range(rel.m)]
+        y = _replay_vector(reversed(rel.row_log), e, inverse=True)
+        return _replay_vector(reversed(dz.col_log), [0] * dz.rank + y,
+                              transpose=True)
+    return tuple(diag[i] for i in kept), gen
 
 
 def invariant_factors(diag: list[int]) -> list[int]:

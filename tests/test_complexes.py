@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topinv import catalog, charclasses, f2linalg, intersection, zlinalg
+from topinv import catalog, charclasses, cli, f2linalg, intersection, zlinalg
 from topinv import complexes as cx
 
 
@@ -175,13 +175,23 @@ def test_homology_from_coboundary_factors_matches_boundaries(fixtures):
         assert cx.homology(K, "Z") == _homology_by_boundaries(K)
 
 
-def _lattice_rank_and_saturated(rows, ncols):
-    """Rank of the integer row lattice, and whether Z^ncols over it is
-    torsion-free (every invariant factor is 1)."""
-    units, rest, _ = zlinalg.eliminate_units(rows, ncols)
+def _lattice_rank_and_torsion(rows, ncols):
+    """Rank of the integer row lattice, and the torsion of Z^ncols over
+    it: its invariant factors > 1."""
+    pivots, rest, _ = zlinalg.eliminate_units(rows, ncols)
     dz = zlinalg.diagonalize(rest, ncols)
-    return units + dz.rank, all(
-        f == 1 for f in zlinalg.invariant_factors(dz.diag))
+    return len(pivots) + dz.rank, [
+        f for f in zlinalg.invariant_factors(dz.diag) if f > 1]
+
+
+def _coboundary_columns(K, k):
+    """The columns of delta_(k-1), the coboundaries of the (k-1)-simplices,
+    as sparse rows over the k-simplices."""
+    image = [{} for _ in range(K.n_simplices(k - 1))]
+    for i, row in enumerate(K.coboundary_z(k - 1)):
+        for j, x in row.items():
+            image[j][i] = x
+    return image
 
 
 def _prime_divisors(d):
@@ -216,15 +226,44 @@ def test_z_cohomology_reps_generate_with_their_orders(fixtures):
             assert h.summands.count(0) == hom[k].betti, (name, k)
             assert [f for f in zlinalg.invariant_factors(torsion) if f > 1] \
                 == list(hom[k - 1].torsion if k else ())
-            image = [{} for _ in range(K.n_simplices(k - 1))]
-            for i, row in enumerate(K.coboundary_z(k - 1)):
-                for j, x in row.items():
-                    image[j][i] = x
-            rows = image + [{i: v for i, v in enumerate(r) if v} for r in reps]
-            rank, saturated = _lattice_rank_and_saturated(rows, nk)
-            assert rank == nk - _lattice_rank_and_saturated(
+            rows = _coboundary_columns(K, k) + [
+                {i: v for i, v in enumerate(r) if v} for r in reps]
+            rank, torsion = _lattice_rank_and_torsion(rows, nk)
+            assert rank == nk - _lattice_rank_and_torsion(
                 K.coboundary_z(k), nk)[0], (name, k)
-            assert saturated, (name, k)
+            assert not torsion, (name, k)
+
+
+def test_free_cocycles_span_the_free_part(fixtures):
+    # an oracle for the unit-first basis that reads neither its pivots nor
+    # its back-substitution: each vector is a cocycle, there are b_k of
+    # them, and im delta_(k-1) plus the basis is a lattice of rank
+    # nullity(delta_k) whose quotient torsion is exactly H_(k-1)'s, which
+    # is the torsion of H^k; so the basis spans ker delta_k modulo the
+    # coboundaries and the torsion, and no multiple of a class slips in
+    rng = random.Random(1717)
+    P, S1, S2, KB = (catalog.projective_plane(), catalog.sphere(1),
+                     catalog.sphere(2), catalog.klein_bottle())
+    complexes = list(fixtures.items())
+    complexes += [(name, cx.product_complex(A, B)) for name, A, B in (
+        ("RP2xS1", P, S1), ("RP2xS2", P, S2), ("K2xS1", KB, S1),
+        ("RP2xRP2", P, P))]
+    complexes += [(f"random {i}", catalog.random_complex(rng))
+                  for i in range(50)]
+    for name, K in complexes:
+        hom = cx.homology(K, "Z")
+        for k in range(1, K.dimension + 1):
+            nk = K.n_simplices(k)
+            basis = K.free_cocycles(k)
+            for x in basis:
+                assert not any(zlinalg.matvec(K.coboundary_z(k), x)), (name, k)
+            assert len(basis) == hom[k].betti, (name, k)
+            rows = _coboundary_columns(K, k) + [
+                {i: v for i, v in enumerate(x) if v} for x in basis]
+            rank, torsion = _lattice_rank_and_torsion(rows, nk)
+            assert rank == nk - _lattice_rank_and_torsion(
+                K.coboundary_z(k), nk)[0], (name, k)
+            assert torsion == list(hom[k - 1].torsion), (name, k)
 
 
 def test_panel_eliminates_each_coboundary_once(monkeypatch):
@@ -236,19 +275,25 @@ def test_panel_eliminates_each_coboundary_once(monkeypatch):
         return diagonalize(a, ncols)
 
     monkeypatch.setattr(zlinalg, "diagonalize", recording)
+
+    def coboundaries(K):
+        return [a for a, _ in seen
+                if any(a is K.coboundary_z(k) for k in range(-1, K.dimension))]
+
     # fresh complexes, so nothing is cached from other tests
-    for K in (cx.SimplicialComplex(catalog.complex_projective_plane()
-                                   .maximal_simplices),
-              cx.product_complex(catalog.sphere(2), catalog.sphere(2))):
+    for facets in (catalog.complex_projective_plane().maximal_simplices,
+                   cx.product_complex(catalog.sphere(2), catalog.sphere(2))
+                   .maximal_simplices):
+        b2 = cx.homology(cx.SimplicialComplex(facets), "Z")[2].betti
+        K = cx.SimplicialComplex(facets)
         seen.clear()
         spin = intersection.panel(K).spin
         n = K.dimension
-        coboundaries = [a for a, _ in seen
-                        if any(a is K.coboundary_z(k) for k in range(n))]
-        # the pinned elimination sees delta_2 once, for H^2; the fundamental
-        # class comes from the facet walk, so delta_3 is never eliminated
-        assert len(coboundaries) == 1 and coboundaries[0] is K.coboundary_z(2)
-        assert ("hz", n - 1) not in K._cache
+        # the panel's form is built on free_cocycles, so no coboundary
+        # reaches the pinned elimination and no H^k(K; Z) is built; the
+        # fundamental class comes from the facet walk
+        assert not coboundaries(K)
+        assert not [key for key in K._cache if key[0] == "hz"]
         # no boundary matrix; a matrix is its rows and its column count,
         # since the Bockstein's rest of delta_2 on CP2 is 0 x 84 and
         # boundary_0 is 0 x 9
@@ -257,18 +302,26 @@ def test_panel_eliminates_each_coboundary_once(monkeypatch):
                                        for row in K.boundary_z(k)],
                                       K.n_simplices(k))
                        for k in range(n + 1))
-        # the others: the H^2 relation matrix, a column per 1-simplex, not
-        # a cocycle matrix, which has a row per 2-simplex; and unless w_2 = 0,
-        # the rows of delta_2 that eliminate_units left for its Bockstein
-        rest = [(a, ncols) for a, ncols in seen
-                if all(a is not b for b in coboundaries)]
-        assert [ncols for _, ncols in rest] == (
-            [K.n_simplices(1)] + [K.n_simplices(2)] * (not spin))
-        assert all(j < ncols for a, ncols in rest for row in a for j in row)
-        assert all(abs(x) > 1 for a, _ in rest[1:]
-                   for row in a for x in row.values())
+        # what is diagonalized: every pivot here is a unit, so only empty
+        # rests are: delta_2's, over the b_2 columns that neither its units
+        # nor those of im delta_1 took; the relation matrix, a row per such
+        # column and a column per relation left in the image (none); and
+        # unless w_2 = 0, the rows of delta_2 that eliminate_units left for
+        # its Bockstein, over every 2-simplex
+        assert [(len(a), ncols) for a, ncols in seen] == (
+            [(0, b2), (b2, 0)] + [(0, K.n_simplices(2))] * (not spin))
+        # the intersection verb prints the pinned gram: it passes delta_2
+        # to the pinned elimination exactly once, for H^2, and builds no
+        # unit-first form
+        L = cx.SimplicialComplex(facets)
+        monkeypatch.setattr("topinv.cli._load", lambda name, path: L)
+        seen.clear()
+        assert cli.main(["intersection", "-"]) == 0
+        assert len(coboundaries(L)) == 1
+        assert coboundaries(L)[0] is L.coboundary_z(2)
+        assert ("pform",) not in L._cache
         # integral homology reads no basis, so it builds no H^k(K; Z)
-        L = cx.SimplicialComplex(K.maximal_simplices)
+        L = cx.SimplicialComplex(facets)
         cx.homology(L, "Z")
         assert not [key for key in L._cache if key[0] == "hz"]
 

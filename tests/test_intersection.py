@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from topinv import catalog, charclasses, intersection, zlinalg
+from topinv import catalog, charclasses, cli, intersection, quadforms, zlinalg
 from topinv import complexes as cx
 
 
@@ -38,6 +38,42 @@ def test_s2xs2_form(fixtures):
     assert intersection.form_even(K) is True
     assert form.gram[0][0] == 0 and form.gram[1][1] == 0
     assert abs(form.gram[0][1]) == 1
+
+
+def test_panel_form_matches_pinned_form(fixtures, monkeypatch):
+    # the panel's unit-first basis and the pinned one the intersection verb
+    # prints give congruent forms: unimodular, with the same invariants;
+    # the panel and the comparator build no H^k(K; Z), and the verb builds
+    # no unit-first form
+    rng = random.Random(1707)
+    bases = {name: fixtures[name] for name in ("CP2", "S2xS2", "S4")}
+    bases["T2xT2"] = cx.product_complex(catalog.torus(), catalog.torus())
+    for name, base in bases.items():
+        copies = [base.maximal_simplices]
+        for _ in range(3):
+            image = rng.sample(range(2 * len(base.vertices)),
+                               len(base.vertices))
+            copies.append(cx.relabel(base, dict(zip(base.vertices, image)))
+                          .maximal_simplices)
+        for facets in copies:
+            K, M, L = (cx.SimplicialComplex(facets) for _ in range(3))
+            intersection.panel(K)
+            assert intersection.compare_panels(K, M).consistent, name
+            for X in (K, M):
+                assert not [key for key in X._cache if key[0] == "hz"], name
+            monkeypatch.setattr("topinv.cli._load", lambda name, path: L)
+            assert cli.main(["intersection", "--json", "-"]) == 0
+            assert ("pform",) not in L._cache, name
+            new, pinned = intersection.panel_form(K), L._cache[("iform",)]
+            assert abs(zlinalg.det(new.gram)) == 1, name
+            f, g = new.quadratic_form, pinned.quadratic_form
+            assert (new.rank, new.signature, new.signature_mod8,
+                    new.even(K)) == (pinned.rank, pinned.signature,
+                                     pinned.signature_mod8, pinned.even(L))
+            assert quadforms.is_even(f) == quadforms.is_even(g), name
+            assert quadforms.signature_mod8_from_local(f) == \
+                quadforms.signature_mod8_from_local(g), name
+            assert quadforms.rationally_equivalent(f, g).equivalent, name
 
 
 def test_dimension_guard(fixtures):

@@ -358,16 +358,24 @@ def assert_units_match_pinned(rows, ncols, bs):
     diagonalize of the whole: rank, invariant factors and, for each b,
     whether A x = b has an integral solution.  Returns the rest."""
     pinned = zlinalg.diagonalize(rows, ncols)
-    units, rest, _ = zlinalg.eliminate_units(rows, ncols)
+    pivots, rest, _ = zlinalg.eliminate_units(rows, ncols)
+    units = len(pivots)
     assert all(abs(x) > 1 for row in rest for x in row.values())
+    # the triangular shape that back-substitution reads: each pivot row
+    # holds +-1 at its column and no earlier pivot's column, and the rest
+    # meets no pivot column
+    for t, (j, row) in enumerate(pivots):
+        assert row[j] in (1, -1)
+        assert not any(c in row for c, _ in pivots[:t])
+    assert not any(c in row for c, _ in pivots for row in rest)
     dz = zlinalg.diagonalize(rest, ncols)
     assert units + dz.rank == pinned.rank
     assert [1] * units + zlinalg.invariant_factors(dz.diag) == \
         zlinalg.invariant_factors(pinned.diag)
     for b in bs:
-        r, rows_b, rest_b = zlinalg.eliminate_units(rows, ncols, b)
+        pivots_b, rows_b, rest_b = zlinalg.eliminate_units(rows, ncols, b)
         # b changes no pivot; it keeps only the empty rows where it is not 0
-        assert r == units and [row for row in rows_b if row] == rest
+        assert pivots_b == pivots and [row for row in rows_b if row] == rest
         assert all(x for row, x in zip(rows_b, rest_b) if not row)
         got = zlinalg.solve(zlinalg.diagonalize(rows_b, ncols), rest_b)
         assert (got is None) == (zlinalg.solve(pinned, b) is None)
