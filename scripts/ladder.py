@@ -3,13 +3,16 @@
 Usage: PYTHONPATH=src python scripts/ladder.py
 
 Builds S2xS2xS2, CP2xT2, S4xS4 and K2xK2 with the staircase
-product_complex and times panel on each, and integral homology on S4xS4
-too.  K2xK2 is non-orientable (w_1 != 0), so its panel runs the F2
-pipeline alone and never reaches the integral engine.  Each rung runs in its
-own interpreter, so no memoized elimination carries over: the child
-builds its complex, then times the call alone with time.perf_counter and
-reports the process's peak RSS (ru_maxrss).  Prints one JSON line,
-{name: {"op", "f_vector", "s", "peak_rss_mb"}}.
+product_complex and times panel on each, and on S4xS4 also integral
+homology and what the intersection verb computes: the form on the pinned
+basis, its signature mod 8 and its parity.  K2xK2 is non-orientable
+(w_1 != 0), so its panel runs the F2 pipeline alone and never reaches the
+integral engine.  Each rung runs in its own interpreter, so no memoized
+elimination carries over: the child builds its complex, then times the
+call alone with time.perf_counter and reports the process's peak RSS
+(ru_maxrss).  Prints one JSON line,
+{name: {"op", "f_vector", "s", "peak_rss_mb"}}, with the printed "gram"
+too on the intersection rung.
 """
 
 import json
@@ -25,6 +28,8 @@ RUNGS = {
               "homology Z"),
     "S4xS4 panel": ("product_complex(catalog.sphere(4), catalog.sphere(4))",
                     "panel"),
+    "S4xS4 intersection": ("product_complex(catalog.sphere(4), "
+                           "catalog.sphere(4))", "intersection"),
     "K2xK2": ("product_complex(catalog.klein_bottle(), catalog.klein_bottle())",
               "panel"),
 }
@@ -36,11 +41,18 @@ from topinv.complexes import homology, product_complex
 K = {build}
 f_vector = [K.n_simplices(k) for k in range(K.dimension + 1)]
 t = time.perf_counter()
-intersection.panel(K) if {op!r} == "panel" else homology(K, "Z")
-s = time.perf_counter() - t
+out = {{"op": {op!r}, "f_vector": f_vector}}
+if {op!r} == "panel":
+    intersection.panel(K)
+elif {op!r} == "intersection":
+    form = intersection.intersection_form(K)
+    form.signature_mod8, form.even(K)
+    out["gram"] = form.gram
+else:
+    homology(K, "Z")
+out["s"] = round(time.perf_counter() - t, 3)
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({{"op": {op!r}, "f_vector": f_vector, "s": round(s, 3),
-                  "peak_rss_mb": round(rss, 1)}}))
+print(json.dumps({{**out, "peak_rss_mb": round(rss, 1)}}))
 """
 
 

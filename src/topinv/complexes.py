@@ -205,10 +205,9 @@ class SimplicialComplex:
         dz = zlinalg.diagonalize(
             [{at[c]: x for c, x in row.items()} for row in rest], len(free))
         image_at = zlinalg.transpose(image, nk)
-        orders, gen = zlinalg.kernel_quotient(
-            dz, [image_at[c] for c in free], len(image))
         out = []
-        for y in (gen(i) for i, d in enumerate(orders) if d == 0):
+        for y in zlinalg.kernel_quotient(
+                dz, [image_at[c] for c in free], len(image)):
             x = [0] * nk
             for c, v in zip(free, y):
                 x[c] = v
@@ -222,8 +221,16 @@ class SimplicialComplex:
     def cohomology_f2(self, k: int) -> "F2Cohomology":
         return self._memo(("hf2", k), lambda: F2Cohomology(self, k))
 
-    def cohomology_z(self, k: int) -> "ZCohomology":
-        return self._memo(("hz", k), lambda: ZCohomology(self, k))
+    def cohomology_z(self, k: int) -> tuple[tuple[int, ...], ...]:
+        """Cocycles whose classes are a basis of H^k(K; Z)/torsion, read by
+        kernel_quotient off the pinned elimination of delta_k: the basis
+        the intersection verb prints its gram on.  The torsion of H^k is
+        that of H_(k-1), which homology gives."""
+        def build():
+            dz = zlinalg.diagonalize(self.coboundary_z(k), self.n_simplices(k))
+            return tuple(map(tuple, zlinalg.kernel_quotient(
+                dz, self.coboundary_z(k - 1), self.n_simplices(k - 1))))
+        return self._memo(("hz", k), build)
 
     def _facet_walk(self) -> tuple[int, ...] | None:
         """Facet signs, +1 on the first, that sum to a cycle, or None if K is
@@ -327,26 +334,6 @@ class F2Cohomology:
             if (coords >> i) & 1:
                 out ^= b
         return out
-
-
-class ZCohomology:
-    """H^k(K; Z) as cyclic summands, d > 1 for torsion and 0 for free
-    ones, and a cocycle generating each, read by kernel_quotient off the
-    pinned elimination of delta_k: the basis of the printed gram."""
-
-    def __init__(self, K: SimplicialComplex, k: int):
-        self.degree = k
-        dz = zlinalg.diagonalize(K.coboundary_z(k), K.n_simplices(k))
-        self.summands, self._gen = zlinalg.kernel_quotient(
-            dz, K.coboundary_z(k - 1), K.n_simplices(k - 1))
-
-    @property
-    def dim(self) -> int:
-        return len(self.summands)
-
-    def rep(self, i: int) -> tuple[int, ...]:
-        """Cocycle representative of the i-th summand generator."""
-        return tuple(self._gen(i))
 
 
 @dataclass

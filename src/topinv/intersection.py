@@ -5,9 +5,11 @@ torsion-free part of H^(2m)(K;Z), evaluated on the oriented fundamental
 cycle, is a symmetric nonsingular integer form.  The panel bundles its
 signature data with the characteristic-class invariants; the comparator
 reports whether any implemented obstruction separates two complexes.
-intersection_form, on the pinned basis of ZCohomology, serves only the
+intersection_form, on the pinned basis of cohomology_z, serves only the
 intersection verb, which prints its gram; every other answer reads
-panel_form, on the unit-first basis of free_cocycles.
+panel_form, on the unit-first basis of free_cocycles.  An odd gram with
+v_2m = 0 is an error, and so is an even one with v_2m != 0 when
+dim H^(2m)(K; F2) is the rank (IntersectionForm.even says why).
 """
 
 from __future__ import annotations
@@ -52,9 +54,14 @@ class IntersectionForm:
         return local
 
     def even(self, K: SimplicialComplex) -> bool:
-        """Evenness of the gram, checked against K's middle Wu class."""
+        """Evenness of the gram, checked against K's middle Wu class: x.x =
+        <v_2m u xbar, [K]> mod 2 for x free and xbar its reduction, so v_2m
+        = 0 makes the gram even; the converse needs every F2 class to be an
+        xbar: dim H^2m(K; F2) = rank (Enriques surfaces: even, v_2 != 0)."""
         gram_even = quadforms.is_even(self.quadratic_form)
-        if gram_even != charclasses.wu_classes(K)[2 * self.m].is_zero:
+        wu_zero = charclasses.wu_classes(K)[2 * self.m].is_zero
+        if gram_even != wu_zero and (
+                wu_zero or K.cohomology_f2(2 * self.m).dim == self.rank):
             raise TopologyError(
                 "evenness criteria disagree (gram vs middle Wu class)")
         return gram_even
@@ -86,11 +93,8 @@ def _form(K: SimplicialComplex, basis_of) -> IntersectionForm:
 
 
 def intersection_form(K: SimplicialComplex) -> IntersectionForm:
-    """The intersection form on ZCohomology's pinned basis: the printed gram."""
-    def pinned(k):
-        h = K.cohomology_z(k)
-        return [h.rep(i) for i, d in enumerate(h.summands) if d == 0]
-    return K._memo(("iform",), lambda: _form(K, pinned))
+    """The form on cohomology_z's pinned basis: the gram the verb prints."""
+    return K._memo(("iform",), lambda: _form(K, K.cohomology_z))
 
 
 def panel_form(K: SimplicialComplex) -> IntersectionForm:

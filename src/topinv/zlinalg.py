@@ -8,11 +8,11 @@ Two eliminations serve two kinds of consumer.  diagonalize runs in a
 pinned pivot order, eliminates D alone and logs its steps.  The logs are
 the only form of U and V: each consumer replays them on just the vectors
 it needs (see Diagonalization for which replay gives what).  It serves
-the printed basis alone, ZCohomology's, the intersection verb's gram.
+the printed basis alone, cohomology_z's, the intersection verb's gram.
 eliminate_units first takes the +-1 pivots in a fill-limiting order and
 leaves diagonalize only the rows without a unit; it serves every other
-answer: integral homology, the Bockstein's yes or no, and the basis of
-the panel's form, SimplicialComplex.free_cocycles.
+answer: integral homology and its torsion, the Bockstein's yes or no,
+and the basis of the panel's form, SimplicialComplex.free_cocycles.
 """
 
 from __future__ import annotations
@@ -39,10 +39,11 @@ class Diagonalization:
     if i = j, else adds q * row j to row i; a column step (j, k, q) swaps
     columns j and k if q = 0, else adds q * column k to column j (the
     column log holds no negations).  _replay_vector gives U b from the
-    row log forward (solve), U^-1 b backward and inverted (the
-    generators of kernel_quotient), and V y from the column log backward
-    and transposed (solve, kernel_quotient, kernel_basis); _vinv_rows
-    gives V^-1 A on sparse rows (the relation matrix of kernel_quotient).
+    row log forward (solve), U^-1 b backward and inverted (the free
+    generators of kernel_quotient: cohomology_z's and free_cocycles'
+    bases), and V y from the column log backward and transposed (solve,
+    kernel_quotient, kernel_basis); _vinv_rows gives V^-1 A on sparse rows
+    (the relation matrix of kernel_quotient).
     """
 
     diag: list[int]
@@ -254,20 +255,19 @@ def transpose(a: list[dict], ncols: int) -> list[dict]:
 
 
 def kernel_quotient(dz: Diagonalization, b: list[dict], ncols: int):
-    """ker A / im B for the diagonalized A and the sparse rows b (ncols
-    columns) of a B with A B = 0, as (orders, gen): the summand orders, 0
-    for free ones, and gen(i) in ker A, generating summand i.  R, the rows
-    of V^-1 B past the rank, is diagonalized; gen replays U_R^-1, then V."""
+    """Vectors of ker A whose classes are a basis of (ker A / im B)/torsion,
+    for the diagonalized A and the sparse rows b (ncols columns) of a B
+    with A B = 0: U_R^-1 e_i, then V, for i from R's rank to its row count,
+    R being the rows of V^-1 B past the rank, diagonalized.  cohomology_z
+    reads the printed basis here, free_cocycles the panel's."""
     rel = diagonalize(_vinv_rows(dz.col_log, b)[dz.rank:], ncols)
-    diag = rel.diag + [0] * (rel.m - len(rel.diag))
-    kept = [i for i, d in enumerate(diag) if d != 1]
-
-    def gen(i: int) -> list[int]:
-        e = [int(j == kept[i]) for j in range(rel.m)]
+    out = []
+    for i in range(rel.rank, rel.m):
+        e = [int(j == i) for j in range(rel.m)]
         y = _replay_vector(reversed(rel.row_log), e, inverse=True)
-        return _replay_vector(reversed(dz.col_log), [0] * dz.rank + y,
-                              transpose=True)
-    return tuple(diag[i] for i in kept), gen
+        out.append(_replay_vector(reversed(dz.col_log), [0] * dz.rank + y,
+                                  transpose=True))
+    return out
 
 
 def invariant_factors(diag: list[int]) -> list[int]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -261,3 +262,78 @@ def test_t2xt2_panel_matches_kunneth_and_bounds():
     # Stiefel-Whitney number vanish
     assert p.signature == 0 and p.signature_mod8 == 0
     assert len(p.sw_numbers) == 5 and set(p.sw_numbers.values()) == {0}
+
+
+def test_t2xt2_printed_gram_is_pinned():
+    # the goldens print only rank 1 and 2 grams; this fixes the rank 6 one
+    form = intersection.intersection_form(
+        cx.product_complex(catalog.torus(), catalog.torus()))
+    assert form.gram == [[0, 0, 1, 0, 1, -1], [0, 0, -1, 0, 0, 0],
+                         [1, -1, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1],
+                         [1, 0, 1, 0, 0, 0], [-1, 0, 0, 1, 0, 0]]
+    assert form.orientation_tag == "+1 on 0 1 3 10 24"
+
+
+def _icosahedron():
+    """The icosahedron's triangles, the antipodes of vertex 2p labeled
+    2p + 1, from the vertices (0, +-1, +-phi) and their cyclic shifts,
+    each coordinate exact as a + b phi with phi^2 = phi + 1."""
+    def sq(a, b):
+        return a * a + b * b, 2 * a * b + b * b
+
+    def dist2(p, q):
+        terms = [sq(x[0] - y[0], x[1] - y[1]) for x, y in zip(p, q)]
+        return tuple(map(sum, zip(*terms)))
+
+    pts = set()
+    for s, t in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        base = [(0, 0), (s, 0), (0, t)]
+        pts |= {tuple(base[r:] + base[:r]) for r in range(3)}
+    label = {}
+    for p in sorted(pts):
+        if p not in label:
+            label[p] = len(label)
+            label[tuple((-a, -b) for a, b in p)] = len(label)
+    return [tuple(label[p] for p in t)
+            for t in itertools.combinations(sorted(pts), 3)
+            if all(dist2(p, q) == (4, 0)
+                   for p, q in itertools.combinations(t, 2))]
+
+
+def _s2xs2_mod_antipodes():
+    """(S2 x S2)/((x, y) ~ (-x, -y)): the staircase square of the
+    icosahedron, whose triangles list their vertices in the order of
+    their antipodal pairs, so the involution maps staircases to
+    staircases; antipodes lie 3 edges apart, so the quotient is
+    simplicial."""
+    ico = cx.SimplicialComplex(_icosahedron())
+    prod = cx.product_complex(ico, ico)
+
+    def orbit(v):
+        a, b = divmod(v, 12)  # the product labels (a, b) as 12 a + b
+        return min(v, 12 * (a ^ 1) + (b ^ 1))
+    return cx.SimplicialComplex({tuple(sorted(map(orbit, s)))
+                                 for s in prod.maximal_simplices})
+
+
+def test_even_form_with_nonzero_wu_class(tmp_path, capsys):
+    # an even form does not force v_2 = 0: here H^2(M; F2) is all torsion
+    # reductions, so the form has rank 0 and v_2 = w_2 != 0 (like the
+    # Enriques surface, even and not spin)
+    M = _s2xs2_mod_antipodes()
+    assert [M.n_simplices(k) for k in range(5)] == [72, 810, 2540, 3000, 1200]
+    assert [(h.betti, h.torsion) for h in cx.homology(M, "Z")] == [
+        (1, ()), (0, (2,)), (0, (2,)), (0, ()), (1, ())]
+    sw = charclasses.sw_classes(M)
+    assert sw[1].is_zero and not sw[2].is_zero
+    assert M.cohomology_f2(2).dim == 2
+    p = intersection.panel(M)
+    assert p.orientable and not p.spin and p.spin_c
+    assert p.even_form is True and p.signature == 0 and p.signature_mod8 == 0
+    assert set(p.sw_numbers.values()) == {0}
+    path = tmp_path / "M.cx"
+    path.write_text(cx.complex_text(M))
+    capsys.readouterr()
+    assert cli.main(["intersection", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "(rank 0," in out and "even: true" in out

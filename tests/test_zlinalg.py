@@ -177,7 +177,7 @@ def assert_matches_reference(rows, ncols):
     assert replayed(got.col_log, n, transpose=True,
                     inverse=True) == want.vinv, "vinv"
     assert replayed(got.row_log[::-1], m, inverse=True) == want.uinv, "uinv"
-    # the sparse-row replay that builds ZCohomology's relation matrix
+    # the sparse-row replay that builds kernel_quotient's relation matrix
     identity = [{i: 1} for i in range(n)]
     assert dense(zlinalg._vinv_rows(got.col_log, identity), n) == want.vinv
     return got
@@ -297,9 +297,10 @@ def test_solve_matches_dense_oracle():
 
 
 def test_relation_matrix_uinv_matches_reference(monkeypatch):
-    # ZCohomology's relation matrix is V^-1[rank:] delta_(k-1), replayed
-    # from delta_k's column log on the rows of delta_(k-1); coords and rep
-    # replay its row log as U and U^-1, built dense here and nowhere else
+    # cohomology_z's relation matrix is V^-1[rank:] delta_(k-1), replayed
+    # from delta_k's column log on the rows of delta_(k-1); kernel_quotient
+    # replays its row log as U^-1 on the free generators, and the dense
+    # transforms are built here and nowhere else
     complexes = ladder_complexes()
     seen = []
     diagonalize = zlinalg.diagonalize
