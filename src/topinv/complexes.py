@@ -378,13 +378,21 @@ def homology(K: SimplicialComplex, ring: str = "Z") -> list[HomologySummary]:
         return [HomologySummary(k, K.cohomology_f2(k).dim, ())
                 for k in range(n + 1)]
     # boundary_(k+1) is the transpose of delta_k: same rank, same factors.
-    # No basis is read, so the unit pivots go first, in any order.
+    # No basis is read, so the unit pivots go first, in any order.  Degrees
+    # run top down, and delta_k drops the rows of the unit-pivot columns of
+    # delta_(k+1): such a pivot row is the boundary of a chain with a unit
+    # on its column j, so d d = 0 puts row j of delta_k in the span of the
+    # others, and since it is 0 on earlier pivots' columns, in the span of
+    # the rows kept.  Rank and invariant factors see only that lattice.
     ranks, torsion = [0] * (n + 2), [()] * (n + 1)
-    for k in range(n):
-        pivots, rest, _ = zlinalg.eliminate_units(K.coboundary_z(k),
-                                                  K.n_simplices(k))
+    cleared: set[int] = set()
+    for k in reversed(range(n)):
+        pivots, rest, _ = zlinalg.eliminate_units(
+            [row for i, row in enumerate(K.coboundary_z(k))
+             if i not in cleared], K.n_simplices(k))
         dz = zlinalg.diagonalize(rest, K.n_simplices(k))
         ranks[k + 1] = len(pivots) + dz.rank
+        cleared = {j for j, _ in pivots}
         del pivots  # not held while the next degree is eliminated
         torsion[k] = tuple(
             f for f in zlinalg.invariant_factors(dz.diag) if f > 1)
@@ -477,7 +485,9 @@ def is_poincare_f2(K: SimplicialComplex) -> PoincareReport:
 # ---- construction helpers ----
 
 _INT = re.compile(r"-?[0-9]+")
-_SIMPLEX_LINE = re.compile(r"-?[0-9]+(?:[ \t]+-?[0-9]+)*")
+# a line of ASCII integers parted by spaces or tabs: a simplex, or a Gram
+# row with no p/q entry
+INT_ROW = re.compile(r"-?[0-9]+(?:[ \t]+-?[0-9]+)*")
 
 
 def content_lines(text: str) -> list[str]:
@@ -507,7 +517,7 @@ def parse_complex(text: str) -> SimplicialComplex:
         raise ParseError(f"malformed dimension hint line: {lines[0]!r}")
     simplices = []
     for line in lines[1:]:
-        if not _SIMPLEX_LINE.fullmatch(line):
+        if not INT_ROW.fullmatch(line):
             raise ParseError(f"malformed simplex line: {line!r}")
         simplices.append(tuple(map(int, line.split())))
     if not simplices:

@@ -4,8 +4,10 @@ A form is a nonsingular symmetric matrix over Q.  Its local data at each
 prime is read off a diagonalization: split each diagonal entry as p^a * b
 with b prime to p, count antisquares, and sum the unit parts mod 8.  The
 diagonalization is fraction-free (Bareiss 1968): the Gram matrix is scaled
-once to integers, eliminated on Python ints, and each diagonal entry is a
-ratio of successive pivots.  The resulting p-signatures, oddity, and
+once to integers, eliminated on Python ints in its upper triangle only, and
+each diagonal entry is a ratio of successive pivots.  At an odd prime only
+the entries p divides need splitting: every other entry is a unit that adds
+1 to the p-signature.  The resulting p-signatures, oddity, and
 p-excesses satisfy the mod-8 reciprocity identity, and together with
 dimension, determinant square class and real signature they decide
 rational equivalence.
@@ -18,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import content_lines
+from .complexes import INT_ROW as _INT_ROW, content_lines
 
 
 class FormError(ValueError):
@@ -35,9 +37,7 @@ class QuadraticForm:
     """
 
     def __init__(self, rows):
-        # an entry is an int exactly when it is integral, else a Fraction
-        gram = tuple(tuple(x if type(x) is int else _rational(x) for x in row)
-                     for row in rows)
+        gram = tuple(map(_exact_row, rows))
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise FormError("gram matrix not square")
@@ -45,10 +45,12 @@ class QuadraticForm:
             raise FormError("gram matrix not symmetric")
         self.gram = gram
         self.dim = n
-        self.is_integral: bool = all(type(x) is int
-                                     for row in gram for x in row)
-        self.diagonal: tuple[Fraction, ...] = tuple(_diagonalize(gram))
+        self.is_integral: bool = all(_all_ints(row) for row in gram)
+        self.diagonal: tuple[Fraction, ...] = tuple(
+            _diagonalize(gram, self.is_integral))
         self.det: Fraction = math.prod(self.diagonal, start=Fraction(1))
+        # (numerator, denominator) of each diagonal entry, read once
+        self._pairs = tuple((d.numerator, d.denominator) for d in self.diagonal)
         self._odd_primes: tuple[int, ...] | None = None
         self._local: dict[int, LocalInvariants] = {}
 
@@ -62,7 +64,19 @@ def _rational(x) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
-def _diagonalize(gram) -> list[Fraction]:
+def _all_ints(row) -> bool:
+    return set(map(type, row)) == {int}
+
+
+def _exact_row(row) -> tuple:
+    """row with each entry an int when integral, else a Fraction; a row of
+    ints is taken as it is."""
+    if _all_ints(row):
+        return tuple(row)
+    return tuple(x if type(x) is int else _rational(x) for x in row)
+
+
+def _diagonalize(gram, integral: bool) -> list[Fraction]:
     """Symmetric congruence diagonalization over Q, fraction-free.
 
     The pivot is the first nonzero diagonal entry of the remaining block;
@@ -72,11 +86,19 @@ def _diagonalize(gram) -> list[Fraction]:
     p_{k-1} * L times the rational Schur complement: the same zero pattern,
     hence the same pivots, and d_k = p_k / (p_{k-1} * L).  Entries are ints
     or Fractions; an int has denominator 1, so an integral gram has L = 1.
+
+    The steps and the pivot search read only the upper triangle of the
+    trailing block, so only it is kept up to date; the swap and x_k ->
+    x_k + x_j move whole rows and columns, so its lower part is restored
+    from the upper one just before they run, when a[k][k] = 0.
     """
     n = len(gram)
-    scale = math.lcm(*(x.denominator for row in gram for x in row))
-    a = [[x.numerator * (scale // x.denominator) for x in row]
-         for row in gram]
+    if integral:
+        scale, a = 1, [list(row) for row in gram]
+    else:
+        scale = math.lcm(*(x.denominator for row in gram for x in row))
+        a = [[x.numerator * (scale // x.denominator) for x in row]
+             for row in gram]
 
     def swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -92,6 +114,8 @@ def _diagonalize(gram) -> list[Fraction]:
     diag, prev = [], 1
     for k in range(n):
         if a[k][k] == 0:
+            for i in range(k + 1, n):  # the lower part, from the upper
+                a[i][k:i] = [a[j][i] for j in range(k, i)]
             piv = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
             if piv is not None:
                 swap(k, piv)
@@ -106,19 +130,17 @@ def _diagonalize(gram) -> list[Fraction]:
                 add_into(k, c)
         ak, p = a[k], a[k][k]
         diag.append(Fraction(p, prev * scale))
-        # Bareiss step on the upper triangle, mirrored for swap and add_into
         for i in range(k + 1, n):
             ai, f = a[i], ak[i]
             ai[i:] = [(p * x - f * y) // prev for x, y in zip(ai[i:], ak[i:])]
-            for j in range(i + 1, n):
-                a[j][i] = ai[j]
         prev = p
     return diag
 
 
-def _split(r: Fraction, p: int) -> tuple[int, int, int]:
-    """(a, num, den) with r = p^a * num / den and num, den prime to p."""
-    a, num, den = 0, r.numerator, r.denominator
+def _split(num: int, den: int, p: int) -> tuple[int, int, int]:
+    """(a, num', den') with num / den = p^a * num' / den' and num', den'
+    prime to p."""
+    a = 0
     if num == 0:
         raise FormError("p_split of zero")
     while num % p == 0:
@@ -130,7 +152,8 @@ def _split(r: Fraction, p: int) -> tuple[int, int, int]:
 
 def p_split(r, p: int) -> tuple[int, Fraction]:
     """Write a nonzero rational as p^a * b with b prime to p."""
-    a, num, den = _split(Fraction(r), p)
+    r = Fraction(r)
+    a, num, den = _split(r.numerator, r.denominator, p)
     return a, Fraction(num, den)
 
 
@@ -161,11 +184,22 @@ class LocalInvariants:
 
 
 def local_invariants(form: QuadraticForm, p: int) -> LocalInvariants:
-    """p-signature (oddity at p = 2), p-excess, and antisquare count."""
+    """p-signature (oddity at p = 2), p-excess, and antisquare count.
+
+    At odd p an entry whose numerator and denominator are prime to p is a
+    unit (a = 0): no antisquare, and 1 to the p-signature.  So only the
+    entries p divides are split; at p = 2 every entry is.
+    """
     if p not in form._local:
-        m = total = 0
-        for d in form.diagonal:
-            a, num, den = _split(d, p)
+        if p == 2:
+            hits, total = form._pairs, 0
+        else:
+            hits = [(num, den) for num, den in form._pairs
+                    if not (num % p and den % p)]
+            total = form.dim - len(hits)
+        m = 0
+        for num, den in hits:
+            a, num, den = _split(num, den, p)
             m += _antisquare(a, num, den, p)
             if p == 2:
                 total += num * pow(den, -1, 8) % 8  # the unit mod 8
@@ -205,8 +239,8 @@ def relevant_odd_primes(form: QuadraticForm) -> list[int]:
     """
     if form._odd_primes is None:
         ps: set[int] = set()
-        parts = {part // (part & -part) for d in form.diagonal
-                 for part in (abs(d.numerator), d.denominator)}
+        parts = {part // (part & -part) for num, den in form._pairs
+                 for part in (abs(num), den)}
         for odd in sorted(parts):
             for p in _SMALL_ODD_PRIMES:
                 if p * p > odd:
@@ -311,9 +345,15 @@ def parse_gram(text: str) -> QuadraticForm:
         raise FormError(f"expected {n} matrix rows, found {len(lines) - 1}")
     rows = []
     for line in lines[1:]:
-        parts = [p for p in line.replace("\t", " ").split(" ") if p]
+        # a row of plain integers, checked once; any other goes token by token
+        ints = _INT_ROW.fullmatch(line)
+        parts = line.split() if ints else [
+            p for p in line.replace("\t", " ").split(" ") if p]
         if len(parts) != n:
             raise FormError(f"expected {n} entries per row: {line!r}")
+        if ints:
+            rows.append(list(map(int, parts)))
+            continue
         for p in parts:
             if not _ENTRY.fullmatch(p):
                 raise FormError(f"bad rational entry in row {line!r}: "

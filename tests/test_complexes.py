@@ -175,6 +175,64 @@ def test_homology_from_coboundary_factors_matches_boundaries(fixtures):
         assert cx.homology(K, "Z") == _homology_by_boundaries(K)
 
 
+def _homology_uncleared(K):
+    """Integral homology by the per-degree loop that drops no rows: the
+    units of each whole delta_k, then diagonalize on what they leave."""
+    n = K.dimension
+    ranks, torsion = [0] * (n + 2), [()] * (n + 1)
+    for k in range(n):
+        pivots, rest, _ = zlinalg.eliminate_units(K.coboundary_z(k),
+                                                  K.n_simplices(k))
+        dz = zlinalg.diagonalize(rest, K.n_simplices(k))
+        ranks[k + 1] = len(pivots) + dz.rank
+        torsion[k] = tuple(
+            f for f in zlinalg.invariant_factors(dz.diag) if f > 1)
+    return [cx.HomologySummary(k, K.n_simplices(k) - ranks[k] - ranks[k + 1],
+                               torsion[k]) for k in range(n + 1)]
+
+
+def test_homology_clearing_matches_uncleared_loop(fixtures, monkeypatch):
+    # homology runs top down and drops from delta_k the rows of delta_(k+1)'s
+    # unit-pivot columns; the loop that keeps every row is the oracle, and
+    # the recorded calls show that the rows really are dropped
+    calls = []
+    eliminate_units = zlinalg.eliminate_units
+
+    def recording(a, ncols, b=None):
+        out = eliminate_units(a, ncols, b)
+        calls.append((len(a), ncols, len(out[0])))
+        return out
+
+    rng = random.Random(1919)
+    P, KB, T = catalog.projective_plane(), catalog.klein_bottle(), catalog.torus()
+    complexes = list(fixtures.items()) + [
+        ("RP2xRP2", cx.product_complex(P, P)),
+        ("K2xT2", cx.product_complex(KB, T))]
+    dropped = 0
+    for name, K in complexes:
+        for t in range(3):
+            image = rng.sample(range(2 * len(K.vertices)), len(K.vertices))
+            L = cx.relabel(K, dict(zip(K.vertices, image)))
+            want = _homology_uncleared(L)
+            monkeypatch.setattr(zlinalg, "eliminate_units", recording)
+            calls.clear()
+            got = cx.homology(L, "Z")
+            monkeypatch.setattr(zlinalg, "eliminate_units", eliminate_units)
+            assert got == want, (name, t)
+            n = L.dimension
+            # one call per degree, k = n-1 first: delta_k keeps the
+            # (k+1)-simplices that were no unit pivot of delta_(k+1)
+            assert [ncols for _, ncols, _ in calls] == [
+                L.n_simplices(k) for k in reversed(range(n))], name
+            for (rows, _, _), (_, _, above), k in zip(
+                    calls, [(0, 0, 0)] + calls, reversed(range(n))):
+                assert rows == L.n_simplices(k + 1) - above, (name, k)
+                dropped += above
+    assert [h.torsion for h in cx.homology(complexes[-2][1], "Z")] == \
+        [(), (2, 2), (2,), (2,), ()]
+    assert dropped
+
+
 def _lattice_rank_and_torsion(rows, ncols):
     """Rank of the integer row lattice, and the torsion of Z^ncols over
     it: its invariant factors > 1."""

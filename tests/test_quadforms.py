@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -207,9 +208,22 @@ def random_unimodular(rng, n):
     return m
 
 
-def congruent_gram(rng, gram):
+def sparse_unimodular(rng, n):
+    """Unit upper triangular with one +-1 above the diagonal in each column
+    past the first, rows and columns permuted alike: a congruent copy of a
+    block form then keeps its diagonal entries short."""
+    perm = rng.sample(range(n), n)
+    m = [[0] * n for _ in range(n)]
+    for j in range(n):
+        m[perm[j]][perm[j]] = 1
+        if j:
+            m[perm[rng.randrange(j)]][perm[j]] = rng.choice((-1, 1))
+    return m
+
+
+def congruent_gram(rng, gram, unimodular=random_unimodular):
     n = len(gram)
-    s = random_unimodular(rng, n)
+    s = unimodular(rng, n)
     return [[sum(s[i][a] * gram[a][b] * s[j][b]
                  for a in range(n) for b in range(n))
              for j in range(n)] for i in range(n)]
@@ -348,13 +362,51 @@ def test_diagonal_matches_fraction_reference_e8_copies(rng):
         assert assert_same_diagonal(congruent_gram(rng, block))
 
 
+def test_diagonal_matches_fraction_reference_zero_pivot_after_steps(rng):
+    # E8 + H^k: the hyperbolic part has no diagonal pivot, so the swap and
+    # x_k -> x_k + x_c run only after 8 Bareiss steps, which keep the upper
+    # triangle alone; their lower part must be rebuilt first.  H^k comes
+    # as k planes, and as [[0, B], [B^T, 0]] with B unimodular and dense,
+    # where every later zero pivot meets a dense trailing block
+    e8, h = catalog.e8_gram(), catalog.hyperbolic_gram()
+    for k in (4, 8, 12):
+        n = 8 + 2 * k
+        b = random_unimodular(rng, k)
+        planes, dense = ([[0] * n for _ in range(n)] for _ in range(2))
+        for i in range(8):
+            planes[i][:8] = dense[i][:8] = e8[i]
+        for i in range(2 * k):
+            planes[8 + i][8 + (i ^ 1)] = h[i % 2][1 - i % 2]
+        for i in range(k):
+            for j in range(k):
+                dense[8 + i][8 + k + j] = dense[8 + k + j][8 + i] = b[i][j]
+        for g in (planes, dense):
+            assert assert_same_diagonal(g)
+            assert assert_same_diagonal(congruent_gram(rng, g))
+
+
+def odd_primes_to(n):
+    return [p for p in range(3, n + 1, 2)
+            if all(p % q for q in range(3, math.isqrt(p) + 1, 2))]
+
+
 def test_local_invariants_match_per_entry_definition(rng):
-    # local_invariants splits each entry once; is_antisquare and p_split
-    # are the per-entry definitions it must agree with
-    for _ in range(60):
-        f = congruent_form(rng, random_form(rng, max_dim=5,
-                                            allow_fractions=True))
-        for p in [2, *qf.relevant_odd_primes(f), 17]:
+    # local_invariants splits each entry once, and at odd p only the
+    # entries p divides; is_antisquare and p_split are the per-entry
+    # definitions it must agree with, at the relevant primes and at odd
+    # primes that divide no entry
+    e8 = catalog.e8_gram()
+    e8_4 = [[e8[i % 8][j % 8] if i // 8 == j // 8 else 0 for j in range(32)]
+            for i in range(32)]
+    forms = [congruent_form(rng, random_form(rng, max_dim=5,
+                                             allow_fractions=True))
+             for _ in range(60)]
+    forms += [qf.QuadraticForm(congruent_gram(rng, e8_4, sparse_unimodular))
+              for _ in range(3)]
+    for f in forms:
+        relevant = qf.relevant_odd_primes(f)
+        others = [p for p in odd_primes_to(97) if p not in relevant]
+        for p in [2, *relevant, *others]:
             m = sum(qf.is_antisquare(d, p) for d in f.diagonal)
             total = 4 * m
             for d in f.diagonal:
@@ -517,6 +569,28 @@ def test_parse_gram_takes_only_integers_and_fractions():
         qf.parse_gram("dim 1\n1/0\n")
     f = qf.parse_gram("dim 2\n-3/6 007\n7 -0\n")
     assert f.gram == ((Fraction(-1, 2), 7), (7, 0))
+
+
+def test_parse_rows_that_are_not_plain_integers():
+    # a row of plain integers is read in one match; any other row is read
+    # token by token and keeps that path's messages
+    for row, message in (
+            ("0 1x", "bad rational entry in row '0 1x': "
+                     "'1x' is not an integer or p/q"),
+            ("0 \u0661", "bad rational entry in row '0 \u0661': "
+                         "'\u0661' is not an integer or p/q"),
+            ("1 +1", "bad rational entry in row '1 +1': "
+                     "'+1' is not an integer or p/q"),
+            ("1 1/0", "bad rational entry in row '1 1/0': Fraction(1, 0)"),
+            ("0 1 2", "expected 2 entries per row: '0 1 2'"),
+            ("0\t1x 2", "expected 2 entries per row: '0\\t1x 2'")):
+        with pytest.raises(qf.FormError) as e:
+            qf.parse_gram(f"dim 2\n{row}\n1 0\n")
+        assert str(e.value) == message
+    # a plain row and a row that mixes integers and p/q
+    f = qf.parse_gram("dim 2\n3\t-1\n-1 -4/6\n")
+    assert f.gram == ((3, -1), (-1, Fraction(-2, 3)))
+    assert [type(x) for row in f.gram for x in row] == [int, int, int, Fraction]
 
 
 def fraction_parse(text):
