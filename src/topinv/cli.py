@@ -15,6 +15,11 @@ by partition), and homology's are asdict of each HomologySummary.  The
 other verbs keep the hand-named keys that tests/golden/ holds them to:
 qf names its p-adic entries excess and antisquares, and intersection,
 cobordant, wu, sw and sw-numbers build their payloads field by field.
+
+Nothing of the program is imported at module level: _load and each
+handler import the modules they call, so -h loads none, qf and qf-equiv
+load quadforms alone, and the complex verbs load only the modules their
+answer runs (see the package docstring).
 """
 
 from __future__ import annotations
@@ -24,16 +29,20 @@ import dataclasses
 import functools
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import charclasses, intersection, quadforms
-from .complexes import (CohomologyClass, SimplicialComplex, homology,
-                        parse_complex)
+if TYPE_CHECKING:
+    from .complexes import CohomologyClass, SimplicialComplex
+    from .intersection import InvariantPanel
 
 
 def _load(name: str, path: str):
     """Parse the input file of the argument `name`: a Gram matrix for
     gram, gram1 and gram2, a complex otherwise."""
-    parse = quadforms.parse_gram if name.startswith("gram") else parse_complex
+    if name.startswith("gram"):
+        from .quadforms import parse_gram as parse
+    else:
+        from .complexes import parse_complex as parse
     with open(path, "r", encoding="utf-8") as fh:
         return parse(fh.read())
 
@@ -64,11 +73,12 @@ def _class_json(K: SimplicialComplex, cls: CohomologyClass) -> dict:
 
 
 def _numbers_json(numbers: dict, n: int) -> list:
+    from . import charclasses
     return [{"partition": list(part), "value": numbers[part]}
             for part in charclasses.partitions(n)]
 
 
-def _panel_json(p: intersection.InvariantPanel) -> dict:
+def _panel_json(p: InvariantPanel) -> dict:
     return {**dataclasses.asdict(p),
             "sw_numbers": _numbers_json(p.sw_numbers, p.dim)}
 
@@ -80,6 +90,7 @@ def _fmt_partition(part) -> str:
 # ---- verb handlers: (args, *inputs) -> (payload, lines, exit code) ----
 
 def _cmd_homology(args, K):
+    from .complexes import homology
     summaries = homology(K, args.ring)
     payload = {"ring": args.ring,
                "summaries": [dataclasses.asdict(h) for h in summaries]}
@@ -92,6 +103,7 @@ def _cmd_homology(args, K):
 
 
 def _classes_report(args, K, kind: str):
+    from . import charclasses
     if kind == "wu":
         classes = charclasses.wu_classes(K)
         sym = "v"
@@ -107,6 +119,7 @@ def _classes_report(args, K, kind: str):
 
 
 def _cmd_sw_numbers(args, K):
+    from . import charclasses
     numbers = charclasses.sw_numbers(K)
     payload = {"n": K.dimension,
                "sw_numbers": _numbers_json(numbers, K.dimension)}
@@ -117,11 +130,13 @@ def _cmd_sw_numbers(args, K):
 
 
 def _cmd_obstructions(args, K):
+    from . import charclasses
     payload = dataclasses.asdict(charclasses.obstructions(K))
     return payload, [f"{k}: {_fmt(v)}" for k, v in payload.items()], 0
 
 
 def _cmd_cobordant(args, k1, k2):
+    from . import charclasses
     same, part = charclasses.cobordant(k1, k2)
     payload = {"cobordant": same,
                "first_differing": None if part is None else list(part)}
@@ -132,6 +147,7 @@ def _cmd_cobordant(args, k1, k2):
 
 
 def _cmd_intersection(args, K):
+    from . import intersection
     form = intersection.intersection_form(K)
     sig, sig8, even = form.signature, form.signature_mod8, form.even(K)
     payload = {
@@ -154,6 +170,7 @@ def _cmd_intersection(args, K):
 
 
 def _cmd_qf(args, F):
+    from . import quadforms
     locs = [quadforms.local_invariants(F, p)
             for p in quadforms.relevant_odd_primes(F)]
     payload = {
@@ -181,6 +198,7 @@ def _cmd_qf(args, F):
 
 
 def _cmd_qf_equiv(args, f, g):
+    from . import quadforms
     res = quadforms.rationally_equivalent(f, g)
     line = ("rationally equivalent" if res
             else f"not rationally equivalent (failing: {res.failing})")
@@ -188,6 +206,7 @@ def _cmd_qf_equiv(args, f, g):
 
 
 def _cmd_panel(args, K):
+    from . import intersection
     p = intersection.panel(K)
     nz = sorted((part for part, v in p.sw_numbers.items() if v), reverse=True)
     lines = [f"invariant panel (dimension {p.dim})",
@@ -205,6 +224,7 @@ def _cmd_panel(args, K):
 
 
 def _cmd_compare(args, k1, k2):
+    from . import intersection
     p1 = intersection.panel(k1)
     p2 = intersection.panel(k2)
     cmp = intersection.compare_panel_values(p1, p2)

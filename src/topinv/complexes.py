@@ -4,6 +4,10 @@ A complex is stored by its maximal simplices; every face is implied.
 Cochains over F2 are bitmasks over the lexicographically sorted list of
 k-simplices, cochains over Z are integer tuples over the same basis.
 All arithmetic is exact.
+
+zlinalg is imported inside the integral paths alone (in_coboundary_image,
+free_cocycles, cohomology_z and homology over Z), so F2 answers never
+load it.
 """
 
 from __future__ import annotations
@@ -11,11 +15,11 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import re
 from array import array
 from dataclasses import dataclass
 
-from . import f2linalg, zlinalg
+from . import f2linalg
+from .textformat import INT, INT_ROW, content_lines
 
 
 class ParseError(ValueError):
@@ -183,6 +187,7 @@ class SimplicialComplex:
         of delta_k are eliminated first, with b carried along, and the rows
         left are diagonalized and solved.  No basis is read, so no pinned
         order is needed."""
+        from . import zlinalg
         nk = self.n_simplices(k)
         _, rest, b = zlinalg.eliminate_units(self.coboundary_z(k), nk, b)
         return zlinalg.solve(zlinalg.diagonalize(rest, nk), b) is not None
@@ -193,6 +198,7 @@ class SimplicialComplex:
         their columns, so delta_k drops them; kernel_quotient reads the
         generators off what delta_k's own units leave, and back-substitution
         fills in those units' columns.  No answer prints this basis."""
+        from . import zlinalg
         nk = self.n_simplices(k)
         image_pivots, image, _ = zlinalg.eliminate_units(zlinalg.transpose(
             self.coboundary_z(k - 1), self.n_simplices(k - 1)), nk)
@@ -227,6 +233,7 @@ class SimplicialComplex:
         the intersection verb prints its gram on.  The torsion of H^k is
         that of H_(k-1), which homology gives."""
         def build():
+            from . import zlinalg
             dz = zlinalg.diagonalize(self.coboundary_z(k), self.n_simplices(k))
             return tuple(map(tuple, zlinalg.kernel_quotient(
                 dz, self.coboundary_z(k - 1), self.n_simplices(k - 1))))
@@ -377,6 +384,7 @@ def homology(K: SimplicialComplex, ring: str = "Z") -> list[HomologySummary]:
         # over a field dim H_k = dim H^k
         return [HomologySummary(k, K.cohomology_f2(k).dim, ())
                 for k in range(n + 1)]
+    from . import zlinalg
     # boundary_(k+1) is the transpose of delta_k: same rank, same factors.
     # No basis is read, so the unit pivots go first, in any order.  Degrees
     # run top down, and delta_k drops the rows of the unit-pivot columns of
@@ -484,27 +492,6 @@ def is_poincare_f2(K: SimplicialComplex) -> PoincareReport:
 
 # ---- construction helpers ----
 
-_INT = re.compile(r"-?[0-9]+")
-# a line of ASCII integers parted by spaces or tabs: a simplex, or a Gram
-# row with no p/q entry
-INT_ROW = re.compile(r"-?[0-9]+(?:[ \t]+-?[0-9]+)*")
-
-
-def content_lines(text: str) -> list[str]:
-    """The nonblank lines of an input file, '#' comments and the spaces
-    and tabs around them stripped.  Lines end only at \n, \r, \v and \f
-    (an empty line between \r and \n is dropped), and tokens are parted
-    only by spaces and tabs, so any other separator stays inside a token
-    and fails the file's ASCII token grammar."""
-    lines = []
-    for raw in text.replace("\r", "\n").replace("\v", "\n").replace(
-            "\f", "\n").split("\n"):
-        line = raw.split("#", 1)[0].strip(" \t")
-        if line:
-            lines.append(line)
-    return lines
-
-
 def parse_complex(text: str) -> SimplicialComplex:
     """Parse the complex file format: a dimension hint line, which must
     equal the largest facet's dimension, then one maximal simplex per line
@@ -513,7 +500,7 @@ def parse_complex(text: str) -> SimplicialComplex:
     lines = content_lines(text)
     if not lines:
         raise ParseError("empty complex file")
-    if not _INT.fullmatch(lines[0]):
+    if not INT.fullmatch(lines[0]):
         raise ParseError(f"malformed dimension hint line: {lines[0]!r}")
     simplices = []
     for line in lines[1:]:

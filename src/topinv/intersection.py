@@ -10,6 +10,10 @@ intersection verb, which prints its gram; every other answer reads
 panel_form, on the unit-first basis of free_cocycles.  An odd gram with
 v_2m = 0 is an error, and so is an even one with v_2m != 0 when
 dim H^(2m)(K; F2) is the rank (IntersectionForm.even says why).
+
+quadforms is imported only where a form is built or read, so a panel of
+a complex with no middle form (non-orientable, or not 4m-dimensional)
+never loads it.
 """
 
 from __future__ import annotations
@@ -17,10 +21,14 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from . import charclasses, quadforms
+from . import charclasses
 from .complexes import (NonOrientableError, SimplicialComplex,
                         TopologyError, cup_cochain_z, is_poincare_f2)
+
+if TYPE_CHECKING:
+    from . import quadforms
 
 
 @dataclass
@@ -37,16 +45,19 @@ class IntersectionForm:
     @functools.cached_property
     def quadratic_form(self) -> quadforms.QuadraticForm:
         """The gram as a rational form, built once per intersection form."""
+        from . import quadforms
         return quadforms.QuadraticForm(self.gram)
 
     @functools.cached_property
     def signature(self) -> int:
         """Sylvester signature of the gram, exact."""
+        from . import quadforms
         return quadforms.real_signature(self.quadratic_form)
 
     @functools.cached_property
     def signature_mod8(self) -> int:
         """Signature mod 8, cross-checked through the local invariants."""
+        from . import quadforms
         local = quadforms.signature_mod8_from_local(self.quadratic_form)
         if local != self.signature % 8:
             raise TopologyError(
@@ -58,6 +69,7 @@ class IntersectionForm:
         <v_2m u xbar, [K]> mod 2 for x free and xbar its reduction, so v_2m
         = 0 makes the gram even; the converse needs every F2 class to be an
         xbar: dim H^2m(K; F2) = rank (Enriques surfaces: even, v_2 != 0)."""
+        from . import quadforms
         gram_even = quadforms.is_even(self.quadratic_form)
         wu_zero = charclasses.wu_classes(K)[2 * self.m].is_zero
         if gram_even != wu_zero and (
@@ -85,6 +97,7 @@ def _form(K: SimplicialComplex, basis_of) -> IntersectionForm:
         raise TopologyError("intersection gram not symmetric (internal error)")
     tag = "+1 on " + " ".join(map(str, K.simplices(n)[0]))
     form = IntersectionForm(m, basis, gram, tag)
+    from . import quadforms
     try:
         form.quadratic_form  # its diagonalization raises on a singular gram
     except quadforms.FormError:
@@ -172,6 +185,7 @@ def forms_rationally_equivalent(
     so the comparison is reported twice: against the second form as-is
     and against its negation.
     """
+    from . import quadforms
     f = panel_form(k1).quadratic_form
     g = panel_form(k2).quadratic_form
     gneg = quadforms.QuadraticForm([[-v for v in row] for row in g.gram])

@@ -11,6 +11,9 @@ the entries p divides need splitting: every other entry is a unit that adds
 p-excesses satisfy the mod-8 reciprocity identity, and together with
 dimension, determinant square class and real signature they decide
 rational equivalence.
+
+Nothing here imports complex code: parse_gram shares only textformat
+with the complex parser, so the qf verbs load no simplicial module.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import INT_ROW as _INT_ROW, content_lines
+from .textformat import INT_ROW, content_lines
 
 
 class FormError(ValueError):
@@ -346,7 +349,7 @@ def parse_gram(text: str) -> QuadraticForm:
     rows = []
     for line in lines[1:]:
         # a row of plain integers, checked once; any other goes token by token
-        ints = _INT_ROW.fullmatch(line)
+        ints = INT_ROW.fullmatch(line)
         parts = line.split() if ints else [
             p for p in line.replace("\t", " ").split(" ") if p]
         if len(parts) != n:

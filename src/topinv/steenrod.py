@@ -13,11 +13,13 @@ the cup product: SimplicialComplex.cup_f2 gathers each operand once per
 cut pattern through a memoized face table (the index of the face on
 those positions, per n-simplex), so a product is a few string passes at
 C speed and a xor of ands of masks, with no loop over simplices.
+
+zlinalg is imported inside bockstein, the one integral path, so the
+squares and cup-i products never load it.
 """
 
 from __future__ import annotations
 
-from . import zlinalg
 from .complexes import CohomologyClass, SimplicialComplex, f2_class
 
 
@@ -49,6 +51,7 @@ def bockstein(K: SimplicialComplex, x: CohomologyClass
     needs no solve.  Otherwise K.in_coboundary_image decides it, on
     delta_k with its unit pivots eliminated first.
     """
+    from . import zlinalg
     k = x.degree
     nk = K.n_simplices(k)
     lift = [(x.cocycle >> i) & 1 for i in range(nk)]

@@ -335,19 +335,46 @@ def test_help_exits_0(capsys):
     assert "compare" in out and "qf-equiv" in out
 
 
-def _imports(*argv) -> tuple[set[str], str]:
-    """The modules a fresh `python -m topinv.cli *argv` imports, and its
-    stdout."""
+def _imports(*argv, run=("-m", "topinv.cli")) -> tuple[set[str], str]:
+    """The modules a fresh `python *run *argv` imports, and its stdout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
-                           "topinv.cli", *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src),
-                          check=True)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *run, *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
     names = {line.rsplit("|", 1)[1].strip()
              for line in proc.stderr.splitlines()
              if line.startswith("import time:")}
-    assert "topinv.quadforms" in names
+    assert "topinv" in names  # every run imports the package
     return names, proc.stdout
+
+
+def test_each_verb_imports_only_the_modules_it_runs(files, fixtures,
+                                                     tmp_path):
+    def submodules(names):
+        return {n for n in names if n.startswith("topinv.")}
+
+    assert submodules(_imports(run=("-c", "import topinv"))[0]) == set()
+    names, out = _imports("-h")
+    assert submodules(names) == set() and "qf-equiv" in out
+    complex_side = {"topinv.complexes", "topinv.zlinalg", "topinv.f2linalg",
+                    "topinv.intersection"}
+    for argv in (["qf", files["E8"]], ["qf-equiv", files["E8"], files["I8"]]):
+        names, out = _imports(*argv, "--json")
+        assert "topinv.quadforms" in names and not names & complex_side
+        assert json.loads(out)
+    # 4-dimensional, so only w_1 != 0 keeps panel from building a form
+    path = tmp_path / "RP2xRP2.cx"
+    path.write_text(cx.complex_text(
+        cx.product_complex(fixtures["RP2"], fixtures["RP2"])))
+    for verb in ("panel", "sw-numbers"):
+        names, out = _imports(verb, str(path), "--json")
+        assert "topinv.charclasses" in names, verb
+        assert not names & {"topinv.quadforms", "topinv.zlinalg",
+                            "fractions"}, verb
+        assert json.loads(out)["sw_numbers"], verb
+    names, out = _imports("panel", files["CP2"], "--json")
+    assert {"topinv.quadforms", "topinv.zlinalg"} <= names
+    assert json.loads(out)["signature_mod8"] is not None
 
 
 def test_invariant_sweep_script_lists_every_fixture():
