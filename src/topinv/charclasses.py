@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 from . import f2linalg, steenrod
 from .complexes import (CohomologyClass, SimplicialComplex, TopologyError,
-                        cup_cochain_f2, duality_pairing_f2, f2_class,
-                        is_poincare_f2)
+                        duality_pairing_f2, f2_class, is_poincare_f2)
 
 
 def partitions(n: int) -> list[tuple[int, ...]]:
@@ -120,8 +119,13 @@ class ObstructionReport:
 
 
 def obstructions(K: SimplicialComplex) -> ObstructionReport:
-    """Orientation-flavoured obstructions readable from w and beta(w)."""
+    """Orientation-flavoured obstructions readable from w and beta(w).
+
+    The de Rham invariant of a (4k+1)-manifold is the Stiefel-Whitney
+    number w_2 w_(4k-1)[M] (Lusztig, Milnor & Peterson, Topology 8, 1969),
+    so it is read off sw_numbers."""
     ws = sw_classes(K)
+    numbers = sw_numbers(K)
     n = K.dimension
 
     def w_zero(j):
@@ -138,17 +142,13 @@ def obstructions(K: SimplicialComplex) -> ObstructionReport:
         spin_c = w3_zero
     else:
         spin_c = False
-    de_rham = None
-    if n >= 5 and n % 4 == 1:
-        mask = cup_cochain_f2(K, 2, n - 2, ws[2].cocycle, ws[n - 2].cocycle)
-        de_rham = f2linalg.dot(mask, K.fundamental_class_f2())
     return ObstructionReport(
         orientable=orientable,
         k_orientable_max=k_max,
         spin=spin,
         spin_c=spin_c,
-        de_rham=de_rham,
-        null_cobordant=all(v == 0 for v in sw_numbers(K).values()),
+        de_rham=numbers[(n - 2, 2)] if n >= 5 and n % 4 == 1 else None,
+        null_cobordant=all(v == 0 for v in numbers.values()),
     )
 
 

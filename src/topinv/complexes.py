@@ -5,9 +5,9 @@ Cochains over F2 are bitmasks over the lexicographically sorted list of
 k-simplices, cochains over Z are integer tuples over the same basis.
 All arithmetic is exact.
 
-zlinalg is imported inside the integral paths alone (in_coboundary_image,
-free_cocycles, cohomology_z and homology over Z), so F2 answers never
-load it.
+zlinalg is imported inside the integral paths alone (free_cocycles,
+cohomology_z and homology over Z; steenrod.bockstein imports it too),
+so F2 answers never load it.
 """
 
 from __future__ import annotations
@@ -181,16 +181,6 @@ class SimplicialComplex:
                     cols[f] |= 1 << t
             return cols
         return self._memo(("cbf2", k), build)
-
-    def in_coboundary_image(self, k: int, b) -> bool:
-        """Whether delta_k x = b has an integral solution x: the unit pivots
-        of delta_k are eliminated first, with b carried along, and the rows
-        left are diagonalized and solved.  No basis is read, so no pinned
-        order is needed."""
-        from . import zlinalg
-        nk = self.n_simplices(k)
-        _, rest, b = zlinalg.eliminate_units(self.coboundary_z(k), nk, b)
-        return zlinalg.solve(zlinalg.diagonalize(rest, nk), b) is not None
 
     def free_cocycles(self, k: int) -> list[tuple[int, ...]]:
         """Cocycles whose classes are a basis of H^k(K; Z)/torsion, units

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from . import charclasses
-from .complexes import (NonOrientableError, SimplicialComplex,
-                        TopologyError, cup_cochain_z, is_poincare_f2)
+from .complexes import (NonOrientableError,  # noqa: F401 (re-exported)
+                        SimplicialComplex, TopologyError, cup_cochain_z,
+                        is_poincare_f2)
 
 if TYPE_CHECKING:
     from . import quadforms
@@ -153,13 +154,10 @@ class InvariantPanel:
 def panel(K: SimplicialComplex) -> InvariantPanel:
     even = sig8 = sig = None
     n = K.dimension
+    # w_1 = 0 rules out NonOrientableError: a sign conflict gives
+    # H^n(K; Z) = Z/2, so Sq^1 = rho beta maps onto H^n(K; F2) and v_1 != 0
     if n % 4 == 0 and n > 0 and charclasses.sw_classes(K)[1].is_zero:
-        try:
-            panel_form(K)
-        except NonOrientableError:
-            pass
-        else:
-            even, sig, sig8 = form_even(K), signature(K), signature_mod8(K)
+        even, sig, sig8 = form_even(K), signature(K), signature_mod8(K)
     ob = charclasses.obstructions(K)
     numbers = charclasses.sw_numbers(K)
     return InvariantPanel(
@@ -203,36 +201,28 @@ class PanelComparison:
         return self.verdict == "consistent-with-profinite-isomorphism"
 
 
+def _unsigned(p: InvariantPanel, name: str):
+    """Field name of p with the orientation's sign removed."""
+    v = getattr(p, name)
+    if v is None or name not in ("signature", "signature_mod8"):
+        return v
+    return abs(v) if name == "signature" else min(v, -v % 8)
+
+
 def compare_panel_values(a: InvariantPanel, b: InvariantPanel) -> PanelComparison:
     """Comparator semantics: the verdict follows the cobordism, spin,
     spin_c, and signature-mod-8 obstructions; the differing list records
-    every panel field that disagrees.
+    every panel field that disagrees, in InvariantPanel's field order.
 
-    Signatures are compared up to sign, since the orientation convention
-    is not a relabeling invariant.  A consistent verdict never asserts
-    that the profinite completions agree; it only means no implemented
-    obstruction separates the inputs.
+    Both signature fields are compared up to sign, since the orientation
+    convention is not a relabeling invariant.  A consistent verdict never
+    asserts that the profinite completions agree; it only means no
+    implemented obstruction separates the inputs.
     """
     if a.dim != b.dim:
         return PanelComparison("distinguished by dimension", ["dim"])
-    differing = []
-    if a.sw_numbers != b.sw_numbers:
-        differing.append("sw_numbers")
-    for name in ("orientable", "k_orientable_max", "spin", "spin_c",
-                 "de_rham", "even_form"):
-        if getattr(a, name) != getattr(b, name):
-            differing.append(name)
-    sig8_differs = False
-    if a.signature_mod8 is not None and b.signature_mod8 is not None:
-        sig8_differs = (a.signature_mod8 != b.signature_mod8
-                        and a.signature_mod8 != (-b.signature_mod8) % 8)
-    elif (a.signature_mod8 is None) != (b.signature_mod8 is None):
-        sig8_differs = True
-    if sig8_differs:
-        differing.append("signature_mod8")
-    if (a.signature is None) != (b.signature is None) or (
-            a.signature is not None and abs(a.signature) != abs(b.signature)):
-        differing.append("signature")
+    differing = [f.name for f in fields(InvariantPanel)
+                 if _unsigned(a, f.name) != _unsigned(b, f.name)]
     decisive = {"sw_numbers", "spin", "spin_c", "signature_mod8"}
     if decisive & set(differing):
         return PanelComparison("distinguished", differing)

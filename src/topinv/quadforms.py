@@ -267,10 +267,7 @@ def relevant_odd_primes(form: QuadraticForm) -> list[int]:
 
 def reciprocity_residual(form: QuadraticForm) -> int:
     """(signature + sum of odd p-excesses - oddity) mod 8; always zero."""
-    total = real_signature(form) - oddity(form)
-    for p in relevant_odd_primes(form):
-        total += local_invariants(form, p).p_excess
-    return total % 8
+    return (real_signature(form) - signature_mod8_from_local(form)) % 8
 
 
 def signature_mod8_from_local(form: QuadraticForm) -> int:

@@ -46,10 +46,11 @@ def bockstein(K: SimplicialComplex, x: CohomologyClass
     """Integral Bockstein of an F2 class: lift, take delta, halve.
 
     Returns the integral (k+1)-cocycle beta together with an is_zero
-    flag: beta is zero in H^(k+1)(K; Z) exactly when it lies in the image
-    of delta_k.  beta is a homomorphism on classes, so the zero class
-    needs no solve.  Otherwise K.in_coboundary_image decides it, on
-    delta_k with its unit pivots eliminated first.
+    flag: beta is zero in H^(k+1)(K; Z) exactly when delta_k c = beta has
+    an integral solution c.  beta is a homomorphism on classes, so the
+    zero class needs no solve.  Otherwise the unit pivots of delta_k are
+    eliminated with beta carried along, and the rows left are diagonalized
+    and solved; no basis is read, so no pinned order is needed.
     """
     from . import zlinalg
     k = x.degree
@@ -61,7 +62,8 @@ def bockstein(K: SimplicialComplex, x: CohomologyClass
     beta = tuple(v // 2 for v in dz)
     if x.is_zero:
         return beta, True
-    return beta, K.in_coboundary_image(k, beta)
+    _, rest, b = zlinalg.eliminate_units(K.coboundary_z(k), nk, beta)
+    return beta, zlinalg.solve(zlinalg.diagonalize(rest, nk), b) is not None
 
 
 def sq_on_mask(K: SimplicialComplex, k: int, q: int, mask: int) -> int:

@@ -337,3 +337,113 @@ def test_even_form_with_nonzero_wu_class(tmp_path, capsys):
     assert cli.main(["intersection", str(path)]) == 0
     out = capsys.readouterr().out
     assert "(rank 0," in out and "even: true" in out
+
+
+def mapping_torus(K, phi):
+    """K x [0, 3] with K x 3 glued to K x 0 through the vertex map phi:
+    three layers of K, a staircase prism on each simplex between layers."""
+    at = {v: i for i, v in enumerate(K.vertices)}
+
+    def label(v, layer):
+        return at[v] + len(at) * layer if layer < 3 else at[phi[v]]
+    return cx.SimplicialComplex(
+        tuple(label(v, layer) for v in s[:j + 1])
+        + tuple(label(v, layer + 1) for v in s[j:])
+        for s in K.maximal_simplices for layer in range(3)
+        for j in range(len(s)))
+
+
+def test_mapping_torus_of_cp2_fails_spin_c_and_has_de_rham_one():
+    # an involution of CP2_9 whose mapping torus is orientable with
+    # W_3 != 0: its only nonzero SW number is w_2 w_3, that of the
+    # generator of N_5 = Z/2 (the Dold manifold P(1, 2))
+    CP2 = catalog.complex_projective_plane()
+    swap = {2: 3, 3: 2, 5: 6, 6: 5, 7: 9, 9: 7}
+    phi = {v: swap.get(v, v) for v in CP2.vertices}
+    assert {tuple(sorted(phi[v] for v in s))
+            for s in CP2.maximal_simplices} == set(CP2.maximal_simplices)
+    twisted = mapping_torus(CP2, phi)
+    product = mapping_torus(CP2, {v: v for v in CP2.vertices})  # CP2 x S1
+    assert [twisted.n_simplices(k) for k in range(6)] == [
+        27, 243, 972, 1836, 1620, 540]
+    p = intersection.panel(twisted)
+    assert (p.orientable, p.spin, p.spin_c, p.de_rham) == (
+        True, False, False, 1)
+    assert {part for part, v in p.sw_numbers.items() if v} == {(3, 2)}
+    q = intersection.panel(product)
+    assert (q.orientable, q.spin, q.spin_c, q.de_rham) == (
+        True, False, True, 0)
+    assert set(q.sw_numbers.values()) == {0}
+    res = intersection.compare_panels(twisted, product)
+    assert res.verdict == "distinguished"
+    assert res.differing == ["sw_numbers", "spin_c", "de_rham"]
+    # de Rham = w_2 w_3 [M], also as the cup product on the cochains
+    for K in (twisted, product, catalog.sphere(5),
+              cx.product_complex(catalog.projective_plane(),
+                                 catalog.sphere(3))):
+        ws = charclasses.sw_classes(K)
+        cup = cx.cup_cochain_f2(K, 2, 3, ws[2].cocycle, ws[3].cocycle)
+        de_rham = charclasses.obstructions(K).de_rham
+        assert de_rham == charclasses.sw_numbers(K)[(3, 2)]
+        assert de_rham == (cup & K.fundamental_class_f2()).bit_count() % 2
+
+
+def reference_compare(a, b):
+    """The comparator's rules written out field by field."""
+    if a.dim != b.dim:
+        return intersection.PanelComparison(
+            "distinguished by dimension", ["dim"])
+    differing = []
+    if a.sw_numbers != b.sw_numbers:
+        differing.append("sw_numbers")
+    for name in ("orientable", "k_orientable_max", "spin", "spin_c",
+                 "de_rham", "even_form"):
+        if getattr(a, name) != getattr(b, name):
+            differing.append(name)
+    sig8_differs = False
+    if a.signature_mod8 is not None and b.signature_mod8 is not None:
+        sig8_differs = (a.signature_mod8 != b.signature_mod8
+                        and a.signature_mod8 != (-b.signature_mod8) % 8)
+    elif (a.signature_mod8 is None) != (b.signature_mod8 is None):
+        sig8_differs = True
+    if sig8_differs:
+        differing.append("signature_mod8")
+    if (a.signature is None) != (b.signature is None) or (
+            a.signature is not None and abs(a.signature) != abs(b.signature)):
+        differing.append("signature")
+    decisive = {"sw_numbers", "spin", "spin_c", "signature_mod8"}
+    if decisive & set(differing):
+        return intersection.PanelComparison("distinguished", differing)
+    return intersection.PanelComparison(
+        "consistent-with-profinite-isomorphism", differing)
+
+
+def test_comparator_matches_reference_rules():
+    import dataclasses
+    base = intersection.InvariantPanel(
+        dim=4, sw_numbers={(4,): 1, (3, 1): 0, (2, 2): 1, (2, 1, 1): 0,
+                           (1, 1, 1, 1): 0},
+        orientable=True, k_orientable_max=1, spin=False, spin_c=True,
+        de_rham=None, even_form=False, signature_mod8=1, signature=1)
+    other = dict(sw_numbers={**base.sw_numbers, (4,): 0}, orientable=False,
+                 k_orientable_max=0, spin=True, spin_c=False, de_rham=1,
+                 even_form=True, signature_mod8=3, signature=3)
+    pairs = []
+    sig8s, sigs = [None, *range(8)], [None, 0, 3, -3, 5]
+    for s8a, s8b, sa, sb in itertools.product(sig8s, sig8s, sigs, sigs):
+        pairs.append((dataclasses.replace(base, signature_mod8=s8a,
+                                          signature=sa),
+                      dataclasses.replace(base, signature_mod8=s8b,
+                                          signature=sb)))
+    assert len(pairs) == 2025
+    for name, value in other.items():
+        pairs.append((base, dataclasses.replace(base, **{name: value})))
+    pairs.append((base, dataclasses.replace(base, **other)))
+    pairs.append((base, dataclasses.replace(base, dim=5)))
+    verdicts = set()
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            assert intersection.compare_panel_values(x, y) == \
+                reference_compare(x, y), (x, y)
+        verdicts.add(reference_compare(a, b).verdict)
+    assert len(verdicts) == 3
