@@ -4,9 +4,10 @@ triangulated manifolds.
 The public names resolve on first access (PEP 562, as in Scientific
 Python SPEC 1): importing the package loads no submodule, and a name
 loads only the module that defines it.  So `topinv -h` loads no program
-module; qf and qf-equiv load quadforms and textformat alone; the F2
-verbs (wu, sw, sw-numbers, cobordant, and panel, compare and
-obstructions on a non-orientable complex) load complexes, f2linalg,
+module; qf and qf-equiv load quadforms and textformat, and factoring
+only for a cofactor that trial division leaves; the F2 verbs (wu, sw,
+sw-numbers, cobordant, and panel, compare and obstructions on a
+non-orientable complex) load complexes, f2linalg,
 steenrod, charclasses and intersection; zlinalg loads for an integral
 answer and quadforms for the form of an orientable 4m-manifold.
 """

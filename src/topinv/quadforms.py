@@ -12,8 +12,14 @@ p-excesses satisfy the mod-8 reciprocity identity, and together with
 dimension, determinant square class and real signature they decide
 rational equivalence.
 
+The odd primes of the diagonal are found by trial division here and, for
+a cofactor of 10^6 or more that it leaves, by the factoring module within
+a fixed budget; an input whose cofactor the budget cannot split is
+refused with a FormError, not factored without bound.
+
 Nothing here imports complex code: parse_gram shares only textformat
-with the complex parser, so the qf verbs load no simplicial module.
+with the complex parser, so the qf verbs load no simplicial module, and
+factoring loads only when a cofactor needs splitting.
 """
 
 from __future__ import annotations
@@ -236,9 +242,13 @@ def relevant_odd_primes(form: QuadraticForm) -> list[int]:
 
     Each odd part is divided by the odd primes below 1000 while p^2 is at
     most what is left, then by the primes found so far.  A cofactor below
-    10^6 left after that is prime; only one of 10^6 or more goes to
-    sympy.factorint, which is imported there and nowhere else, so a form
-    whose parts trial division settles never loads sympy.
+    10^6 left after that is prime.  One of 10^6 or more goes to
+    factoring.prime_factors, which is imported there and nowhere else:
+    Pollard-Brent, then ECM, each within a fixed budget, with primality
+    proven by Miller-Rabin below about 3.3 * 10^24 and tested by BPSW
+    above it, and the primes of each cofactor cached for the process.  A
+    cofactor that exhausts the budget raises FormError naming its digit
+    count.
     """
     if form._odd_primes is None:
         ps: set[int] = set()
@@ -257,8 +267,8 @@ def relevant_odd_primes(form: QuadraticForm) -> list[int]:
                 while odd % p == 0:
                     odd //= p
             if odd >= 10**6:
-                from sympy import factorint
-                ps.update(factorint(odd))
+                from .factoring import prime_factors
+                ps.update(prime_factors(odd))
             elif odd > 1:  # no prime below 1000 divides it
                 ps.add(odd)
         form._odd_primes = tuple(sorted(ps))

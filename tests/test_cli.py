@@ -1,16 +1,19 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topinv import catalog, cli
+from topinv import catalog, cli, factoring
 from topinv import complexes as cx
 from topinv import quadforms as qf
 
@@ -117,23 +120,19 @@ def test_qf_equiv_exit_codes(files, capsys):
     assert code == 0
 
 
-def odd_parts(path):
-    form = qf.parse_gram(Path(path).read_text())
-    return {part // (part & -part) for d in form.diagonal
-            for part in (abs(d.numerator), d.denominator)} - {1}
-
-
 def test_qf_factors_each_odd_part_once(files, capsys, monkeypatch, tmp_path):
-    import sympy
+    # the splitter's calls from an empty cache: no earlier test's results
+    factoring.prime_factors.cache_clear()
     seen = []
-    factorint = sympy.factorint
-    monkeypatch.setattr(sympy, "factorint",
-                        lambda n: seen.append(n) or factorint(n))
+    find_factor = factoring._find_factor
+    monkeypatch.setattr(factoring, "_find_factor",
+                        lambda n: seen.append(n) or find_factor(n))
     # trial division by the primes below 1000 settles every part of E8
     code, out, err = run(capsys, "qf", files["E8"], "--json")
     assert code == 0 and seen == []
-    # cofactors of 10**6 or more reach factorint: 1009 * 1013 twice over
-    # (alone and times 3), and 1019 * 1021 * 1031
+    # cofactors of 10**6 or more reach the splitter: 1009 * 1013 once
+    # (3 * 1009 * 1013 is then explained by primes already found), and
+    # 1019 * 1021 * 1031, split once and its composite part once more
     big = [[0] * 3 for _ in range(3)]
     for i, v in enumerate((1009 * 1013, 3 * 1009 * 1013, 1019 * 1021 * 1031)):
         big[i][i] = v
@@ -145,7 +144,7 @@ def test_qf_factors_each_odd_part_once(files, capsys, monkeypatch, tmp_path):
     assert report["reciprocity_residual"] == 0
     assert [e["p"] for e in report["p_excess"]] == [3, 1009, 1013, 1019,
                                                      1021, 1031]
-    assert 0 < len(seen) <= len(odd_parts(path))
+    assert len(seen) == 3 and seen[0] == 1009 * 1013
     assert len(set(seen)) == len(seen)
     # a congruent copy P^T B P, P = I plus ones below the diagonal
     p = [[int(j in (i, i - 1)) for j in range(3)] for i in range(3)]
@@ -153,11 +152,11 @@ def test_qf_factors_each_odd_part_once(files, capsys, monkeypatch, tmp_path):
           for j in range(3)] for i in range(3)]
     copy = tmp_path / "big_copy.qf"
     copy.write_text(qf.gram_text(qf.QuadraticForm(g)))
-    seen.clear()
     code, out, err = run(capsys, "qf-equiv", str(path), str(copy), "--json")
     assert code == 0
-    assert 0 < len(seen) <= len(odd_parts(path)) + len(odd_parts(copy))
-    assert all(seen.count(n) <= 2 for n in seen)
+    # the process-wide cache hands back the three splits' primes: the
+    # second verb splits nothing again
+    assert len(seen) == 3
 
 
 def test_panel_text(files, capsys):
@@ -358,9 +357,11 @@ def test_each_verb_imports_only_the_modules_it_runs(files, fixtures,
     assert submodules(names) == set() and "qf-equiv" in out
     complex_side = {"topinv.complexes", "topinv.zlinalg", "topinv.f2linalg",
                     "topinv.intersection"}
+    # no verb loads sympy: quadforms splits its own cofactors
     for argv in (["qf", files["E8"]], ["qf-equiv", files["E8"], files["I8"]]):
         names, out = _imports(*argv, "--json")
-        assert "topinv.quadforms" in names and not names & complex_side
+        assert "topinv.quadforms" in names
+        assert not names & (complex_side | {"sympy"})
         assert json.loads(out)
     # 4-dimensional, so only w_1 != 0 keeps panel from building a form
     path = tmp_path / "RP2xRP2.cx"
@@ -370,10 +371,11 @@ def test_each_verb_imports_only_the_modules_it_runs(files, fixtures,
         names, out = _imports(verb, str(path), "--json")
         assert "topinv.charclasses" in names, verb
         assert not names & {"topinv.quadforms", "topinv.zlinalg",
-                            "fractions"}, verb
+                            "fractions", "sympy"}, verb
         assert json.loads(out)["sw_numbers"], verb
     names, out = _imports("panel", files["CP2"], "--json")
     assert {"topinv.quadforms", "topinv.zlinalg"} <= names
+    assert "sympy" not in names
     assert json.loads(out)["signature_mod8"] is not None
 
 
@@ -392,18 +394,56 @@ def test_invariant_sweep_script_lists_every_fixture():
     assert tail.rstrip().endswith("/5")
 
 
-def test_sympy_imported_only_to_factor(files, tmp_path):
-    # complex verbs never factor, and trial division settles E8's 3, 5, 7
-    assert "sympy" not in _imports("panel", files["CP2"])[0]
+def test_no_verb_imports_sympy(files, tmp_path):
+    # complex verbs never factor, and trial division settles E8's 3, 5, 7,
+    # so neither loads the splitter either
+    names = _imports("panel", files["CP2"])[0]
+    assert not names & {"sympy", "topinv.factoring"}
     names, out = _imports("qf", files["E8"], "--json")
-    assert "sympy" not in names
+    assert not names & {"sympy", "topinv.factoring"}
     assert [e["p"] for e in json.loads(out)["p_excess"]] == [3, 5, 7]
-    # 1009 * 1013 is past 10**6 with no prime factor below 1000
+    # 1009 * 1013 is past 10**6 with no prime factor below 1000, so it
+    # reaches the splitter
     path = tmp_path / "big.qf"
     path.write_text(f"dim 1\n{1009 * 1013}\n")
     names, out = _imports("qf", str(path), "--json")
-    assert "sympy" in names
+    assert "sympy" not in names and "topinv.factoring" in names
     assert [e["p"] for e in json.loads(out)["p_excess"]] == [1009, 1013]
+    # a dense dim-32 form, whose diagonal has cofactors of 20 digits and more
+    rng = random.Random(32)
+    g = [[0] * 32 for _ in range(32)]
+    for i in range(32):
+        for j in range(i, 32):
+            g[i][j] = g[j][i] = rng.randint(-3, 3)
+    form = qf.QuadraticForm(g)
+    path = tmp_path / "dense32.qf"
+    path.write_text(qf.gram_text(form))
+    names, out = _imports("qf", str(path), "--json")
+    assert "sympy" not in names
+    report = json.loads(out)
+    assert report["reciprocity_residual"] == 0
+    assert max(len(str(d.numerator)) for d in form.diagonal) >= 20
+    assert [e["p"] for e in report["p_excess"]] == sorted(
+        {p for d in form.diagonal for part in (abs(d.numerator), d.denominator)
+         for p in sympy.factorint(part) if p > 2})
+
+
+def test_cofactor_over_the_splitting_budget_exits_1_with_one_line(tmp_path):
+    # two 25-digit primes: past Pollard-Brent's steps and ECM's curves
+    path = tmp_path / "semiprime49.qf"
+    path.write_text(
+        f"dim 1\n{sympy.nextprime(10**24) * sympy.nextprime(3 * 10**24)}\n")
+    assert len(path.read_bytes()) == 56
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for argv in (["qf", str(path)], ["qf-equiv", str(path), str(path)]):
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "topinv.cli", *argv],
+                              capture_output=True, text=True, timeout=10,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert time.perf_counter() - t0 < 10
+        assert proc.returncode == 1 and proc.stdout == "", argv
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and "49-digit" in proc.stderr
 
 
 def test_point_gets_one_report_from_every_sw_verb(capsys, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topinv import catalog, zlinalg
+from topinv import catalog, factoring, zlinalg
 from topinv import quadforms as qf
 
 
@@ -421,11 +421,13 @@ def test_local_invariants_match_per_entry_definition(rng):
 
 
 def test_relevant_odd_primes_factors_each_part_once(rng, monkeypatch):
-    import sympy
+    from sympy import factorint
+    # the splitter's calls from an empty cache: no earlier test's results
+    factoring.prime_factors.cache_clear()
     seen = []
-    factorint = sympy.factorint
-    monkeypatch.setattr(sympy, "factorint",
-                        lambda n: seen.append(n) or factorint(n))
+    find_factor = factoring._find_factor
+    monkeypatch.setattr(factoring, "_find_factor",
+                        lambda n: seen.append(n) or find_factor(n))
     for _ in range(30):
         f = congruent_form(rng, random_form(rng, allow_fractions=True))
         seen.clear()
@@ -450,7 +452,7 @@ def odd_primes_by_sympy(f):
 # around the trial-division bound: 997 is the largest prime below 1000,
 # 1009 the smallest above it, 999983 the largest prime below 10**6, and
 # 1009**2 and 1009 * 1013 are past 10**6 with no prime factor below 1000,
-# so they reach sympy
+# so they reach the splitter
 BOUNDARY = [1, 2**10, 997, 1009, 997**2, 997 * 1009, 1009**2, 999983,
             3 * 999983, 1009 * 1013, 3**5 * 5**3]
 
@@ -650,3 +652,87 @@ def test_parse_matches_the_fraction_parse(rng):
                                       for row in f.gram for x in row)))
     # integral, fractional with no integral entry, and mixed files
     assert kinds == {(True, True), (False, False), (False, True)}
+
+
+# strong pseudoprimes to the first 12 and the first 13 prime bases
+# (Sorenson & Webster, Math. Comp. 2017): Miller-Rabin to those 13 bases
+# proves primality below PSI13 and not at it
+PSI12 = 318665857834031151167461
+PSI13 = 3317044064679887385961981
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877)
+
+
+def test_primality_rejects_pseudoprimes():
+    import sympy
+    assert factoring._PSI13 == PSI13
+    bases = factoring._MR_BASES
+    assert all(factoring._strong_probable_prime(PSI12, a) for a in bases[:12])
+    assert not factoring._strong_probable_prime(PSI12, 41)
+    # PSI13 passes all 13 bases, so only the BPSW branch can reject it
+    assert all(factoring._strong_probable_prime(PSI13, a) for a in bases)
+    assert not factoring._strong_lucas(PSI13)
+    # a strong pseudoprime to the first 9 prime bases, and Carmichael numbers
+    composites = (PSI12, PSI13, 3825123056546413051, 561, 41041, 825265,
+                  *STRONG_LUCAS_PSEUDOPRIMES)
+    for n in composites:
+        assert not sympy.isprime(n) and not factoring._is_prime(n), n
+    # the Lucas test alone passes its pseudoprimes: Selfridge's parameters
+    for n in STRONG_LUCAS_PSEUDOPRIMES:
+        assert factoring._strong_lucas(n), n
+
+
+def test_strong_lucas_matches_sympy():
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+    for n in range(3, 30000, 2):
+        assert factoring._strong_lucas(n) == is_strong_lucas_prp(n), n
+    assert not factoring._strong_lucas(1009**2)
+
+
+def test_primality_matches_sympy_on_both_sides_of_psi13(rng):
+    import sympy
+    above = [sympy.nextprime(PSI13)]
+    for _ in range(4):
+        above.append(sympy.nextprime(above[-1]))
+    assert all(map(factoring._is_prime, above))
+    assert not any(map(factoring._is_prime, range(PSI13, above[0])))
+    for lo, hi in ((3, PSI13), (PSI13, 2**128)):
+        for _ in range(2000):
+            n = rng.randrange(lo, hi) | 1
+            assert factoring._is_prime(n) == sympy.isprime(n), n
+    # the Miller-Rabin branch below PSI13 on primes, not only composites
+    for _ in range(50):
+        p = sympy.randprime(10**6, PSI13)
+        assert factoring._is_prime(p) and not factoring._is_prime(p * 1009), p
+
+
+def test_odd_prime_factors_match_sympy(rng, monkeypatch):
+    import sympy
+    curves = []
+    ecm = factoring._ecm
+    monkeypatch.setattr(factoring, "_ecm",
+                        lambda n, s: curves.append(n) or ecm(n, s))
+    factoring.prime_factors.cache_clear()
+
+    def factors(n):
+        return factoring.prime_factors.__wrapped__(n)
+
+    def prime(digits):
+        return sympy.randprime(10**(digits - 1), 10**digits)
+
+    # balanced semiprimes of 20 to 30 digits: past Pollard-Brent's steps
+    for digits in (20, 24, 27, 30):
+        p, q = prime(digits // 2), prime(digits - digits // 2)
+        curves.clear()
+        assert factors(p * q) == tuple(sorted({p, q})), (p, q)
+        assert curves and set(curves) == {p * q}
+    # prime powers (a square is split before any search), and three
+    # 9-digit primes
+    big = sympy.nextprime(10**12)
+    for n in (1009**2, 1009**7, 1000003**5, big**2, big**2 * 1009,
+              sympy.nextprime(10**7)**3):
+        assert factors(n) == tuple(sorted(sympy.factorint(n))), n
+    ps = [prime(9) for _ in range(3)]
+    assert factors(math.prod(ps)) == tuple(sorted(set(ps)))
+    # the cache hands back the same tuple for the same cofactor
+    assert factoring.prime_factors(big**2) is factoring.prime_factors(big**2)
+
