@@ -41,21 +41,18 @@ def wu_classes(K: SimplicialComplex) -> list[CohomologyClass]:
         for k in range(n + 1):
             if 2 * k > n:
                 # Sq^k vanishes on H^(n-k), whose degree is below k
-                out.append(f2_class(K, k, 0))
+                out.append(CohomologyClass(k, 0, 0))
                 continue
-            hk = K.cohomology_f2(k)
-            hc = K.cohomology_f2(n - k)
             # equation j pairs v_k with the j-th H^(n-k) class, so the
-            # pairing rows are the columns of this system
+            # pairing rows are the columns of this system; it is square and
+            # invertible (is_poincare_f2), so sol is v_k's H^k coordinates
             rhs = 0
-            for j, c in enumerate(hc.basis):
+            for j, c in enumerate(K.cohomology_f2(n - k).basis):
                 sqc = steenrod.sq_on_mask(K, k, n - k, c)
                 if f2linalg.dot(sqc, fc):
                     rhs |= 1 << j
             sol = f2linalg.solve_square(duality_pairing_f2(K, k), rhs)
-            if sol is None or hc.dim != hk.dim:
-                raise TopologyError("duality pairing singular")
-            out.append(f2_class(K, k, hk.rep(sol)))
+            out.append(CohomologyClass(k, K.cohomology_f2(k).rep(sol), sol))
         return out
     return K._memo(("wu",), build)
 

@@ -129,18 +129,6 @@ class SimplicialComplex:
         # with one n-simplex, pick returns a lone character; join takes both
         return int("".join(pick(bits))[::-1], 2)
 
-    def cup_f2(self, x: int, p: int, y: int, q: int, i: int = 0) -> int:
-        """Cochain-level x cup_i y of F2 cochains of degrees p and q, a mask
-        over the (p+q-i)-simplices: the xor over the cut patterns of the
-        gathered x on the even blocks and gathered y on the odd ones."""
-        n = p + q - i
-        if n > self.dimension or n < 0:
-            return 0
-        out = 0
-        for xpos, ypos in cut_patterns(n, i, p):
-            out ^= self.gather(n, xpos, x) & self.gather(n, ypos, y)
-        return out
-
     # ---- boundary and coboundary matrices ----
 
     def boundary_z(self, k: int) -> list[list[int]]:
@@ -263,8 +251,10 @@ class SimplicialComplex:
                     orientable &= signs[t] == sign
             if 0 in signs:
                 missed = self.simplices(n)[signs.index(0)]
+                how = (f"across {n - 1}-faces" if n else
+                       "(a 0-dimensional one is a single vertex)")
                 raise TopologyError(f"not a pseudo-manifold: facet {missed} "
-                                    f"is not reached across {n - 1}-faces")
+                                    f"is not reached {how}")
             return tuple(signs) if orientable else None
         return self._memo(("fcz",), build)
 
@@ -398,9 +388,18 @@ def homology(K: SimplicialComplex, ring: str = "Z") -> list[HomologySummary]:
                             torsion[k]) for k in range(n + 1)]
 
 
-def cup_cochain_f2(K: SimplicialComplex, p: int, q: int, x: int, y: int) -> int:
-    """Cochain-level cup product of an F2 p-cochain and q-cochain."""
-    return K.cup_f2(x, p, y, q)
+def cup_cochain_f2(K: SimplicialComplex, p: int, q: int, x: int, y: int,
+                   i: int = 0) -> int:
+    """Cochain-level x cup_i y (cup_0: the cup product) of F2 cochains of
+    degrees p and q, a mask over the (p+q-i)-simplices: the xor over the
+    cut patterns of gathered x on the even blocks and y on the odd ones."""
+    n = p + q - i
+    if n > K.dimension or n < 0:
+        return 0
+    out = 0
+    for xpos, ypos in cut_patterns(n, i, p):
+        out ^= K.gather(n, xpos, x) & K.gather(n, ypos, y)
+    return out
 
 
 def cup_cochain_z(K: SimplicialComplex, p: int, q: int, x, y) -> tuple[int, ...]:

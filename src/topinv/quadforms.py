@@ -67,10 +67,14 @@ class QuadraticForm:
         return f"QuadraticForm(dim={self.dim}, det={self.det})"
 
 
-def _rational(x) -> int | Fraction:
-    """x as an exact rational: an int when integral, else a Fraction."""
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
+def _exact(x) -> int | Fraction:
+    """An int (bool too) or Fraction entry as an int when integral, else as
+    a Fraction.  Other types are refused: Fraction would take a float's
+    binary value, a str's text and an exponent's full expansion."""
+    if not isinstance(x, (int, Fraction)):
+        raise FormError(f"gram entry of type {type(x).__name__}: "
+                        f"only int and Fraction entries are exact")
+    return int(x) if x.denominator == 1 else x
 
 
 def _all_ints(row) -> bool:
@@ -82,7 +86,7 @@ def _exact_row(row) -> tuple:
     ints is taken as it is."""
     if _all_ints(row):
         return tuple(row)
-    return tuple(x if type(x) is int else _rational(x) for x in row)
+    return tuple(map(_exact, row))
 
 
 def _diagonalize(gram, integral: bool) -> list[Fraction]:

@@ -8,8 +8,8 @@ the union of the odd ones, and the products are summed over the cuts.
 Sq^k on a degree-q class is the cup-(q-k) square of a representative
 cocycle.
 
-The products run on the F2 product kernel of complexes.py, shared with
-the cup product: SimplicialComplex.cup_f2 gathers each operand once per
+The products run on the one F2 product kernel, complexes.cup_cochain_f2,
+which the cup product calls with i = 0: it gathers each operand once per
 cut pattern through a memoized face table (the index of the face on
 those positions, per n-simplex), so a product is a few string passes at
 C speed and a xor of ands of masks, with no loop over simplices.
@@ -20,7 +20,8 @@ squares and cup-i products never load it.
 
 from __future__ import annotations
 
-from .complexes import CohomologyClass, SimplicialComplex, f2_class
+from .complexes import (CohomologyClass, SimplicialComplex, cup_cochain_f2,
+                        f2_class)
 
 
 def cup_i(K: SimplicialComplex, x: int, p: int, y: int, q: int, i: int) -> int:
@@ -31,7 +32,7 @@ def cup_i(K: SimplicialComplex, x: int, p: int, y: int, q: int, i: int) -> int:
     """
     if i < 0 or i > min(p, q):
         raise ValueError("invalid cup-i degree")
-    return K.cup_f2(x, p, y, q, i)
+    return cup_cochain_f2(K, p, q, x, y, i)
 
 
 def sq(K: SimplicialComplex, k: int, x: CohomologyClass) -> CohomologyClass:

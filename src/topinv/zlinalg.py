@@ -8,7 +8,8 @@ Two eliminations serve two kinds of consumer.  diagonalize runs in a
 pinned pivot order, eliminates D alone and logs its steps.  The logs are
 the only form of U and V: each consumer replays them on just the vectors
 it needs (see Diagonalization for which replay gives what).  It serves
-the printed basis alone, cohomology_z's, the intersection verb's gram.
+the printed basis alone, cohomology_z's, the intersection verb's gram;
+det, which only the tests call, reads its D and logs too.
 eliminate_units first takes the +-1 pivots in a fill-limiting order and
 leaves diagonalize only the rows without a unit; it serves every other
 answer: integral homology and its torsion, the Bockstein's yes or no,
@@ -305,25 +306,10 @@ def solve(dz: Diagonalization, b: list[int]) -> list[int] | None:
 
 
 def det(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    """Determinant of a square integer matrix, read off diagonalize: the
+    product of D's entries, negated once per logged swap or negation (each
+    other step adds a multiple of one row or column to another)."""
+    dz = diagonalize([{j: x for j, x in enumerate(row) if x} for row in a],
+                     len(a))
+    flips = sum(1 for i, j, q in dz.row_log + dz.col_log if not q or i == j)
+    return (-1) ** flips * math.prod(dz.diag)

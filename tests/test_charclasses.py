@@ -27,6 +27,9 @@ def test_wu_defining_property(fixtures):
         fc = K.fundamental_class_f2()
         vs = charclasses.wu_classes(K)
         for k in range(n + 1):
+            # the coordinates are the solve's own; reducing the cocycle
+            # again must give them back
+            assert vs[k].coords == K.cohomology_f2(k).coords(vs[k].cocycle)
             for x in K.cohomology_f2(n - k).basis:
                 lhs = f2linalg.dot(
                     cx.cup_cochain_f2(K, k, n - k, vs[k].cocycle, x), fc)

@@ -294,7 +294,11 @@ def test_non_pseudo_manifold_exits_1_with_one_line(capsys, tmp_path):
              "(0, "),
             # a second, disjoint S2: not strongly connected
             (catalog.sphere(2), "10 11 12\n10 11 13\n10 12 13\n11 12 13",
-             ("panel",), "(10, 11, 12) is not reached")):
+             ("panel",), "(10, 11, 12) is not reached"),
+            # two points
+            (cx.SimplicialComplex([(0,)]), "1",
+             ("panel", "wu", "sw", "sw-numbers", "obstructions"),
+             "(1,) is not reached (a 0-dimensional one is a single vertex)")):
         p = tmp_path / f"bad{base.dimension}.cx"
         p.write_text(cx.complex_text(base) + extra + "\n")
         for verb in verbs:
@@ -302,7 +306,7 @@ def test_non_pseudo_manifold_exits_1_with_one_line(capsys, tmp_path):
             assert code == 1 and out == ""
             assert err.startswith(
                 "error: not a pseudo-manifold: facet " + facet)
-            assert err.count("\n") == 1
+            assert err.count("\n") == 1 and "-1-faces" not in err
         code, out, err = run(capsys, "homology", str(p))
         assert code == 0
 

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,16 @@ def test_constructor_validation():
         qf.QuadraticForm([[1, 1], [1, 1]])
     with pytest.raises(qf.FormError, match="singular"):
         qf.QuadraticForm([[0, 0], [0, 1]])
+    # only int and Fraction entries are exact: Fraction would take 0.1's
+    # binary value, "1/2"'s text, and expand "1e5000" to 16,610 bits
+    for entry in (0.1, 1.0, "1/2", "1e5000", Decimal("0.1"), Decimal(2)):
+        for rows in ([[entry]], [[1, entry], [entry, 1]]):
+            with pytest.raises(qf.FormError, match=type(entry).__name__) as e:
+                qf.QuadraticForm(rows)
+            assert "\n" not in str(e.value)
+    half = Fraction(1, 2)
+    f = qf.QuadraticForm([[True, half], [half, Fraction(4, 2)]])
+    assert f.gram == ((1, half), (half, 2)) and type(f.gram[1][1]) is int
 
 
 def test_dimension_zero_form():
@@ -234,8 +245,9 @@ def congruent_form(rng, f):
 
 
 def test_det_matches_bareiss(rng):
-    # det is read off the diagonalization; Bareiss elimination is an
-    # independent route to the same number
+    # QuadraticForm.det is the product of the fraction-free Bareiss
+    # diagonal; zlinalg.det is read off the Smith elimination, diagonalize,
+    # an independent route to the same number
     e8 = catalog.e8_gram()
     for k in (1, 2, 3):
         n = 8 * k

@@ -13,6 +13,8 @@ rank, invariant factors and solvability.
 import random
 from types import SimpleNamespace
 
+import sympy
+
 from topinv import catalog, zlinalg
 from topinv import complexes as cx
 
@@ -421,3 +423,25 @@ def test_unit_front_end_matches_pinned_on_coboundaries():
                                         outside) is None
     # the 2-torsion of RP2, K2 and the RP2 products is left for diagonalize
     assert left >= 10 and unsolvable >= 100
+
+
+def test_det_matches_sympy():
+    # det reads diagonalize's D and its logs' swaps and negations; sympy's
+    # determinant is a route apart from both
+    rng = random.Random(2668)
+    singular = 0
+    for t in range(600):
+        n = t % 8
+        r = 4 if t % 3 else 40
+        a = [[rng.randint(-r, r) for _ in range(n)] for _ in range(n)]
+        if n >= 2 and t % 5 == 1:
+            i, j = rng.sample(range(n), 2)
+            a[i] = list(a[j])  # a repeated row
+        if n >= 1 and t % 5 == 2:
+            j = rng.randrange(n)
+            for row in a:
+                row[j] = 0  # a zero column
+        want = sympy.Matrix(n, n, [x for row in a for x in row]).det()
+        assert zlinalg.det(a) == want, a
+        singular += want == 0
+    assert singular >= 150
