@@ -73,7 +73,9 @@ def sw_classes(K: SimplicialComplex) -> list[CohomologyClass]:
 
 
 def sw_numbers(K: SimplicialComplex) -> dict[tuple[int, ...], int]:
-    """All Stiefel-Whitney numbers of K, keyed by descending partitions.
+    """All Stiefel-Whitney numbers of K, keyed by descending partitions
+    and iterated in the order of partitions(n), lexicographically
+    decreasing.
 
     w_p1 ... w_pr is w_pi on the i-th block of consecutive vertices of an
     n-simplex, so each number is the parity of [K] AND the gathered blocks."""
@@ -98,11 +100,7 @@ def integral_sw(K: SimplicialComplex) -> list[bool]:
     W_(k+1) is the Bockstein of w_k; entry k of the result is the flag
     for W_(k+1).
     """
-    flags = []
-    for w in sw_classes(K):
-        _, zero = steenrod.bockstein(K, w)
-        flags.append(not zero)
-    return flags
+    return [not steenrod.bockstein(K, w)[1] for w in sw_classes(K)]
 
 
 @dataclass
@@ -133,17 +131,12 @@ def obstructions(K: SimplicialComplex) -> ObstructionReport:
             w_zero(j) for j in range(1, 2 ** (k_max + 1))):
         k_max += 1
     orientable = w_zero(1)
-    spin = orientable and w_zero(2)
-    if orientable:
-        _, w3_zero = steenrod.bockstein(K, ws[2]) if n >= 2 else (None, True)
-        spin_c = w3_zero
-    else:
-        spin_c = False
     return ObstructionReport(
         orientable=orientable,
         k_orientable_max=k_max,
-        spin=spin,
-        spin_c=spin_c,
+        spin=orientable and w_zero(2),
+        # W_3 = beta(w_2) = 0, with bockstein's zero-class shortcut
+        spin_c=orientable and (n < 2 or steenrod.bockstein(K, ws[2])[1]),
         de_rham=numbers[(n - 2, 2)] if n >= 5 and n % 4 == 1 else None,
         null_cobordant=all(v == 0 for v in numbers.values()),
     )
@@ -152,15 +145,12 @@ def obstructions(K: SimplicialComplex) -> ObstructionReport:
 def cobordant(K1: SimplicialComplex, K2: SimplicialComplex
               ) -> tuple[bool, tuple[int, ...] | None]:
     """Whether all Stiefel-Whitney numbers agree; if not, the first
-    differing partition in enumeration order."""
+    differing partition in sw_numbers' order, that of partitions(n)."""
     if K1.dimension != K2.dimension:
         raise TopologyError("dimension mismatch")
-    a = sw_numbers(K1)
-    b = sw_numbers(K2)
-    for part in partitions(K1.dimension):
-        if a[part] != b[part]:
-            return False, part
-    return True, None
+    a, b = sw_numbers(K1), sw_numbers(K2)
+    part = next((part for part in a if a[part] != b[part]), None)
+    return part is None, part
 
 
 @dataclass

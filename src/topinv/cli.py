@@ -11,10 +11,11 @@ them, 1 on input errors.  --json emits a stable machine report.  The
 obstructions, qf-equiv, panel and compare payloads are dataclasses.asdict
 of ObstructionReport, EquivalenceResult, InvariantPanel and
 PanelComparison (compare adds both panels; a panel lists its SW numbers
-by partition), and homology's are asdict of each HomologySummary.  The
+in sw_numbers' order), homology's are asdict of each HomologySummary, and
+intersection's are IntersectionForm's attributes by name, plus even.  The
 other verbs keep the hand-named keys that tests/golden/ holds them to:
-qf names its p-adic entries excess and antisquares, and intersection,
-cobordant, wu, sw and sw-numbers build their payloads field by field.
+qf names its p-adic entries excess and antisquares, and cobordant, wu,
+sw and sw-numbers build their payloads field by field.
 
 Nothing of the program is imported at module level: _load and each
 handler import the modules they call, so -h loads none, qf and qf-equiv
@@ -72,15 +73,14 @@ def _class_json(K: SimplicialComplex, cls: CohomologyClass) -> dict:
     }
 
 
-def _numbers_json(numbers: dict, n: int) -> list:
-    from . import charclasses
-    return [{"partition": list(part), "value": numbers[part]}
-            for part in charclasses.partitions(n)]
+def _numbers_json(numbers: dict) -> list:
+    """SW numbers as a list, in sw_numbers' own order."""
+    return [{"partition": list(part), "value": v}
+            for part, v in numbers.items()]
 
 
 def _panel_json(p: InvariantPanel) -> dict:
-    return {**dataclasses.asdict(p),
-            "sw_numbers": _numbers_json(p.sw_numbers, p.dim)}
+    return {**dataclasses.asdict(p), "sw_numbers": _numbers_json(p.sw_numbers)}
 
 
 def _fmt_partition(part) -> str:
@@ -104,12 +104,8 @@ def _cmd_homology(args, K):
 
 def _classes_report(args, K, kind: str):
     from . import charclasses
-    if kind == "wu":
-        classes = charclasses.wu_classes(K)
-        sym = "v"
-    else:
-        classes = charclasses.sw_classes(K)
-        sym = "w"
+    classes, sym = ((charclasses.wu_classes(K), "v") if kind == "wu"
+                    else (charclasses.sw_classes(K), "w"))
     payload = {"n": K.dimension,
                kind: [_class_json(K, c) for c in classes]}
     lines = [f"{sym}-classes of a dimension-{K.dimension} complex"]
@@ -121,11 +117,10 @@ def _classes_report(args, K, kind: str):
 def _cmd_sw_numbers(args, K):
     from . import charclasses
     numbers = charclasses.sw_numbers(K)
-    payload = {"n": K.dimension,
-               "sw_numbers": _numbers_json(numbers, K.dimension)}
+    payload = {"n": K.dimension, "sw_numbers": _numbers_json(numbers)}
     lines = [f"Stiefel-Whitney numbers (dimension {K.dimension})"]
-    for part in charclasses.partitions(K.dimension):
-        lines.append(f"  {_fmt_partition(part)}: {numbers[part]}")
+    for part, v in numbers.items():
+        lines.append(f"  {_fmt_partition(part)}: {v}")
     return payload, lines, 0
 
 
@@ -149,23 +144,17 @@ def _cmd_cobordant(args, k1, k2):
 def _cmd_intersection(args, K):
     from . import intersection
     form = intersection.intersection_form(K)
-    sig, sig8, even = form.signature, form.signature_mod8, form.even(K)
-    payload = {
-        "m": form.m,
-        "rank": form.rank,
-        "gram": [list(r) for r in form.gram],
-        "signature": sig,
-        "signature_mod8": sig8,
-        "even": even,
-        "orientation_tag": form.orientation_tag,
-    }
+    # signature, signature_mod8, even: the order their cross-checks raise in
+    payload = {key: getattr(form, key) for key in (
+        "m", "rank", "gram", "signature", "signature_mod8", "orientation_tag")}
+    payload["even"] = form.even(K)
     lines = [f"intersection form in degree {2 * form.m} "
              f"(rank {form.rank}, orientation {form.orientation_tag})"]
     for row in form.gram:
         lines.append("  [" + " ".join(f"{x:3d}" for x in row) + "]")
-    lines.append(f"signature: {sig}")
-    lines.append(f"signature mod 8: {sig8}")
-    lines.append(f"even: {_fmt(even)}")
+    lines.append(f"signature: {form.signature}")
+    lines.append(f"signature mod 8: {form.signature_mod8}")
+    lines.append(f"even: {_fmt(payload['even'])}")
     return payload, lines, 0
 
 
@@ -208,7 +197,7 @@ def _cmd_qf_equiv(args, f, g):
 def _cmd_panel(args, K):
     from . import intersection
     p = intersection.panel(K)
-    nz = sorted((part for part, v in p.sw_numbers.items() if v), reverse=True)
+    nz = [part for part, v in p.sw_numbers.items() if v]
     lines = [f"invariant panel (dimension {p.dim})",
              "  sw_numbers nonzero at: "
              + (", ".join(map(_fmt_partition, nz)) if nz else "none")]

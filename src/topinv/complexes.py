@@ -34,6 +34,12 @@ class NonOrientableError(TopologyError):
     pass
 
 
+# The most faces homology enumerates, all degrees together, and the most
+# one degree may hold: scripts/ladder.py's largest, CP2xT2, has 103,194,
+# and a facet of 18 or more vertices is past it.
+MAX_FACES = 1 << 17
+
+
 @functools.lru_cache(maxsize=None)
 def cut_patterns(n: int, i: int, p: int) -> tuple:
     """(even blocks, odd blocks) of vertex positions of an n-simplex for
@@ -96,6 +102,10 @@ class SimplicialComplex:
             for s in self.maximal_simplices:
                 if len(s) >= k + 1:
                     out.update(itertools.combinations(s, k + 1))
+                    if len(out) > MAX_FACES:  # once a facet, not a face
+                        raise TopologyError(
+                            f"too many faces: at least {len(out)} {k}-"
+                            f"simplices, above the bound of {MAX_FACES}")
             return tuple(sorted(out))
         return self._memo(("simp", k), build)
 
@@ -359,6 +369,18 @@ def homology(K: SimplicialComplex, ring: str = "Z") -> list[HomologySummary]:
     """Homology of K in all degrees 0..dim, exact, over ring "Z" or "F2"."""
     if ring not in ("Z", "F2"):
         raise ValueError(f"unknown ring: {ring!r}")
+    # every degree is counted before any is eliminated; a facet of v vertices
+    # alone has 2^v - 1 faces, so one past the bound is refused unbuilt
+    count = 2 ** max(map(len, K.maximal_simplices)) - 1
+    if count <= MAX_FACES:
+        count = 0
+        for k in range(K.dimension + 1):
+            count += K.n_simplices(k)
+            if count > MAX_FACES:
+                break
+    if count > MAX_FACES:
+        raise TopologyError(f"too many faces: at least {count} in all, "
+                            f"above the bound of {MAX_FACES}")
     n = K.dimension
     if ring == "F2":
         # over a field dim H_k = dim H^k
@@ -465,9 +487,7 @@ def duality_pairing_f2(K: SimplicialComplex, k: int) -> list[int]:
 def is_poincare_f2(K: SimplicialComplex) -> PoincareReport:
     """Whether the F2 cup pairing H^k x H^(n-k) -> F2 is perfect in all degrees."""
     n = K.dimension
-    ranks = []
-    dims = []
-    first_bad = None
+    ranks, dims, first_bad = [], [], None
     for k in range(n + 1):
         dk = K.cohomology_f2(k).dim
         r = (f2linalg.rank(duality_pairing_f2(K, k)) if 2 * k <= n

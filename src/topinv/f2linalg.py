@@ -103,6 +103,4 @@ def solve_square(columns: list[int], b: int) -> int | None:
     for j, c in enumerate(columns):
         ech.insert(c, 1 << j)
     res, expr = ech.residue(b)
-    if res != 0:
-        return None
-    return expr
+    return None if res else expr

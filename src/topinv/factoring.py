@@ -222,9 +222,16 @@ def _ecm(n: int, sigma: int) -> int:
     while len(big) < giants[-1][0]:
         big.append(_xadd(*big[-1], *step, *big[-2], n))
     points = [odd[j // 2] for j in babies] + big
-    if (g := math.gcd(math.prod(z for _, z in points), n)) > 1:
+    # Montgomery's batch inversion: pre[i] is z_0 ... z_(i-1) mod n, so one
+    # pow inverts them all, and the full product has the Z's gcd with n
+    pre = list(itertools.accumulate((z for _, z in points),
+                                    lambda a, b: a * b % n, initial=1))
+    if (g := math.gcd(pre[-1], n)) > 1:
         return g
-    xs = [x * pow(z, -1, n) % n for x, z in points]
+    inv, xs = pow(pre[-1], -1, n), [0] * len(points)
+    for i, (x, z) in reversed(list(enumerate(points))):
+        # inv is 1 / (z_0 ... z_i), so x_i / z_i = x_i pre[i] inv
+        xs[i], inv = x * pre[i] % n * inv % n, inv * z % n
     xb, xg = xs[:len(babies)], xs[len(babies):]  # xg[m - 1] is x(m D Q)
     acc = 1
     for m, js in giants:

@@ -152,26 +152,20 @@ class InvariantPanel:
 
 
 def panel(K: SimplicialComplex) -> InvariantPanel:
+    """The form's fields off one panel_form, the rest off obstructions'."""
     even = sig8 = sig = None
     n = K.dimension
     # w_1 = 0 rules out NonOrientableError: a sign conflict gives
     # H^n(K; Z) = Z/2, so Sq^1 = rho beta maps onto H^n(K; F2) and v_1 != 0
     if n % 4 == 0 and n > 0 and charclasses.sw_classes(K)[1].is_zero:
-        even, sig, sig8 = form_even(K), signature(K), signature_mod8(K)
+        form = panel_form(K)
+        even, sig, sig8 = form.even(K), form.signature, form.signature_mod8
     ob = charclasses.obstructions(K)
-    numbers = charclasses.sw_numbers(K)
+    names = {f.name for f in fields(InvariantPanel)}
     return InvariantPanel(
-        dim=K.dimension,
-        sw_numbers=numbers,
-        orientable=ob.orientable,
-        k_orientable_max=ob.k_orientable_max,
-        spin=ob.spin,
-        spin_c=ob.spin_c,
-        de_rham=ob.de_rham,
-        even_form=even,
-        signature_mod8=sig8,
-        signature=sig,
-    )
+        dim=n, sw_numbers=charclasses.sw_numbers(K), even_form=even,
+        signature_mod8=sig8, signature=sig,
+        **{f.name: getattr(ob, f.name) for f in fields(ob) if f.name in names})
 
 
 def forms_rationally_equivalent(

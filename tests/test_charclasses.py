@@ -20,6 +20,13 @@ def test_partitions_order_and_content():
         assert parts == sorted(parts, reverse=True)
 
 
+def test_sw_numbers_iterate_in_partition_order(fixtures):
+    # the CLI lists the numbers in this order without sorting them
+    for name, K in fixtures.items():
+        assert list(charclasses.sw_numbers(K)) == charclasses.partitions(
+            K.dimension), name
+
+
 def test_wu_defining_property(fixtures):
     # <v_k u x, [K]> = <Sq^k x, [K]> for every x in H^(n-k)
     for name, K in fixtures.items():

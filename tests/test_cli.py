@@ -13,7 +13,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topinv import catalog, cli, factoring
+from topinv import catalog, cli, factoring, intersection
 from topinv import complexes as cx
 from topinv import quadforms as qf
 
@@ -285,6 +285,44 @@ def test_long_simplex_homology_is_acyclic(capsys, tmp_path):
     assert code == 0 and err == ""
     assert [(h["betti"], h["torsion"]) for h in json.loads(out)["summaries"]
             ] == [(1, [])] + [(0, [])] * 12
+
+
+def test_intersection_payload_reads_the_form(files, fixtures, capsys):
+    keys = ("m", "rank", "gram", "signature", "signature_mod8",
+            "orientation_tag")
+    for name in ("CP2", "S2xS2"):
+        code, out, err = run(capsys, "intersection", "--json", files[name])
+        K = fixtures[name]
+        form = intersection.intersection_form(K)
+        assert code == 0 and json.loads(out) == {
+            **{key: getattr(form, key) for key in keys}, "even": form.even(K)}
+
+
+def test_homology_refuses_past_the_face_bound(capsys, tmp_path):
+    def write(name, facets):
+        p = tmp_path / f"{name}.cx"
+        p.write_text(cx.complex_text(cx.SimplicialComplex(facets)))
+        return str(p)
+
+    # a one-line 24-vertex simplex has 2^24 - 1 faces: refused unbuilt
+    big = write("d23", [range(24)])
+    for ring in ("Z", "F2"):
+        t = time.perf_counter()
+        code, out, err = run(capsys, "homology", "--ring", ring, big)
+        assert time.perf_counter() - t < 1
+        assert (code, out, err) == (
+            1, "", f"error: too many faces: at least {2**24 - 1} in all, "
+            f"above the bound of {cx.MAX_FACES}\n")
+    # three 17-vertex simplices on a shared 16-vertex face: each within the
+    # bound, together 2^16 - 1 + 3 * 2^16 faces, refused on the count
+    fan = write("fan", [(*range(16), 16 + i) for i in range(3)])
+    code, out, err = run(capsys, "homology", fan)
+    assert (code, out) == (1, "") and err.count("\n") == 1
+    assert err.startswith("error: too many faces: at least ")
+    assert err.endswith(f" in all, above the bound of {cx.MAX_FACES}\n")
+    # a 12-vertex simplex still answers
+    code, out, err = run(capsys, "homology", write("d11", [range(12)]))
+    assert code == 0 and err == "" and "H_11 = Z^0" in out
 
 
 def test_non_pseudo_manifold_exits_1_with_one_line(capsys, tmp_path):

@@ -843,3 +843,16 @@ def test_random_complexes_are_complexes(rng):
         for k in range(1, K.dimension + 1):
             prod = matmul(K.boundary_z(k), K.boundary_z(k + 1))
             assert all(all(x == 0 for x in row) for row in prod)
+
+
+def test_no_degree_is_built_past_the_face_bound(monkeypatch):
+    # the count is read once a facet: S2xS2's 4-simplices have 10 edges;
+    # a fresh complex, so no degree is cached from other tests
+    K = cx.SimplicialComplex(catalog.s2xs2().maximal_simplices)
+    monkeypatch.setattr(cx, "MAX_FACES", 50)
+    with pytest.raises(cx.TopologyError) as exc:
+        K.simplices(1)
+    count = int(re.match(r"too many faces: at least (\d+) 1-simplices, "
+                         r"above the bound of 50$", str(exc.value))[1])
+    assert 50 < count <= 60
+    assert K.simplices(4) == K.maximal_simplices  # the facets are not built

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -143,6 +144,26 @@ def test_panel_field_presence(fixtures):
                 assert getattr(p, field) is not None, (name, field)
             else:
                 assert getattr(p, field) is None, (name, field)
+
+
+def test_panel_reads_obstructions_and_its_form(fixtures):
+    rp2 = catalog.projective_plane()
+    shared = ["orientable", "k_orientable_max", "spin", "spin_c", "de_rham"]
+    for name, K in {**fixtures,
+                    "RP2xRP2": cx.product_complex(rp2, rp2)}.items():
+        p = intersection.panel(K)
+        ob = charclasses.obstructions(K)
+        assert [f.name for f in dataclasses.fields(p)
+                if hasattr(ob, f.name)] == shared
+        assert [getattr(p, f) for f in shared] == [
+            getattr(ob, f) for f in shared], name
+        form_fields = [p.even_form, p.signature, p.signature_mod8]
+        if p.signature is None:
+            assert form_fields == [None] * 3, name
+        else:
+            form = intersection.panel_form(K)
+            assert form_fields == [
+                form.even(K), form.signature, form.signature_mod8], name
 
 
 def test_panel_oracles(fixtures):

@@ -717,6 +717,30 @@ def test_primality_matches_sympy_on_both_sides_of_psi13(rng):
         assert factoring._is_prime(p) and not factoring._is_prime(p * 1009), p
 
 
+def test_ecm_inverts_once_for_all_stage2_points(monkeypatch):
+    # counts the modular inversions of one curve that finds no factor, at
+    # two stage-2 bounds: three before stage 2, one for all its points
+    inversions = []
+
+    def counting_pow(base, exp, mod=None):
+        inversions.extend([exp] * (exp < 0))
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(factoring, "pow", counting_pow, raising=False)
+    n = 1000000000039 * 10000000000037
+    try:
+        for b2 in (200_000, 20_000):
+            monkeypatch.setattr(factoring, "_ECM_B2", b2)
+            factoring._ecm_plan.cache_clear()
+            points = (len(factoring._ecm_plan()[1])
+                      + factoring._ecm_plan()[2][-1][0])
+            inversions.clear()
+            assert factoring._ecm(n, 6) == 1
+            assert len(inversions) == 4 < points, (b2, points)
+    finally:
+        factoring._ecm_plan.cache_clear()  # rebuilt at the restored B2
+
+
 def test_odd_prime_factors_match_sympy(rng, monkeypatch):
     import sympy
     curves = []
