@@ -7,10 +7,13 @@ product_complex and times panel on each, and on S4xS4 also integral
 homology and what the intersection verb computes: the form on the pinned
 basis, its signature mod 8 and its parity.  K2xK2 is non-orientable
 (w_1 != 0), so its panel runs the F2 pipeline alone and never reaches the
-integral engine.  Each rung runs in its own interpreter, so no memoized
-elimination carries over: the child builds its complex, then times the
-call alone with time.perf_counter and reports the process's peak RSS
-(ru_maxrss).  Prints one JSON line,
+integral engine.  "simplex17 F2" is F2 homology of one 16-simplex, whose
+131,071 faces are the most MAX_FACES allows: the F2 side's peak memory,
+which grows with the product of adjacent face counts while one
+coboundary is eliminated.  Each rung runs in its own interpreter, so no
+memoized elimination carries over: the child builds its complex, then
+times the call alone with time.perf_counter and reports the process's
+peak RSS (ru_maxrss).  Prints one JSON line,
 {name: {"op", "f_vector", "s", "peak_rss_mb"}}, with the printed "gram"
 too on the intersection rung.
 """
@@ -32,12 +35,13 @@ RUNGS = {
                            "catalog.sphere(4))", "intersection"),
     "K2xK2": ("product_complex(catalog.klein_bottle(), catalog.klein_bottle())",
               "panel"),
+    "simplex17 F2": ("SimplicialComplex([tuple(range(17))])", "homology F2"),
 }
 
 CHILD = """
 import json, resource, time
 from topinv import catalog, intersection
-from topinv.complexes import homology, product_complex
+from topinv.complexes import SimplicialComplex, homology, product_complex
 K = {build}
 f_vector = [K.n_simplices(k) for k in range(K.dimension + 1)]
 t = time.perf_counter()
@@ -49,7 +53,7 @@ elif {op!r} == "intersection":
     form.signature_mod8, form.even(K)
     out["gram"] = form.gram
 else:
-    homology(K, "Z")
+    homology(K, {op!r}.split()[1])
 out["s"] = round(time.perf_counter() - t, 3)
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({{**out, "peak_rss_mb": round(rss, 1)}}))

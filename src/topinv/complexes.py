@@ -168,17 +168,16 @@ class SimplicialComplex:
         return self._memo(("cbz", k), build)
 
     def coboundary_f2(self, k: int) -> list[int]:
-        """Columns of delta over F2: one mask over (k+1)-simplices per k-simplex."""
-        def build():
-            cols = [0] * self.n_simplices(k)
-            if not 0 <= k < self.dimension:
-                return cols
-            for i in range(k + 2):
-                pos = tuple(range(i)) + tuple(range(i + 1, k + 2))
-                for t, f in enumerate(self.face_table(k + 1, pos)):
-                    cols[f] |= 1 << t
+        """Columns of delta over F2: one mask over (k+1)-simplices per
+        k-simplex.  Not kept, since F2Cohomology(k) eliminates them once."""
+        cols = [0] * self.n_simplices(k)
+        if not 0 <= k < self.dimension:
             return cols
-        return self._memo(("cbf2", k), build)
+        for i in range(k + 2):
+            pos = tuple(range(i)) + tuple(range(i + 1, k + 2))
+            for t, f in enumerate(self.face_table(k + 1, pos)):
+                cols[f] |= 1 << t
+        return cols
 
     def free_cocycles(self, k: int) -> list[tuple[int, ...]]:
         """Cocycles whose classes are a basis of H^k(K; Z)/torsion, units
@@ -218,14 +217,13 @@ class SimplicialComplex:
     def cohomology_z(self, k: int) -> tuple[tuple[int, ...], ...]:
         """Cocycles whose classes are a basis of H^k(K; Z)/torsion, read by
         kernel_quotient off the pinned elimination of delta_k: the basis
-        the intersection verb prints its gram on.  The torsion of H^k is
-        that of H_(k-1), which homology gives."""
-        def build():
-            from . import zlinalg
-            dz = zlinalg.diagonalize(self.coboundary_z(k), self.n_simplices(k))
-            return tuple(map(tuple, zlinalg.kernel_quotient(
-                dz, self.coboundary_z(k - 1), self.n_simplices(k - 1))))
-        return self._memo(("hz", k), build)
+        the intersection verb prints its gram on; the form is kept, not
+        this basis.  The torsion of H^k is that of H_(k-1), which homology
+        gives."""
+        from . import zlinalg
+        dz = zlinalg.diagonalize(self.coboundary_z(k), self.n_simplices(k))
+        return tuple(map(tuple, zlinalg.kernel_quotient(
+            dz, self.coboundary_z(k - 1), self.n_simplices(k - 1))))
 
     def _facet_walk(self) -> tuple[int, ...] | None:
         """Facet signs, +1 on the first, that sum to a cycle, or None if K is
@@ -271,8 +269,7 @@ class SimplicialComplex:
     def fundamental_class_f2(self) -> int:
         """Mask of the F2 fundamental cycle: all top simplices."""
         self._facet_walk()
-        return self._memo(("fcf2",),
-                          lambda: (1 << self.n_simplices(self.dimension)) - 1)
+        return (1 << self.n_simplices(self.dimension)) - 1
 
     def fundamental_class_z(self) -> tuple[int, ...]:
         """Integral fundamental cycle, +1 on the lex-first top simplex."""
@@ -300,7 +297,6 @@ class F2Cohomology:
     """
 
     def __init__(self, K: SimplicialComplex, k: int):
-        self.degree = k
         # coboundaries first (expression 0), then each new cocycle residue
         # as basis vector i (expression 1 << i)
         image = K.cohomology_f2(k - 1).image_rows if k >= 1 else {}

@@ -10,6 +10,7 @@ its pivots in a free order, is checked against the pinned elimination on
 rank, invariant factors and solvability.
 """
 
+import math
 import random
 from types import SimpleNamespace
 
@@ -401,15 +402,39 @@ def test_unit_front_end_matches_pinned_on_random_matrices():
     assert left >= 50 and unsolvable >= 100
 
 
-def test_unit_front_end_matches_pinned_on_coboundaries():
+def wang_homology(j):
+    """(betti, torsion) of H_0..H_3 of the mapping torus of the 7-vertex
+    torus under x -> 3^j x mod 7, from the Wang sequence: H_1 = Z +
+    coker(A - I), H_2 = Z + ker(A - I), for A the map on H_1(T2), of
+    determinant 1.  x -> 3x is the rotation R by 60 degrees of the
+    triangular lattice Z^2 labelled e1 -> 1, e2 -> 3; H_1(T2) is the
+    sublattice labelled 0, an ideal of the principal ideal domain Z[R], so
+    A is R^j up to integral conjugacy."""
+    (p, q), (r, t) = (1, 0), (0, 1)
+    for _ in range(j):  # left-multiply by R = [[0, -1], [1, 1]]
+        (p, q), (r, t) = (-r, -t), (p + r, q + t)
+    p, t = p - 1, t - 1  # A - I
+    det = p * t - q * r
+    assert det  # no fixed class, so ker(A - I) = 0
+    d = math.gcd(p, q, r, t)  # its invariant factors are d, |det| / d
+    return [(1, ()), (1, tuple(f for f in (d, abs(det) // d) if f > 1)),
+            (1, ()), (1, ())]
+
+
+def test_unit_front_end_matches_pinned_on_coboundaries(mapping_torus):
     rng = random.Random(1731)
     S, RP2 = catalog.sphere, catalog.projective_plane
     rp2_products = [cx.product_complex(RP2(), S(1)),
                     cx.product_complex(RP2(), RP2()),
                     cx.product_complex(RP2(), catalog.klein_bottle())]
+    # mapping tori of the torus under x -> a x = 3^j x mod 7: H_1 holds
+    # Z/3 for a = 2 and (Z/2)^2 for a = 6
+    tori = {j: mapping_torus(catalog.torus(),
+                             {v: 3 ** j * v % 7 for v in range(7)})
+            for j in (1, 2, 3)}
     complexes = [*ladder_complexes(),
                  *(catalog.random_complex(rng) for _ in range(50)),
-                 *rp2_products]
+                 *rp2_products, *tori.values()]
     left = unsolvable = 0
     for K in complexes:
         for k in range(K.dimension):
@@ -423,6 +448,10 @@ def test_unit_front_end_matches_pinned_on_coboundaries():
                                         outside) is None
     # the 2-torsion of RP2, K2 and the RP2 products is left for diagonalize
     assert left >= 10 and unsolvable >= 100
+    for j, K in tori.items():
+        assert [K.n_simplices(k) for k in range(4)] == [21, 147, 252, 126]
+        assert [(h.betti, h.torsion) for h in cx.homology(K, "Z")] == \
+            wang_homology(j), j
 
 
 def test_det_matches_sympy():
