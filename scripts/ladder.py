@@ -4,8 +4,8 @@ Usage: PYTHONPATH=src python scripts/ladder.py
 
 Builds S2xS2xS2, CP2xT2, S4xS4 and K2xK2 with the staircase
 product_complex and times panel on each, and on S4xS4 also integral
-homology and what the intersection verb computes: the form on the pinned
-basis, its signature mod 8 and its parity.  K2xK2 is non-orientable
+homology and what the intersection verb computes: the checked form on
+the pinned basis.  K2xK2 is non-orientable
 (w_1 != 0), so its panel runs the F2 pipeline alone and never reaches the
 integral engine.  "simplex17 F2" is F2 homology of one 16-simplex, whose
 131,071 faces are the most MAX_FACES allows: the F2 side's peak memory,
@@ -14,8 +14,9 @@ coboundary is eliminated.  Each rung runs in its own interpreter, so no
 memoized elimination carries over: the child builds its complex, then
 times the call alone with time.perf_counter and reports the process's
 peak RSS (ru_maxrss).  Prints one JSON line,
-{name: {"op", "f_vector", "s", "peak_rss_mb"}}, with the printed "gram"
-too on the intersection rung.
+{name: {"op", "f_vector", "s", "peak_rss_mb"}}, with the printed "gram",
+"signature", "signature_mod8" and "even", read off the built form, too on
+the intersection rung.
 """
 
 import json
@@ -50,8 +51,8 @@ if {op!r} == "panel":
     intersection.panel(K)
 elif {op!r} == "intersection":
     form = intersection.intersection_form(K)
-    form.signature_mod8, form.even(K)
-    out["gram"] = form.gram
+    out.update(gram=form.gram, signature=form.signature,
+               signature_mod8=form.signature_mod8, even=form.even)
 else:
     homology(K, {op!r}.split()[1])
 out["s"] = round(time.perf_counter() - t, 3)

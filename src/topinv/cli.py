@@ -12,8 +12,8 @@ obstructions, qf-equiv, panel and compare payloads are dataclasses.asdict
 of ObstructionReport, EquivalenceResult, InvariantPanel and
 PanelComparison (compare adds both panels; a panel lists its SW numbers
 in sw_numbers' order), homology's are asdict of each HomologySummary, and
-intersection's are IntersectionForm's attributes by name, plus even.  The
-other verbs keep the hand-named keys that tests/golden/ holds them to:
+intersection's are IntersectionForm's attributes by name.  The other
+verbs keep the hand-named keys that tests/golden/ holds them to:
 qf names its p-adic entries excess and antisquares, and cobordant, wu,
 sw and sw-numbers build their payloads field by field.
 
@@ -144,10 +144,9 @@ def _cmd_cobordant(args, k1, k2):
 def _cmd_intersection(args, K):
     from . import intersection
     form = intersection.intersection_form(K)
-    # signature, signature_mod8, even: the order their cross-checks raise in
     payload = {key: getattr(form, key) for key in (
-        "m", "rank", "gram", "signature", "signature_mod8", "orientation_tag")}
-    payload["even"] = form.even(K)
+        "m", "rank", "gram", "signature", "signature_mod8", "orientation_tag",
+        "even")}
     lines = [f"intersection form in degree {2 * form.m} "
              f"(rank {form.rank}, orientation {form.orientation_tag})"]
     for row in form.gram:

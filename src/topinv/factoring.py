@@ -9,8 +9,11 @@ A number is declared prime by Miller-Rabin to the first 13 prime bases,
 a proof below PSI13 (about 3.3 * 10^24), and by BPSW at or above it,
 which has no known counterexample but no proof.  A composite is split by
 Pollard-Brent, then by ECM, each within a fixed budget; a composite that
-exhausts both raises FormError naming its digit count.  The primes of
-each number split are cached for the life of the process.
+exhausts both raises FormError naming its digit count.  The budget counts
+steps, whose cost grows with the composite's size, so a composite of more
+than 100 digits raises FormError before any step; primes and squares of
+any size still answer.  The primes of each number split are cached for
+the life of the process.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ _PSI13 = 3317044064679887385961981
 _RHO_STEPS = 1 << 16
 _ECM_B1, _ECM_B2, _ECM_D = 2000, 200_000, 2310
 _ECM_CURVES = 100
+# The budget's wall time grows with the composite (it ran out after 5.6 s
+# at 108 digits and 18.6 s at 208), so composites at or above this bound
+# are refused before any step
+_SPLIT_BOUND = 10 ** 100
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -244,7 +251,10 @@ def _ecm(n: int, sigma: int) -> int:
 def _find_factor(n: int) -> int:
     """A divisor of the odd composite n strictly between 1 and n: Pollard-
     Brent with c = 1, 2, ... in one step budget, then ECM on one curve
-    after another; FormError once both budgets are spent."""
+    after another; FormError once both budgets are spent, or at once for
+    n >= _SPLIT_BOUND (whose digits str(n) may refuse to count)."""
+    if n >= _SPLIT_BOUND:
+        raise FormError("cannot factor a cofactor of more than 100 digits")
     left, c = _RHO_STEPS, 1
     while left > 0:
         g, used = _brent(n, c, left)

@@ -7,9 +7,10 @@ signature data with the characteristic-class invariants; the comparator
 reports whether any implemented obstruction separates two complexes.
 intersection_form, on the pinned basis of cohomology_z, serves only the
 intersection verb, which prints its gram; every other answer reads
-panel_form, on the unit-first basis of free_cocycles.  An odd gram with
-v_2m = 0 is an error, and so is an even one with v_2m != 0 when
-dim H^(2m)(K; F2) is the rank (IntersectionForm.even says why).
+panel_form, on the unit-first basis of free_cocycles.  _form checks a
+form whole before it returns it, so no memo keeps a failed one: an odd
+gram with v_2m = 0 is an error, and so is an even one with v_2m != 0
+when dim H^(2m)(K; F2) is the rank (_form says why).
 
 quadforms is imported only where a form is built or read, so a panel of
 a complex with no middle form (non-orientable, or not 4m-dimensional)
@@ -18,9 +19,8 @@ never loads it.
 
 from __future__ import annotations
 
-import functools
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from . import charclasses
@@ -34,50 +34,20 @@ if TYPE_CHECKING:
 
 @dataclass
 class IntersectionForm:
+    """A form's values, each checked by _form before the form is built."""
+
     m: int
     basis: list[tuple[int, ...]]
     gram: list[list[int]]
     orientation_tag: str
+    quadratic_form: quadforms.QuadraticForm = field(compare=False)
+    signature: int
+    signature_mod8: int
+    even: bool
 
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    @functools.cached_property
-    def quadratic_form(self) -> quadforms.QuadraticForm:
-        """The gram as a rational form, built once per intersection form."""
-        from . import quadforms
-        return quadforms.QuadraticForm(self.gram)
-
-    @functools.cached_property
-    def signature(self) -> int:
-        """Sylvester signature of the gram, exact."""
-        from . import quadforms
-        return quadforms.real_signature(self.quadratic_form)
-
-    @functools.cached_property
-    def signature_mod8(self) -> int:
-        """Signature mod 8, cross-checked through the local invariants."""
-        from . import quadforms
-        local = quadforms.signature_mod8_from_local(self.quadratic_form)
-        if local != self.signature % 8:
-            raise TopologyError(
-                "signature mod 8 routes disagree (local vs Sylvester)")
-        return local
-
-    def even(self, K: SimplicialComplex) -> bool:
-        """Evenness of the gram, checked against K's middle Wu class: x.x =
-        <v_2m u xbar, [K]> mod 2 for x free and xbar its reduction, so v_2m
-        = 0 makes the gram even; the converse needs every F2 class to be an
-        xbar: dim H^2m(K; F2) = rank (Enriques surfaces: even, v_2 != 0)."""
-        from . import quadforms
-        gram_even = quadforms.is_even(self.quadratic_form)
-        wu_zero = charclasses.wu_classes(K)[2 * self.m].is_zero
-        if gram_even != wu_zero and (
-                wu_zero or K.cohomology_f2(2 * self.m).dim == self.rank):
-            raise TopologyError(
-                "evenness criteria disagree (gram vs middle Wu class)")
-        return gram_even
 
 
 def _form(K: SimplicialComplex, basis_of) -> IntersectionForm:
@@ -97,13 +67,26 @@ def _form(K: SimplicialComplex, basis_of) -> IntersectionForm:
     if gram != [list(col) for col in zip(*gram)]:
         raise TopologyError("intersection gram not symmetric (internal error)")
     tag = "+1 on " + " ".join(map(str, K.simplices(n)[0]))
-    form = IntersectionForm(m, basis, gram, tag)
     from . import quadforms
     try:
-        form.quadratic_form  # its diagonalization raises on a singular gram
+        qform = quadforms.QuadraticForm(gram)  # raises on a singular gram
     except quadforms.FormError:
         raise TopologyError("pairing singular on torsion-free part")
-    return form
+    sig = quadforms.real_signature(qform)
+    sig8 = quadforms.signature_mod8_from_local(qform)
+    if sig8 != sig % 8:
+        raise TopologyError(
+            "signature mod 8 routes disagree (local vs Sylvester)")
+    # x.x = <v_2m u xbar, [K]> mod 2 for x free and xbar its reduction, so
+    # v_2m = 0 makes the gram even; the converse needs every F2 class to be
+    # an xbar: dim H^2m(K; F2) = rank (Enriques surfaces: even, v_2 != 0)
+    even = quadforms.is_even(qform)
+    wu_zero = charclasses.wu_classes(K)[2 * m].is_zero
+    if even != wu_zero and (
+            wu_zero or K.cohomology_f2(2 * m).dim == len(gram)):
+        raise TopologyError(
+            "evenness criteria disagree (gram vs middle Wu class)")
+    return IntersectionForm(m, basis, gram, tag, qform, sig, sig8, even)
 
 
 def intersection_form(K: SimplicialComplex) -> IntersectionForm:
@@ -128,7 +111,7 @@ def signature_mod8(K: SimplicialComplex) -> int:
 
 def form_even(K: SimplicialComplex) -> bool:
     """Evenness of the intersection form, verified both ways."""
-    return panel_form(K).even(K)
+    return panel_form(K).even
 
 
 @dataclass
@@ -159,7 +142,7 @@ def panel(K: SimplicialComplex) -> InvariantPanel:
     # H^n(K; Z) = Z/2, so Sq^1 = rho beta maps onto H^n(K; F2) and v_1 != 0
     if n % 4 == 0 and n > 0 and charclasses.sw_classes(K)[1].is_zero:
         form = panel_form(K)
-        even, sig, sig8 = form.even(K), form.signature, form.signature_mod8
+        even, sig, sig8 = form.even, form.signature, form.signature_mod8
     ob = charclasses.obstructions(K)
     names = {f.name for f in fields(InvariantPanel)}
     return InvariantPanel(

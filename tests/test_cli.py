@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -295,7 +296,7 @@ def test_intersection_payload_reads_the_form(files, fixtures, capsys):
         K = fixtures[name]
         form = intersection.intersection_form(K)
         assert code == 0 and json.loads(out) == {
-            **{key: getattr(form, key) for key in keys}, "even": form.even(K)}
+            **{key: getattr(form, key) for key in keys}, "even": form.even}
 
 
 def test_homology_refuses_past_the_face_bound(capsys, tmp_path):
@@ -436,6 +437,31 @@ def test_invariant_sweep_script_lists_every_fixture():
     assert tail.rstrip().endswith("/5")
 
 
+def test_ladder_script_rungs_run():
+    # each op the ladder times, on S2xS2: the child's script must keep up
+    # with the API it calls
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "ladder", root / "scripts" / "ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    for op in ("panel", "intersection", "homology Z", "homology F2"):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             ladder.CHILD.format(build="catalog.s2xs2()", op=op)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")))
+        assert proc.returncode == 0 and proc.stderr == "", (op, proc.stderr)
+        out = json.loads(proc.stdout.splitlines()[-1])
+        keys = {"op", "f_vector", "s", "peak_rss_mb"}
+        if op == "intersection":
+            keys |= {"gram", "signature", "signature_mod8", "even"}
+            assert (out["signature"], out["signature_mod8"],
+                    out["even"]) == (0, 0, True)
+        assert set(out) == keys and out["op"] == op
+        assert out["f_vector"] == [16, 84, 216, 240, 96], op
+
+
 def test_no_verb_imports_sympy(files, tmp_path):
     # complex verbs never factor, and trial division settles E8's 3, 5, 7,
     # so neither loads the splitter either
@@ -486,6 +512,47 @@ def test_cofactor_over_the_splitting_budget_exits_1_with_one_line(tmp_path):
         assert proc.returncode == 1 and proc.stdout == "", argv
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert proc.stderr.startswith("error: ") and "49-digit" in proc.stderr
+
+
+def test_cofactor_past_the_split_bound_is_refused_at_once(tmp_path):
+    # the budget counts steps, whose cost grows with the cofactor: a gram
+    # of 2,500-digit entries once ran past 60 s before the bound
+    rng = random.Random(2026)
+    a, c = (rng.randrange(10**2499, 10**2500) for _ in range(2))
+    b = rng.randrange(10**2399, 10**2400)
+    path = tmp_path / "huge.qf"
+    path.write_text(qf.gram_text(qf.QuadraticForm([[a, b], [b, c]])))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for argv in (["qf", str(path)], ["qf-equiv", str(path), str(path)]):
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "topinv.cli", *argv],
+                              capture_output=True, text=True, timeout=10,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert time.perf_counter() - t0 < 5
+        assert proc.returncode == 1 and proc.stdout == "", argv
+        assert proc.stderr == (
+            "error: cannot factor a cofactor of more than 100 digits\n")
+
+
+def test_primes_and_composites_around_the_split_bound(capsys, tmp_path,
+                                                       monkeypatch):
+    # a prime past the bound is still found, by the primality test alone
+    p = sympy.nextprime(10**100)
+    path = tmp_path / "prime101.qf"
+    path.write_text(f"dim 1\n{p}\n")
+    code, out, err = run(capsys, "qf", str(path), "--json")
+    assert code == 0 and err == ""
+    assert [e["p"] for e in json.loads(out)["p_excess"]] == [p]
+    # a 101-digit composite is refused before a single rho step
+    n = sympy.nextprime(10**50) * sympy.nextprime(10**50 + 10**10)
+    assert len(str(n)) == 101
+    steps = []
+    monkeypatch.setattr(factoring, "_brent",
+                        lambda *a: steps.append(a) or (1, 0))
+    factoring.prime_factors.cache_clear()
+    with pytest.raises(qf.FormError, match="more than 100 digits"):
+        factoring.prime_factors(n)
+    assert steps == []
 
 
 def test_point_gets_one_report_from_every_sw_verb(capsys, tmp_path):

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -72,12 +74,59 @@ def test_panel_form_matches_pinned_form(fixtures, monkeypatch, pinned_calls):
             assert abs(zlinalg.det(new.gram)) == 1, name
             f, g = new.quadratic_form, pinned.quadratic_form
             assert (new.rank, new.signature, new.signature_mod8,
-                    new.even(K)) == (pinned.rank, pinned.signature,
-                                     pinned.signature_mod8, pinned.even(L))
+                    new.even) == (pinned.rank, pinned.signature,
+                                  pinned.signature_mod8, pinned.even)
             assert quadforms.is_even(f) == quadforms.is_even(g), name
             assert quadforms.signature_mod8_from_local(f) == \
                 quadforms.signature_mod8_from_local(g), name
             assert quadforms.rationally_equivalent(f, g).equivalent, name
+
+
+def _break_local_mod8(monkeypatch):
+    local = quadforms.signature_mod8_from_local
+    monkeypatch.setattr(quadforms, "signature_mod8_from_local",
+                        lambda f: (local(f) + 1) % 8)
+    return "signature mod 8 routes disagree (local vs Sylvester)"
+
+
+def _break_parity(monkeypatch):
+    is_even = quadforms.is_even
+    monkeypatch.setattr(quadforms, "is_even", lambda f: not is_even(f))
+    return "evenness criteria disagree (gram vs middle Wu class)"
+
+
+def _repeat_first_basis_class(monkeypatch):
+    for name in ("free_cocycles", "cohomology_z"):
+        basis_of = getattr(cx.SimplicialComplex, name)
+        monkeypatch.setattr(cx.SimplicialComplex, name,
+                            lambda K, k, f=basis_of: [f(K, k)[0]] * 2)
+    return "pairing singular on torsion-free part"
+
+
+@pytest.mark.parametrize("name", ["CP2", "S2xS2"])
+@pytest.mark.parametrize("breaks", [_break_local_mod8, _break_parity,
+                                    _repeat_first_basis_class])
+def test_form_checks_run_when_it_is_built(name, breaks, monkeypatch,
+                                          tmp_path, capsys):
+    # each check raises while _form builds the form, so no memo keeps a
+    # form that failed one; fresh complexes, not the catalog's cached ones
+    K = (cx.SimplicialComplex(catalog.CP2_FACETS) if name == "CP2"
+         else cx.product_complex(catalog.sphere(2), catalog.sphere(2)))
+    path = tmp_path / f"{name}.cx"
+    path.write_text(cx.complex_text(K))
+    message = breaks(monkeypatch)
+    for build in (intersection.intersection_form, intersection.panel):
+        with pytest.raises(cx.TopologyError) as err:
+            build(K)
+        assert str(err.value) == message
+    assert not {("iform",), ("pform",)} & set(K._cache)
+    capsys.readouterr()
+    assert cli.main(["intersection", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    monkeypatch.undo()
+    golden = Path(__file__).resolve().parent / "golden" / f"panel__{name}.json"
+    got = json.dumps(cli._panel_json(intersection.panel(K)), sort_keys=True)
+    assert json.loads(got) == json.loads(golden.read_text())
 
 
 def test_dimension_guard(fixtures):
@@ -165,7 +214,7 @@ def test_panel_reads_obstructions_and_its_form(fixtures):
         else:
             form = intersection.panel_form(K)
             assert form_fields == [
-                form.even(K), form.signature, form.signature_mod8], name
+                form.even, form.signature, form.signature_mod8], name
 
 
 def test_panel_oracles(fixtures):
