@@ -10,13 +10,16 @@ the pinned basis.  K2xK2 is non-orientable
 integral engine.  "simplex17 F2" is F2 homology of one 16-simplex, whose
 131,071 faces are the most MAX_FACES allows: the F2 side's peak memory,
 which grows with the product of adjacent face counts while one
-coboundary is eliminated.  Each rung runs in its own interpreter, so no
-memoized elimination carries over: the child builds its complex, then
-times the call alone with time.perf_counter and reports the process's
-peak RSS (ru_maxrss).  Prints one JSON line,
+coboundary is eliminated.  "S16 panel" is panel on the boundary of the
+17-simplex, whose 262,142 faces are past MAX_FACES: the cost of a
+refusal.  Each rung runs in its own interpreter, so no memoized
+elimination carries over: the child builds its complex and its faces,
+then times the call alone with time.perf_counter and reports the
+process's peak RSS (ru_maxrss).  Prints one JSON line,
 {name: {"op", "f_vector", "s", "peak_rss_mb"}}, with the printed "gram",
 "signature", "signature_mod8" and "even", read off the built form, too on
-the intersection rung.
+the intersection rung.  A rung whose faces are refused reports "refused",
+the error line, in place of "f_vector", and "s" times the refused build.
 """
 
 import json
@@ -37,24 +40,31 @@ RUNGS = {
     "K2xK2": ("product_complex(catalog.klein_bottle(), catalog.klein_bottle())",
               "panel"),
     "simplex17 F2": ("SimplicialComplex([tuple(range(17))])", "homology F2"),
+    "S16 panel": ("catalog.sphere(16)", "panel"),
 }
 
 CHILD = """
 import json, resource, time
 from topinv import catalog, intersection
-from topinv.complexes import SimplicialComplex, homology, product_complex
+from topinv.complexes import (SimplicialComplex, TopologyError, homology,
+                              product_complex)
 K = {build}
-f_vector = [K.n_simplices(k) for k in range(K.dimension + 1)]
+out = {{"op": {op!r}}}
 t = time.perf_counter()
-out = {{"op": {op!r}, "f_vector": f_vector}}
-if {op!r} == "panel":
-    intersection.panel(K)
-elif {op!r} == "intersection":
-    form = intersection.intersection_form(K)
-    out.update(gram=form.gram, signature=form.signature,
-               signature_mod8=form.signature_mod8, even=form.even)
+try:
+    out["f_vector"] = [K.n_simplices(k) for k in range(K.dimension + 1)]
+except TopologyError as e:
+    out["refused"] = str(e)
 else:
-    homology(K, {op!r}.split()[1])
+    t = time.perf_counter()
+    if {op!r} == "panel":
+        intersection.panel(K)
+    elif {op!r} == "intersection":
+        form = intersection.intersection_form(K)
+        out.update(gram=form.gram, signature=form.signature,
+                   signature_mod8=form.signature_mod8, even=form.even)
+    else:
+        homology(K, {op!r}.split()[1])
 out["s"] = round(time.perf_counter() - t, 3)
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({{**out, "peak_rss_mb": round(rss, 1)}}))

@@ -34,9 +34,8 @@ def projective_plane() -> SimplicialComplex:
 @functools.lru_cache(maxsize=None)
 def torus() -> SimplicialComplex:
     """The 7-vertex torus: triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7."""
-    tris = [tuple(sorted((i % 7, (i + 1) % 7, (i + 3) % 7))) for i in range(7)]
-    tris += [tuple(sorted((i % 7, (i + 2) % 7, (i + 3) % 7))) for i in range(7)]
-    return SimplicialComplex(tris)
+    return SimplicialComplex((i, (i + a) % 7, (i + 3) % 7)
+                             for a in (1, 2) for i in range(7))
 
 
 @functools.lru_cache(maxsize=None)
@@ -103,13 +102,9 @@ def random_complex(rng: random.Random, max_vertices: int = 8) -> SimplicialCompl
     carry nontrivial H^1 and H^2, not just a component count.
     """
     nv = rng.randint(4, max_vertices)
-    verts = list(range(nv))
-    count = rng.randint(6, 14)
-    simplices = []
-    for _ in range(count):
-        size = rng.choice((2, 2, 3, 3, 3, 4))
-        simplices.append(tuple(rng.sample(verts, min(size, nv))))
-    return SimplicialComplex(simplices)
+    return SimplicialComplex(
+        rng.sample(range(nv), min(rng.choice((2, 2, 3, 3, 3, 4)), nv))
+        for _ in range(rng.randint(6, 14)))
 
 
 # ---- reference Gram matrices ----

@@ -17,17 +17,12 @@ from .complexes import (CohomologyClass, SimplicialComplex, TopologyError,
 
 def partitions(n: int) -> list[tuple[int, ...]]:
     """Partitions of n as descending tuples, lexicographically decreasing."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(rem, cap, prefix):
+    def rec(rem, cap):
         if rem == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(rem, cap), 0, -1):
-            rec(rem - part, part, prefix + [part])
-
-    rec(n, n, [])
-    return out
+            return [()]
+        return [(part, *rest) for part in range(min(rem, cap), 0, -1)
+                for rest in rec(rem - part, part)]
+    return rec(n, n)
 
 
 def wu_classes(K: SimplicialComplex) -> list[CohomologyClass]:

@@ -161,9 +161,14 @@ def _cmd_qf(args, F):
     from . import quadforms
     locs = [quadforms.local_invariants(F, p)
             for p in quadforms.relevant_odd_primes(F)]
+    try:
+        det = str(F.det)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ValueError("determinant has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     payload = {
         "dim": F.dim,
-        "det": str(F.det),
+        "det": det,
         "signature": quadforms.real_signature(F),
         "oddity": quadforms.oddity(F),
         "p_excess": [{"p": l.p, "excess": l.p_excess,

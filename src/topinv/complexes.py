@@ -34,9 +34,9 @@ class NonOrientableError(TopologyError):
     pass
 
 
-# The most faces homology enumerates, all degrees together, and the most
-# one degree may hold: scripts/ladder.py's largest, CP2xT2, has 103,194,
-# and a facet of 18 or more vertices is past it.
+# The most faces a complex builds, all degrees together, so every verb
+# refuses alike: scripts/ladder.py's largest, CP2xT2, has 103,194, and a
+# facet of 18 or more vertices alone is past it.
 MAX_FACES = 1 << 17
 
 
@@ -91,23 +91,38 @@ class SimplicialComplex:
         return self._cache[key]
 
     def simplices(self, k: int) -> tuple[tuple[int, ...], ...]:
-        """All k-simplices in lexicographic order."""
-        def build():
-            if k < 0 or k > self.dimension:
-                return ()
-            if k == self.dimension:  # the top simplices are facets
-                return tuple(s for s in self.maximal_simplices
-                             if len(s) == k + 1)
+        """All k-simplices in lexicographic order; the first request for
+        any degree of K builds every degree (_build_faces)."""
+        if ("simp", k) not in self._cache and 0 <= k <= self.dimension:
+            self._build_faces()
+        return self._memo(("simp", k), tuple)
+
+    def _build_faces(self) -> None:
+        """The simplices of every degree, one pass a degree, each kept under
+        its own key once all are built.  Their count, facets included, is
+        read once a facet: a refusal past MAX_FACES overshoots by at most one
+        facet's faces and keeps none, and a facet of v vertices with
+        2^v - 1 > MAX_FACES is refused with no face built."""
+        n, facets = self.dimension, self.maximal_simplices
+        degrees = [tuple(s for s in facets if len(s) == n + 1)]
+        alone = 2 ** max(map(len, facets)) - 1  # one facet's faces
+        count = alone if alone > MAX_FACES else len(degrees[0])
+        for k in range(n):
             out = set()
-            for s in self.maximal_simplices:
-                if len(s) >= k + 1:
+            for s in facets:
+                if count + len(out) > MAX_FACES:
+                    break
+                if len(s) > k:
                     out.update(itertools.combinations(s, k + 1))
-                    if len(out) > MAX_FACES:  # once a facet, not a face
-                        raise TopologyError(
-                            f"too many faces: at least {len(out)} {k}-"
-                            f"simplices, above the bound of {MAX_FACES}")
-            return tuple(sorted(out))
-        return self._memo(("simp", k), build)
+            count += len(out)
+            if count > MAX_FACES:
+                break
+            degrees.insert(k, tuple(sorted(out)))
+        if count > MAX_FACES:
+            raise TopologyError(f"too many faces: at least {count} in all, "
+                                f"above the bound of {MAX_FACES}")
+        for k, faces in enumerate(degrees):
+            self._memo(("simp", k), lambda faces=faces: faces)
 
     def simplex_index(self, k: int) -> dict[tuple[int, ...], int]:
         return self._memo(
@@ -322,11 +337,9 @@ class F2Cohomology:
         return expr
 
     def rep(self, coords: int) -> int:
-        out = 0
-        for i, b in enumerate(self.basis):
-            if (coords >> i) & 1:
-                out ^= b
-        return out
+        """The cocycle of the basis vectors that coords names."""
+        return functools.reduce(operator.xor, (
+            b for i, b in enumerate(self.basis) if coords >> i & 1), 0)
 
 
 @dataclass
@@ -362,21 +375,10 @@ class HomologySummary:
 
 
 def homology(K: SimplicialComplex, ring: str = "Z") -> list[HomologySummary]:
-    """Homology of K in all degrees 0..dim, exact, over ring "Z" or "F2"."""
+    """Homology of K in all degrees 0..dim, exact, over ring "Z" or "F2";
+    K's face build refuses past MAX_FACES before any degree is reduced."""
     if ring not in ("Z", "F2"):
         raise ValueError(f"unknown ring: {ring!r}")
-    # every degree is counted before any is eliminated; a facet of v vertices
-    # alone has 2^v - 1 faces, so one past the bound is refused unbuilt
-    count = 2 ** max(map(len, K.maximal_simplices)) - 1
-    if count <= MAX_FACES:
-        count = 0
-        for k in range(K.dimension + 1):
-            count += K.n_simplices(k)
-            if count > MAX_FACES:
-                break
-    if count > MAX_FACES:
-        raise TopologyError(f"too many faces: at least {count} in all, "
-                            f"above the bound of {MAX_FACES}")
     n = K.dimension
     if ring == "F2":
         # over a field dim H_k = dim H^k
@@ -502,7 +504,7 @@ def parse_complex(text: str) -> SimplicialComplex:
     equal the largest facet's dimension, then one maximal simplex per line
     as vertex labels parted by spaces or tabs, both ASCII integers
     -?[0-9]+, in the line layout of content_lines."""
-    lines = content_lines(text)
+    lines = content_lines(text, ParseError, "dimension hint", "vertex label")
     if not lines:
         raise ParseError("empty complex file")
     if not INT.fullmatch(lines[0]):
@@ -550,14 +552,9 @@ def product_complex(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialCom
         for t in L.maximal_simplices:
             q = len(t) - 1
             for ks in itertools.combinations(range(p + q), p):
-                kset = set(ks)
-                i = j = 0
-                path = [(s[0], t[0])]
-                for step in range(p + q):
-                    if step in kset:
-                        i += 1
-                    else:
-                        j += 1
-                    path.append((s[i], t[j]))
-                facets.append(tuple(lab[pr] for pr in path))
+                # i of the first m steps go along s: those in ks
+                steps = itertools.accumulate(
+                    (m in ks for m in range(p + q)), initial=0)
+                facets.append(tuple(lab[s[i], t[m - i]]
+                                    for m, i in enumerate(steps)))
     return SimplicialComplex(facets)

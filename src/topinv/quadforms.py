@@ -348,7 +348,8 @@ def parse_gram(text: str) -> QuadraticForm:
     exact rational entries, each an integer or p/q as gram_text writes
     them.  Decimals and exponents are rejected: Fraction would expand
     a token such as 1e1000000 into a million-digit integer."""
-    lines = content_lines(text)
+    lines = content_lines(text, FormError, "dimension header",
+                          "Gram entry")
     if not lines:
         raise FormError("empty gram file")
     head = _HEADER.fullmatch(lines[0])

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -278,6 +279,38 @@ def test_non_ascii_separators_exit_1_with_one_line(capsys, tmp_path):
         assert (code, out, err) == (1, "", f"error: {message}\n"), text
 
 
+def test_integers_past_the_digit_limit_exit_1_with_one_line(capsys,
+                                                            tmp_path):
+    # int() and str() refuse more digits than sys.get_int_max_str_digits();
+    # each input that would reach that limit is named, never echoed
+    limit = sys.get_int_max_str_digits()
+    big = "7" * (limit + 1)
+    p = tmp_path / "big.txt"
+    for verb, text, what in (
+            ("qf", f"dim {big}\n1\n", "dimension header"),
+            ("qf", f"dim 2\n1 0\n0 -{big}\n", "Gram entry"),
+            ("qf", f"dim 2\n1 0\n0 {big}/3\n", "Gram entry"),
+            ("qf-equiv", f"dim 1\n1/{big}\n", "Gram entry"),
+            ("qf", f"dim 1\n1 x{big}\n", "Gram entry"),
+            ("homology", f"{big}\n0 1\n", "dimension hint"),
+            ("panel", f"1\n0 1\n1 -{big}\n", "vertex label"),
+            ("homology", f"1 # {big}\n0 1{big}x\n", "vertex label")):
+        p.write_text(text)
+        paths = [str(p)] * (2 if verb == "qf-equiv" else 1)
+        assert run(capsys, verb, *paths) == (
+            1, "", f"error: {what} has more than {limit} digits\n"), what
+    # runs in comments and runs of the limit itself are read
+    p.write_text(f"0 # {big}\n{big[1:]}\n")
+    assert run(capsys, "homology", str(p))[:2] == (
+        0, "homology over Z (dimension 0)\n  H_0 = Z^1\n")
+    # a valid gram of 4,295-digit entries whose determinant has 8,590
+    e = 3**9000
+    p.write_text(f"dim 2\n{e} 0\n0 {e}\n")
+    for flags in ([], ["--json"]):
+        assert run(capsys, "qf", str(p), *flags) == (
+            1, "", f"error: determinant has more than {limit} digits\n")
+
+
 def test_long_simplex_homology_is_acyclic(capsys, tmp_path):
     # a two-line file whose one 12-simplex has 2^13 - 1 faces
     p = tmp_path / "d12.cx"
@@ -324,6 +357,45 @@ def test_homology_refuses_past_the_face_bound(capsys, tmp_path):
     # a 12-vertex simplex still answers
     code, out, err = run(capsys, "homology", write("d11", [range(12)]))
     assert code == 0 and err == "" and "H_11 = Z^0" in out
+
+
+def test_every_complex_verb_refuses_past_the_face_bound(files, capsys,
+                                                       tmp_path,
+                                                       monkeypatch):
+    # the boundary of the 17-simplex: each 17-vertex facet is within the
+    # bound, their 2^18 - 2 faces together are not; every verb reads its
+    # faces through the one build, so all refuse with homology's line.
+    # cobordant checks dimensions first, and every closed 16-dimensional
+    # pseudo-manifold is past the bound, so it gets the file twice
+    p = tmp_path / "d17.cx"
+    p.write_text(cx.complex_text(catalog.sphere(16)))
+    d17, s2 = str(p), files["S2"]
+    for argv in (["homology", d17], ["homology", "--ring", "F2", d17],
+                 ["wu", d17], ["sw", d17], ["sw-numbers", d17],
+                 ["obstructions", d17], ["intersection", d17],
+                 ["panel", d17], ["cobordant", d17, d17],
+                 ["compare", d17, s2], ["compare", s2, d17]):
+        t = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t < 1, argv
+        assert (code, out) == (1, ""), argv
+        count = int(re.fullmatch(
+            r"error: too many faces: at least (\d+) in all, above the "
+            rf"bound of {cx.MAX_FACES}\n", err)[1])
+        # the count passes the bound by at most one facet's faces
+        assert cx.MAX_FACES < count <= cx.MAX_FACES + 2**17 - 1, argv
+    # the boundary of the 19-simplex: one facet has 2^19 - 1 faces, so it
+    # is refused before any face is built
+    p.write_text(cx.complex_text(catalog.sphere(18)))
+
+    def no_faces(*args):
+        raise AssertionError("a face was built")
+
+    monkeypatch.setattr(cx.itertools, "combinations", no_faces)
+    for verb in ("homology", "panel", "sw-numbers"):
+        assert run(capsys, verb, d17) == (
+            1, "", f"error: too many faces: at least {2**19 - 1} in all, "
+            f"above the bound of {cx.MAX_FACES}\n"), verb
 
 
 def test_non_pseudo_manifold_exits_1_with_one_line(capsys, tmp_path):
@@ -460,6 +532,17 @@ def test_ladder_script_rungs_run():
                     out["even"]) == (0, 0, True)
         assert set(out) == keys and out["op"] == op
         assert out["f_vector"] == [16, 84, 216, 240, 96], op
+    # a refused rung reports the refusal line in place of an f-vector
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         ladder.CHILD.format(build=ladder.RUNGS["S16 panel"][0], op="panel")],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert set(out) == {"op", "refused", "s", "peak_rss_mb"}
+    assert re.fullmatch(r"too many faces: at least \d+ in all, above the "
+                        rf"bound of {cx.MAX_FACES}", out["refused"])
 
 
 def test_no_verb_imports_sympy(files, tmp_path):
@@ -575,12 +658,22 @@ def test_point_gets_one_report_from_every_sw_verb(capsys, tmp_path):
 # Fuzzed input files: free text, and lines of tokens near the two formats
 # (vertex labels, a dimension line, comments, Gram headers and rationals),
 # kept small so a parsed complex has at most 5 vertices per simplex.
+# Integer tokens past int()'s digit limit are drawn too, alone, in p/q
+# and inside other tokens.
 _free_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
+_DIGIT_LIMIT = sys.get_int_max_str_digits()
+_long_ints = st.builds(lambda sign, digit, n: sign + digit * n,
+                       st.sampled_from(["", "-"]),
+                       st.sampled_from("0123456789"),
+                       st.integers(_DIGIT_LIMIT + 1, _DIGIT_LIMIT + 50))
 _complex_tokens = st.one_of(st.integers(-2, 7).map(str), st.sampled_from(
-    ["x", "#", "", "-0", "+1", "1.0", "007", "9" * 30, "1_0", "\uff11"]))
-_gram_tokens = st.sampled_from(
+    ["x", "#", "", "-0", "+1", "1.0", "007", "9" * 30, "1_0", "\uff11"]),
+    _long_ints, _long_ints.map(lambda t: t + "x"))
+_gram_tokens = st.one_of(st.sampled_from(
     ["0", "1", "2", "-1", "1/2", "-3/4", "0.5", "1e3", "1/0", "x", "nan", "#",
-     "-0", "007", "2/4", "-0/3", "0/0", "\uff11"])
+     "-0", "007", "2/4", "-0/3", "0/0", "\uff11"]),
+    _long_ints, _long_ints.map(lambda t: t + "/3"),
+    _long_ints.map(lambda t: "1/" + t.lstrip("-")))
 
 
 def _token_lines(tokens):
@@ -609,6 +702,8 @@ def _check_fuzzed_run(argv):
     assert code in (0, 1, 2), (argv, code)
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        # a token past the digit limit is named, not repeated
+        assert not re.search(f"[0-9]{{{_DIGIT_LIMIT + 1}}}", err), err[:80]
 
 
 @settings(max_examples=100, deadline=None)

@@ -870,13 +870,23 @@ def test_random_complexes_are_complexes(rng):
 
 
 def test_no_degree_is_built_past_the_face_bound(monkeypatch):
-    # the count is read once a facet: S2xS2's 4-simplices have 10 edges;
-    # a fresh complex, so no degree is cached from other tests
+    # the count is all degrees together, the 96 facets and 16 vertices
+    # first, and it is read once a facet: S2xS2's 4-simplices have 10
+    # edges; a fresh complex, so no degree is cached from other tests
     K = cx.SimplicialComplex(catalog.s2xs2().maximal_simplices)
-    monkeypatch.setattr(cx, "MAX_FACES", 50)
+    monkeypatch.setattr(cx, "MAX_FACES", 150)
     with pytest.raises(cx.TopologyError) as exc:
         K.simplices(1)
-    count = int(re.match(r"too many faces: at least (\d+) 1-simplices, "
-                         r"above the bound of 50$", str(exc.value))[1])
-    assert 50 < count <= 60
+    count = int(re.match(r"too many faces: at least (\d+) in all, "
+                         r"above the bound of 150$", str(exc.value))[1])
+    assert 150 < count <= 160
+    assert not K._cache  # a refused build keeps no degree
+    with pytest.raises(cx.TopologyError, match=f"at least {count} in all"):
+        K.simplices(4)  # the facets are counted too
+    # f-vector 16, 84, 216, 240, 96: 652 faces in all fit a bound of 652
+    monkeypatch.setattr(cx, "MAX_FACES", 651)
+    with pytest.raises(cx.TopologyError, match="at least 652 in all"):
+        K.simplices(0)
+    monkeypatch.setattr(cx, "MAX_FACES", 652)
     assert K.simplices(4) == K.maximal_simplices  # the facets are not built
+    assert sorted(K._cache) == [("simp", k) for k in range(5)]
