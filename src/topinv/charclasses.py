@@ -130,8 +130,8 @@ def obstructions(K: SimplicialComplex) -> ObstructionReport:
         orientable=orientable,
         k_orientable_max=k_max,
         spin=orientable and w_zero(2),
-        # W_3 = beta(w_2) = 0, with bockstein's zero-class shortcut
-        spin_c=orientable and (n < 2 or steenrod.bockstein(K, ws[2])[1]),
+        # W_3 = beta(w_2) = 0; beta of the zero class is zero
+        spin_c=orientable and (w_zero(2) or steenrod.bockstein(K, ws[2])[1]),
         de_rham=numbers[(n - 2, 2)] if n >= 5 and n % 4 == 1 else None,
         null_cobordant=all(v == 0 for v in numbers.values()),
     )

@@ -12,10 +12,12 @@ so F2 answers never load it.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
 from array import array
+from collections.abc import Container
 from dataclasses import dataclass
 
 from . import f2linalg
@@ -73,12 +75,18 @@ class SimplicialComplex:
             cleaned.add(t)
         if not cleaned:
             raise ParseError("complex has no simplices")
-        # drop proper faces of other listed simplices; only face sizes that
-        # occur in the list can match, so a pure complex enumerates none
-        sizes = {len(s) for s in cleaned}
-        faces = {f for t in cleaned for r in sizes if r < len(t)
-                 for f in itertools.combinations(t, r)}
-        maximal = cleaned - faces
+        # drop a listed simplex that a larger listed one holds, looked for
+        # among the listed simplices at its vertex in the fewest of them; a
+        # pure complex has no larger one, so it does no work
+        maximal = cleaned
+        if len({len(s) for s in cleaned}) > 1:
+            holders = collections.defaultdict(list)
+            for s in cleaned:
+                for v in s:
+                    holders[v].append(s)
+            maximal = {t for t in cleaned if not any(
+                len(s) > len(t) and set(t).issubset(s)
+                for s in min(map(holders.__getitem__, t), key=len))}
         self.maximal_simplices: tuple[tuple[int, ...], ...] = tuple(sorted(maximal))
         self.dimension: int = max(len(s) for s in maximal) - 1
         self.vertices: tuple[int, ...] = tuple(
@@ -182,16 +190,18 @@ class SimplicialComplex:
                     for s in self.simplices(k + 1)]
         return self._memo(("cbz", k), build)
 
-    def coboundary_f2(self, k: int) -> list[int]:
+    def coboundary_f2(self, k: int, skip: Container[int] = ()) -> list[int]:
         """Columns of delta over F2: one mask over (k+1)-simplices per
-        k-simplex.  Not kept, since F2Cohomology(k) eliminates them once."""
+        k-simplex, left 0 for the indices in skip, the columns that
+        F2Cohomology(k) clears.  Not kept, since it eliminates them once."""
         cols = [0] * self.n_simplices(k)
         if not 0 <= k < self.dimension:
             return cols
         for i in range(k + 2):
             pos = tuple(range(i)) + tuple(range(i + 1, k + 2))
             for t, f in enumerate(self.face_table(k + 1, pos)):
-                cols[f] |= 1 << t
+                if f not in skip:
+                    cols[f] |= 1 << t
         return cols
 
     def free_cocycles(self, k: int) -> list[tuple[int, ...]]:
@@ -240,25 +250,50 @@ class SimplicialComplex:
         return tuple(map(tuple, zlinalg.kernel_quotient(
             dz, self.coboundary_z(k - 1), self.n_simplices(k - 1))))
 
-    def _facet_walk(self) -> tuple[int, ...] | None:
-        """Facet signs, +1 on the first, that sum to a cycle, or None if K is
-        non-orientable; raises TopologyError unless K is a pseudo-manifold."""
+    def _top_tables(self) -> list[array]:
+        """The n+1 face tables of the facets on their (n-1)-faces, face i
+        leaving out the vertex at position i."""
+        n = self.dimension
+        return [self.face_table(n, tuple(range(i)) + tuple(range(i + 1, n + 1)))
+                for i in range(n + 1)] if n else []
+
+    def _pseudo_manifold_gate(self) -> None:
+        """Raise TopologyError unless K is a pseudo-manifold: every facet of
+        the top dimension, every (n-1)-face in exactly two facets, and the
+        facets strongly connected.  The incidences are counted; with two
+        facets on every face, each column of delta_(n-1) over F2 is
+        e_s + e_t, so dim H^n(K; F2) is the number of components of the
+        dual graph, and only a complex with more than one is walked, to
+        name the first facet the walk cannot reach."""
         def build():
             n = self.dimension
             for s in self.maximal_simplices:
                 if len(s) != n + 1:
                     raise TopologyError(f"not a pseudo-manifold: facet {s} "
                                         f"is not {n}-dimensional")
-            tables = [self.face_table(n, tuple(range(i)) + tuple(
-                range(i + 1, n + 1))) for i in range(n + 1)] if n else []
+            counts = collections.Counter(
+                itertools.chain.from_iterable(self._top_tables()))
+            if set(counts.values()) - {2}:
+                f = min(f for f, c in counts.items() if c != 2)
+                raise TopologyError(f"not a pseudo-manifold: face "
+                                    f"{self.simplices(n - 1)[f]} lies in "
+                                    f"{counts[f]} facets")
+            if self.cohomology_f2(n).dim != 1:
+                self._facet_walk()
+            return True
+        self._memo(("pm",), build)
+
+    def _facet_walk(self) -> tuple[int, ...] | None:
+        """Facet signs, +1 on the first, that sum to a cycle, or None if K is
+        non-orientable; raises TopologyError if a facet is not reached.  Run
+        past the incidence checks of _pseudo_manifold_gate only."""
+        def build():
+            n = self.dimension
+            tables = self._top_tables()
             ends = [[] for _ in self.simplices(n - 1)]
             for i, table in enumerate(tables):
                 for s, f in enumerate(table):
                     ends[f].append((s, i))
-            for face, e in zip(self.simplices(n - 1), ends):
-                if len(e) != 2:
-                    raise TopologyError(f"not a pseudo-manifold: face {face} "
-                                        f"lies in {len(e)} facets")
             # face i of s is face j of t: t gets -sign(s) (-1)^(i+j) to cancel
             signs = [1] + [0] * (self.n_simplices(n) - 1)
             stack, orientable = [0], True
@@ -283,11 +318,12 @@ class SimplicialComplex:
 
     def fundamental_class_f2(self) -> int:
         """Mask of the F2 fundamental cycle: all top simplices."""
-        self._facet_walk()
+        self._pseudo_manifold_gate()
         return (1 << self.n_simplices(self.dimension)) - 1
 
     def fundamental_class_z(self) -> tuple[int, ...]:
         """Integral fundamental cycle, +1 on the lex-first top simplex."""
+        self._pseudo_manifold_gate()
         signs = self._facet_walk()
         if signs is None:
             raise NonOrientableError("non-orientable: no top homology over Z")
@@ -297,8 +333,9 @@ class SimplicialComplex:
 class F2Cohomology:
     """H^k(K; F2) with a fixed cocycle basis and coordinate reduction.
 
-    delta_k is eliminated once, for its kernel here; H^(k+1) starts from
-    the echelon rows of its image, kept as image_rows.
+    delta_k is eliminated once, for its kernel here; the echelon rows of
+    its image are kept as image_rows until H^(k+1) takes them over, not a
+    copy, as the start of its own echelon, and sets image_rows to None.
 
     Clearing: the columns of delta_k at the leading bits of im delta_(k-1)
     are skipped, not eliminated.  A row b = e_j + (lower terms) of that
@@ -314,8 +351,12 @@ class F2Cohomology:
     def __init__(self, K: SimplicialComplex, k: int):
         # coboundaries first (expression 0), then each new cocycle residue
         # as basis vector i (expression 1 << i)
-        image = K.cohomology_f2(k - 1).image_rows if k >= 1 else {}
-        ker, self.image_rows = f2linalg.kernel_basis(K.coboundary_f2(k), image)
+        image = {}
+        if k >= 1:
+            prev = K.cohomology_f2(k - 1)
+            image, prev.image_rows = prev.image_rows, None
+        ker, self.image_rows = f2linalg.kernel_basis(
+            K.coboundary_f2(k, image), image)
         ech = f2linalg.Echelon(image)
         basis: list[int] = []
         for z in ker:

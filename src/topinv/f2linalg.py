@@ -24,9 +24,11 @@ class Echelon:
     """
 
     def __init__(self, rows: dict[int, int] | None = None):
-        """Empty, or a copy of rows handed back by kernel_basis, expression 0."""
-        self._rows: dict[int, int] = dict(rows or {})
-        self._expr: dict[int, int] = dict.fromkeys(self._rows, 0)
+        """Empty, or taking over rows handed back by kernel_basis (not a
+        copy: the caller gives them up), each with expression 0.  Only
+        nonzero expressions are stored."""
+        self._rows: dict[int, int] = {} if rows is None else rows
+        self._expr: dict[int, int] = {}
 
     def residue(self, v: int, expr: int = 0) -> tuple[int, int]:
         """Reduce v against the stored rows; return (residue, expression)."""
@@ -37,7 +39,7 @@ class Echelon:
             if row is None:
                 break
             v ^= row
-            expr ^= exprs[b]
+            expr ^= exprs.get(b, 0)
         return v, expr
 
     def insert(self, v: int, expr: int = 0) -> int | None:
@@ -50,8 +52,10 @@ class Echelon:
         res, expr = self.residue(v, expr)
         if res == 0:
             return expr
-        self._rows[res.bit_length() - 1] = res
-        self._expr[res.bit_length() - 1] = expr
+        b = res.bit_length() - 1
+        self._rows[b] = res
+        if expr:
+            self._expr[b] = expr
         return None
 
     @property
@@ -69,9 +73,7 @@ def rank(vectors: list[int]) -> int:
 def kernel_basis(columns: list[int], skip: Container[int] = ()
                  ) -> tuple[list[int], dict[int, int]]:
     """Kernel of the map with the given columns, as masks over column
-    indices, and the echelon rows of its image (leading bit -> row): the
-    rows do not depend on the expressions, so inserting the columns with
-    expression 0 builds the same ones.
+    indices, and the echelon rows of its image (leading bit -> row).
 
     Columns whose index is in `skip` are not inserted and get no kernel
     vector.  A caller skips only columns it knows to be dependent on the
@@ -80,16 +82,37 @@ def kernel_basis(columns: list[int], skip: Container[int] = ()
     and kernel vectors of the others involve only independent columns,
     so the rows and the remaining kernel vectors are those of the full
     elimination, without the cost of reducing the skipped columns to zero.
+
+    The expression of a row, the columns that sum to it, is kept sparse:
+    a row that is a column no earlier row reduced keeps only that column's
+    index (in `alone`); only a row formed by a reduction keeps a mask (in
+    `exprs`).  The rows never depend on the expressions.
     """
-    ech = Echelon()
+    rows: dict[int, int] = {}
+    alone: dict[int, int] = {}
+    exprs: dict[int, int] = {}
     ker = []
-    for j, c in enumerate(columns):
+    for j, v in enumerate(columns):
         if j in skip:
             continue
-        combo = ech.insert(c, 1 << j)
-        if combo is not None:
-            ker.append(combo)
-    return ker, ech._rows
+        expr = 0  # the earlier columns reduced into column j
+        while v:
+            b = v.bit_length() - 1
+            row = rows.get(b)
+            if row is None:
+                break
+            v ^= row
+            e = exprs.get(b)
+            expr ^= (1 << alone[b]) if e is None else e
+        if not v:
+            ker.append(expr | 1 << j)
+            continue
+        rows[b] = v
+        if expr:
+            exprs[b] = expr | 1 << j
+        else:
+            alone[b] = j
+    return ker, rows
 
 
 def solve_square(columns: list[int], b: int) -> int | None:

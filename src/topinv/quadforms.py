@@ -64,7 +64,18 @@ class QuadraticForm:
         self._local: dict[int, LocalInvariants] = {}
 
     def __repr__(self):
-        return f"QuadraticForm(dim={self.dim}, det={self.det})"
+        num, den = self.det.numerator, self.det.denominator
+        det = _decimal(num) + ("" if den == 1 else "/" + _decimal(den))
+        return f"QuadraticForm(dim={self.dim}, det={det})"
+
+
+def _decimal(x: int) -> str:
+    """str(x), or its digit count where x has more digits than str may
+    convert (sys.get_int_max_str_digits())."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{math.floor(math.log10(abs(x))) + 1} digits>"
 
 
 def _exact(x) -> int | Fraction:

@@ -167,6 +167,24 @@ def test_spin_implies_spin_c(fixtures):
             assert rep.orientable, name
 
 
+def test_spin_c_takes_no_bockstein_of_a_zero_w2(fixtures, monkeypatch):
+    # beta(0) = 0, so only an orientable complex with w_2 != 0 needs one
+    calls = []
+    bockstein = steenrod.bockstein
+
+    def recording(K, x):
+        calls.append(K)
+        return bockstein(K, x)
+
+    monkeypatch.setattr(steenrod, "bockstein", recording)
+    t3 = cx.product_complex(catalog.sphere(1), catalog.torus())
+    for name, K in [*fixtures.items(), ("T3", t3)]:
+        calls.clear()
+        rep = charclasses.obstructions(K)
+        assert len(calls) == (rep.orientable and not rep.spin), name
+    assert not charclasses.obstructions(fixtures["CP2"]).spin
+
+
 def test_k_orientable_max(fixtures):
     # spheres: all w_j vanish, so k saturates at the first 2^k - 1 >= n
     assert charclasses.obstructions(fixtures["S2"]).k_orientable_max == 2

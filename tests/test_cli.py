@@ -396,6 +396,16 @@ def test_every_complex_verb_refuses_past_the_face_bound(files, capsys,
         assert run(capsys, verb, d17) == (
             1, "", f"error: too many faces: at least {2**19 - 1} in all, "
             f"above the bound of {cx.MAX_FACES}\n"), verb
+    # two lines, a simplex of 30 vertices and one of 15 others: the parser
+    # keeps both by vertex incidence, enumerating no face, and the first
+    # is refused unbuilt
+    p.write_text("29\n" + " ".join(map(str, range(30))) + "\n"
+                 + " ".join(map(str, range(30, 45))) + "\n")
+    t = time.perf_counter()
+    assert run(capsys, "panel", d17) == (
+        1, "", f"error: too many faces: at least {2**30 - 1} in all, "
+        f"above the bound of {cx.MAX_FACES}\n")
+    assert time.perf_counter() - t < 1
 
 
 def test_non_pseudo_manifold_exits_1_with_one_line(capsys, tmp_path):

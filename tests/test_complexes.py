@@ -1,7 +1,9 @@
 import ast
 import collections
+import functools
 import gc
 import itertools
+import operator
 import random
 import re
 import sys
@@ -401,12 +403,21 @@ def test_coboundary_f2_matches_slices(fixtures):
 def test_f2_cohomology_matches_two_eliminations(fixtures):
     rng = random.Random(77)
     for name, K in _f2_oracle_complexes(fixtures):
+        # a fresh complex, so each H^k is built here, degrees in order
+        K = cx.SimplicialComplex(K.maximal_simplices)
         for k in range(K.dimension + 1):
             h = K.cohomology_f2(k)
             basis, ech, image_rows, zero = (
                 _f2_cohomology_by_two_eliminations(K, k))
             assert h.basis == basis and h.dim == len(basis), (name, k)
-            assert h.image_rows == image_rows, (name, k)
+            if k:
+                # the handover: H^k took H^(k-1)'s image rows over as its
+                # echelon, the same dict, not a copy
+                assert K.cohomology_f2(k - 1).image_rows is None, (name, k)
+                assert h._ech._rows is rows, (name, k)
+            # read the image rows before H^(k+1) takes them over
+            rows = h.image_rows
+            assert rows == image_rows, (name, k)
             assert h._ech._rows == ech._rows, (name, k)
             # the kernel vectors that reduce to zero are exactly those of
             # the cleared columns, the leading bits of im delta_(k-1)
@@ -430,6 +441,39 @@ def test_kernel_basis_skipping_dependent_columns(columns, rnd):
     assert ker_s == [z for z in ker if z.bit_length() - 1 not in skip]
 
 
+def _kernel_basis_by_masks(columns, skip):
+    """kernel_basis as a plain elimination: every row keeps the mask of
+    the columns that sum to it, made or not by a reduction."""
+    rows, exprs, ker = {}, {}, []
+    for j, v in enumerate(columns):
+        if j in skip:
+            continue
+        expr = 1 << j
+        while v and v.bit_length() - 1 in rows:
+            b = v.bit_length() - 1
+            v, expr = v ^ rows[b], expr ^ exprs[b]
+        if v:
+            rows[v.bit_length() - 1], exprs[v.bit_length() - 1] = v, expr
+        else:
+            ker.append(expr)
+    return ker, rows
+
+
+@given(st.lists(st.integers(0, 2 ** 12 - 1), max_size=24), st.randoms())
+@settings(max_examples=300, deadline=None)
+def test_kernel_basis_matches_mask_tracking_elimination(columns, rnd):
+    # any skip set, dependent columns or not: both skip the same ones
+    skip = set(rnd.sample(range(len(columns)),
+                          rnd.randint(0, len(columns))))
+    ker, rows = f2linalg.kernel_basis(columns, skip)
+    want_ker, want_rows = _kernel_basis_by_masks(columns, skip)
+    assert rows == want_rows
+    assert ker == want_ker
+    for z in ker:  # each kernel vector sums its columns to zero
+        assert functools.reduce(operator.xor, (
+            c for j, c in enumerate(columns) if z >> j & 1), 0) == 0
+
+
 def test_panel_inserts_each_f2_coboundary_once(monkeypatch):
     callers = collections.Counter()
     insert = f2linalg.Echelon.insert
@@ -438,30 +482,45 @@ def test_panel_inserts_each_f2_coboundary_once(monkeypatch):
         callers[sys._getframe(1).f_code.co_name] += 1
         return insert(self, v, expr)
 
-    eliminated = []
+    built, eliminated = [], []
+    coboundary_f2 = cx.SimplicialComplex.coboundary_f2
     kernel_basis = f2linalg.kernel_basis
 
+    def recording_coboundary_f2(K, k, skip=()):
+        built.append((k, set(skip)))
+        return coboundary_f2(K, k, skip)
+
     def recording_kernel_basis(columns, skip=()):
-        eliminated.append((columns, skip))
-        return kernel_basis(columns, skip)
+        ker, rows = kernel_basis(columns, skip)
+        eliminated.append((columns, set(skip), len(ker) + len(rows)))
+        return ker, rows
 
     monkeypatch.setattr(f2linalg.Echelon, "insert", recording_insert)
+    monkeypatch.setattr(cx.SimplicialComplex, "coboundary_f2",
+                        recording_coboundary_f2)
     monkeypatch.setattr(f2linalg, "kernel_basis", recording_kernel_basis)
     K = cx.product_complex(catalog.klein_bottle(), catalog.torus())
     intersection.panel(K)
     n = K.dimension
-    # kernel_basis sees each delta_k once (past the top degree there are no
-    # columns), clearing the leading bits of im delta_(k-1), and is the only
-    # caller that inserts coboundary columns; F2Cohomology.__init__ inserts
-    # only the new cocycle residues
-    eliminated = [call for call in eliminated if call[0]]
+    monkeypatch.undo()
+    # each delta_k is built and eliminated once, and what is cleared, the
+    # leading bits of im delta_(k-1) (found here apart), is not built:
+    # those columns are 0, the others are delta_k's
+    cleared = [set(kernel_basis(coboundary_f2(K, k - 1))[1]) if k else set()
+               for k in range(n + 1)]
+    assert built == list(enumerate(cleared))
     assert len(eliminated) == n + 1
-    for k, (cols, skip) in enumerate(eliminated):
-        assert cols == K.coboundary_f2(k)
-        assert skip == (K.cohomology_f2(k - 1).image_rows if k else {})
-    assert callers["kernel_basis"] == sum(
-        K.n_simplices(k) - len(K.cohomology_f2(k - 1).image_rows if k else {})
-        for k in range(n + 1))
+    for k, (cols, skip, kept) in enumerate(eliminated):
+        assert skip == cleared[k]
+        full = coboundary_f2(K, k)
+        assert cols == [0 if j in skip else c for j, c in enumerate(full)]
+        # nor inserted: every column kernel_basis inserts gives a row or a
+        # kernel vector, and only the columns not cleared do
+        assert kept == K.n_simplices(k) - len(skip)
+    # kernel_basis inserts the columns itself; Echelon.insert, here from
+    # F2Cohomology.__init__, takes only the new cocycle residues, and the
+    # rank and Wu solve their own vectors
+    assert set(callers) <= {"__init__", "rank", "solve_square"}
     assert callers["__init__"] == sum(
         K.cohomology_f2(k).dim for k in range(n + 1))
 
@@ -483,9 +542,10 @@ def test_complex_freed_without_cycle_collector():
 
 def test_complex_keeps_only_what_is_read_again(monkeypatch):
     # delta over F2, the pinned H^k(K; Z) basis and the F2 fundamental mask
-    # each have one reader, which keeps its answer, so none is kept itself
-    kept = {"simp", "idx", "face", "cbz", "hf2", "fcz", "pair", "wu", "sw",
-            "swn", "iform", "pform"}
+    # each have one reader, which keeps its answer, so none is kept itself;
+    # "pm" is the pseudo-manifold gate's pass, "fcz" the facet walk's signs
+    kept = {"simp", "idx", "face", "cbz", "hf2", "pm", "fcz", "pair", "wu",
+            "sw", "swn", "iform", "pform"}
     bases = dict(catalog.manifold_fixtures())
     bases["S2xS2"] = catalog.s2xs2()
     bases["RP2xRP2"] = cx.product_complex(catalog.projective_plane(),
@@ -741,6 +801,104 @@ def test_non_pseudo_manifolds_rejected(facets, message):
                        match="not a pseudo-manifold: " + re.escape(message)):
         intersection.panel(K)
     assert len(cx.homology(K, "Z")) == K.dimension + 1
+
+
+def _walk_gate(K):
+    """The pseudo-manifold check as one facet walk: facet dimensions, then
+    the two facets on each (n-1)-face in face order, then the first facet
+    not reached from the lex-first one.  Returns the error message, or
+    None for a pseudo-manifold."""
+    n = K.dimension
+    for s in K.maximal_simplices:
+        if len(s) != n + 1:
+            return f"not a pseudo-manifold: facet {s} is not {n}-dimensional"
+    ends = collections.defaultdict(list)  # no faces to cross when n = 0
+    for s in K.simplices(n) if n else ():
+        for i in range(n + 1):
+            ends[s[:i] + s[i + 1:]].append(s)
+    for face in K.simplices(n - 1) if n else ():
+        if len(ends[face]) != 2:
+            return (f"not a pseudo-manifold: face {face} lies in "
+                    f"{len(ends[face])} facets")
+    seen, stack = {K.simplices(n)[0]}, [K.simplices(n)[0]]
+    while stack:
+        s = stack.pop()
+        for i in range(n + 1):
+            for t in ends[s[:i] + s[i + 1:]]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+    missed = [s for s in K.simplices(n) if s not in seen]
+    if missed:
+        how = (f"across {n - 1}-faces" if n
+               else "(a 0-dimensional one is a single vertex)")
+        return f"not a pseudo-manifold: facet {missed[0]} is not reached {how}"
+    return None
+
+
+def test_counted_gate_matches_the_walk(fixtures):
+    S2 = catalog.sphere(2).maximal_simplices
+    bad = {
+        "S2 with a dangling edge": cx.SimplicialComplex(S2 + ((0, 10),)),
+        "two disjoint S2": cx.SimplicialComplex(
+            S2 + ((10, 11, 12), (10, 11, 13), (10, 12, 13), (11, 12, 13))),
+        "two S2 sharing a vertex": cx.SimplicialComplex(
+            S2 + ((0, 10, 11), (0, 10, 12), (0, 11, 12), (10, 11, 12))),
+        "a face in three facets": cx.SimplicialComplex(
+            ((0, 1, 2), (0, 1, 3), (0, 1, 4))),
+        "a non-pure file": cx.parse_complex(
+            cx.complex_text(catalog.sphere(4)) + "0 10 11\n12\n"),
+        "two points": cx.SimplicialComplex(((0,), (1,))),
+    }
+    for name, K in bad.items():
+        want = _walk_gate(K)
+        assert want is not None, name
+        for fundamental_class in (K.fundamental_class_f2,
+                                  K.fundamental_class_z):
+            with pytest.raises(cx.TopologyError) as err:
+                fundamental_class()
+            assert str(err.value) == want, name
+    # a pseudo-manifold passes without a walk: only fundamental_class_z
+    # walks, for its signs
+    good = dict(_walk_oracle_complexes(fixtures))
+    good["RP2xRP2"] = cx.product_complex(catalog.projective_plane(),
+                                         catalog.projective_plane())
+    good["RP2xK2"] = cx.product_complex(catalog.projective_plane(),
+                                        catalog.klein_bottle())
+    rng = random.Random(28)
+    for name in list(fixtures) + ["RP2xS3", "K2xT2", "RP2xRP2", "RP2xK2"]:
+        K = good[name]
+        perm = rng.sample(range(3 * len(K.vertices)), len(K.vertices))
+        good[f"{name}~"] = cx.relabel(K, dict(zip(K.vertices, perm)))
+    for name, K in good.items():
+        K = cx.SimplicialComplex(K.maximal_simplices)
+        assert _walk_gate(K) is None, name
+        assert K.fundamental_class_f2() == (1 << K.n_simplices(
+            K.dimension)) - 1, name
+        assert ("fcz",) not in K._cache, name
+        assert K.cohomology_f2(K.dimension).dim == 1, name
+
+
+def test_maximal_simplices_match_face_enumeration():
+    def by_faces(simplices):
+        # every face, of each listed size, of every listed simplex
+        cleaned = {tuple(sorted(s)) for s in simplices}
+        sizes = {len(s) for s in cleaned}
+        return tuple(sorted(cleaned - {
+            f for t in cleaned for r in sizes if r < len(t)
+            for f in itertools.combinations(t, r)}))
+
+    rng = random.Random(2828)
+    for _ in range(300):
+        v = rng.randint(1, 9)
+        listed = [tuple(rng.sample(range(v), rng.randint(1, v)))
+                  for _ in range(rng.randint(1, 12))]
+        # and faces of listed simplices, listed too
+        for s in rng.sample(listed, rng.randint(0, len(listed))):
+            listed.append(tuple(rng.sample(s, rng.randint(1, len(s)))))
+        rng.shuffle(listed)
+        K = cx.SimplicialComplex(listed)
+        assert K.maximal_simplices == by_faces(listed), listed
 
 
 def test_is_poincare_fails_on_suspension_of_rp2():

@@ -36,6 +36,16 @@ def test_constructor_validation():
     assert f.gram == ((1, half), (half, 2)) and type(f.gram[1][1]) is int
 
 
+def test_repr_of_a_determinant_past_the_digit_limit():
+    # 3^18000 has 8,589 digits, past str's default limit of 4,300
+    F = qf.QuadraticForm([[3**9000, 0], [0, 3**9000]])
+    assert repr(F) == "QuadraticForm(dim=2, det=<8589 digits>)"
+    G = qf.QuadraticForm([[Fraction(1, 3**9100), 0], [0, 5]])
+    assert repr(G) == "QuadraticForm(dim=2, det=5/<4342 digits>)"
+    assert repr(qf.QuadraticForm([[2, 1], [1, 2]])) == (
+        "QuadraticForm(dim=2, det=3)")
+
+
 def test_dimension_zero_form():
     f = qf.QuadraticForm([])
     assert f.dim == 0
