@@ -77,9 +77,10 @@ def sw_numbers(K: SimplicialComplex) -> dict[tuple[int, ...], int]:
     def build():
         ws = sw_classes(K)
         n = K.dimension
+        fc = K.fundamental_class_f2()
         out = {}
         for part in partitions(n):
-            mask, start = K.fundamental_class_f2(), 0
+            mask, start = fc, 0
             for p in part or (0,):  # n = 0: () reads <w_0, [pt]>
                 mask &= K.gather(n, tuple(range(start, start + p + 1)),
                                  ws[p].cocycle)

@@ -349,8 +349,8 @@ class F2Cohomology:
     """
 
     def __init__(self, K: SimplicialComplex, k: int):
-        # coboundaries first (expression 0), then each new cocycle residue
-        # as basis vector i (expression 1 << i)
+        # coboundaries first (taken over, expression 0), then each new
+        # cocycle residue as generator i, basis vector i
         image = {}
         if k >= 1:
             prev = K.cohomology_f2(k - 1)
@@ -361,7 +361,7 @@ class F2Cohomology:
         basis: list[int] = []
         for z in ker:
             res, _ = ech.residue(z)
-            ech.insert(res, 1 << len(basis))
+            ech.insert(res, len(basis))
             basis.append(res)
         self._ech = ech
         self.basis = basis

@@ -3,7 +3,8 @@
 A vector in F2^n is an int whose bit i is the i-th coordinate.  A linear
 map is given by the list of images of the domain basis vectors, i.e. a
 list of column masks.  Addition is xor, scalar multiplication is trivial,
-and the dot product is the parity of the bitwise and.
+and the dot product is the parity of the bitwise and.  Every reduction
+runs through Echelon.residue, the one elimination loop.
 """
 
 from __future__ import annotations
@@ -16,58 +17,60 @@ def dot(a: int, b: int) -> int:
 
 
 class Echelon:
-    """Incremental echelon basis with expression tracking.
+    """Incremental echelon basis with sparse expression tracking.
 
-    Rows are kept with distinct leading bits.  Each stored row r satisfies
-    r = xor of the generator vectors named by its expression mask, so a
-    vector that reduces to zero yields an explicit linear combination.
+    rows maps each leading bit to its row; the leading bits are distinct.
+    The expression of a row is the mask of the generators that sum to it,
+    kept sparse: a row that is generator j, reduced by no earlier row,
+    keeps only j; a row formed by a reduction keeps a mask; a row taken
+    over at construction keeps nothing, which means expression 0.  The
+    rows never depend on the expressions.
     """
 
     def __init__(self, rows: dict[int, int] | None = None):
-        """Empty, or taking over rows handed back by kernel_basis (not a
-        copy: the caller gives them up), each with expression 0.  Only
-        nonzero expressions are stored."""
-        self._rows: dict[int, int] = {} if rows is None else rows
+        """Empty, or taking over rows, not a copy: the caller gives them up."""
+        self.rows: dict[int, int] = {} if rows is None else rows
+        self._alone: dict[int, int] = {}
         self._expr: dict[int, int] = {}
 
-    def residue(self, v: int, expr: int = 0) -> tuple[int, int]:
-        """Reduce v against the stored rows; return (residue, expression)."""
-        rows, exprs = self._rows, self._expr
+    def residue(self, v: int) -> tuple[int, int]:
+        """Reduce v against the rows; return (residue, expression), where
+        v xor residue is the sum of the generators the expression names."""
+        rows, alone, exprs = self.rows, self._alone, self._expr
+        expr = 0
         while v:
             b = v.bit_length() - 1
             row = rows.get(b)
             if row is None:
                 break
             v ^= row
-            expr ^= exprs.get(b, 0)
+            e = exprs.get(b)
+            if e is None:
+                j = alone.get(b)
+                if j is not None:
+                    expr ^= 1 << j
+            else:
+                expr ^= e
         return v, expr
 
-    def insert(self, v: int, expr: int = 0) -> int | None:
-        """Insert a generator; return its expression mask if dependent.
-
-        `expr` names the generator (typically 1 << j for the j-th one).
-        Returns None when v enlarges the span, otherwise the expression of
-        v over previously inserted generators, including `expr` itself.
-        """
-        res, expr = self.residue(v, expr)
+    def insert(self, v: int, j: int) -> int | None:
+        """Insert v as generator j; return None when v enlarges the span,
+        otherwise the relation it gives, as an expression: j xor the
+        earlier generators that sum to v."""
+        res, expr = self.residue(v)
         if res == 0:
-            return expr
+            return expr ^ 1 << j
         b = res.bit_length() - 1
-        self._rows[b] = res
+        self.rows[b] = res
         if expr:
-            self._expr[b] = expr
+            self._expr[b] = expr ^ 1 << j
+        else:
+            self._alone[b] = j
         return None
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
 
 
 def rank(vectors: list[int]) -> int:
-    ech = Echelon()
-    for v in vectors:
-        ech.insert(v)
-    return ech.rank
+    return len(kernel_basis(vectors)[1])
 
 
 def kernel_basis(columns: list[int], skip: Container[int] = ()
@@ -82,37 +85,13 @@ def kernel_basis(columns: list[int], skip: Container[int] = ()
     and kernel vectors of the others involve only independent columns,
     so the rows and the remaining kernel vectors are those of the full
     elimination, without the cost of reducing the skipped columns to zero.
-
-    The expression of a row, the columns that sum to it, is kept sparse:
-    a row that is a column no earlier row reduced keeps only that column's
-    index (in `alone`); only a row formed by a reduction keeps a mask (in
-    `exprs`).  The rows never depend on the expressions.
     """
-    rows: dict[int, int] = {}
-    alone: dict[int, int] = {}
-    exprs: dict[int, int] = {}
+    ech = Echelon()
     ker = []
     for j, v in enumerate(columns):
-        if j in skip:
-            continue
-        expr = 0  # the earlier columns reduced into column j
-        while v:
-            b = v.bit_length() - 1
-            row = rows.get(b)
-            if row is None:
-                break
-            v ^= row
-            e = exprs.get(b)
-            expr ^= (1 << alone[b]) if e is None else e
-        if not v:
-            ker.append(expr | 1 << j)
-            continue
-        rows[b] = v
-        if expr:
-            exprs[b] = expr | 1 << j
-        else:
-            alone[b] = j
-    return ker, rows
+        if j not in skip and (z := ech.insert(v, j)) is not None:
+            ker.append(z)
+    return ker, ech.rows
 
 
 def solve_square(columns: list[int], b: int) -> int | None:
@@ -124,6 +103,6 @@ def solve_square(columns: list[int], b: int) -> int | None:
     """
     ech = Echelon()
     for j, c in enumerate(columns):
-        ech.insert(c, 1 << j)
+        ech.insert(c, j)
     res, expr = ech.residue(b)
     return None if res else expr

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -265,6 +266,25 @@ def test_panel_reads_sw_numbers_once(monkeypatch):
     # obstructions (null_cobordant) and the panel itself read one build
     assert calls == [K.dimension]
     assert p.sw_numbers is charclasses.sw_numbers(K)
+
+
+def test_sw_numbers_read_the_fundamental_class_once(fixtures, monkeypatch):
+    calls = []
+    fundamental_class_f2 = cx.SimplicialComplex.fundamental_class_f2
+
+    def recording(K):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return fundamental_class_f2(K)
+
+    monkeypatch.setattr(cx.SimplicialComplex, "fundamental_class_f2",
+                        recording)
+    # a fresh complex whose classes are built first, so the only reader
+    # left is sw_numbers' build: one mask for all five partitions
+    K = cx.SimplicialComplex(fixtures["CP2"].maximal_simplices)
+    charclasses.sw_classes(K)
+    calls.clear()
+    assert len(charclasses.sw_numbers(K)) == 5
+    assert calls == ["build"]
 
 
 def test_middle_wu_reads_squares_of_integral_reductions(fixtures):

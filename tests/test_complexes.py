@@ -374,19 +374,18 @@ def _coboundary_f2_by_slices(K, k):
 
 def _f2_cohomology_by_two_eliminations(K, k):
     """H^k(K; F2) with no column cleared: an image echelon of delta_(k-1)
-    built apart from delta_k, the full kernel_basis(delta_k), and a residue
-    for every kernel vector.  Returns the basis, the echelon that gives
-    coords, the image rows of delta_k, and the leading bits of the kernel
-    vectors whose residue is zero."""
-    ech = f2linalg.Echelon()
-    for c in K.coboundary_f2(k - 1):
-        ech.insert(c)
+    built apart from delta_k, its rows taken over with expression 0 and no
+    generator, the full kernel_basis(delta_k), and a residue for every
+    kernel vector.  Returns the basis, the echelon that gives coords, the
+    image rows of delta_k, and the leading bits of the kernel vectors whose
+    residue is zero."""
+    ech = f2linalg.Echelon(f2linalg.kernel_basis(K.coboundary_f2(k - 1))[1])
     ker, image_rows = f2linalg.kernel_basis(K.coboundary_f2(k))
     basis, zero = [], set()
     for z in ker:
         res, _ = ech.residue(z)
         if res:
-            ech.insert(res, 1 << len(basis))
+            ech.insert(res, len(basis))
             basis.append(res)
         else:
             zero.add(z.bit_length() - 1)
@@ -414,11 +413,11 @@ def test_f2_cohomology_matches_two_eliminations(fixtures):
                 # the handover: H^k took H^(k-1)'s image rows over as its
                 # echelon, the same dict, not a copy
                 assert K.cohomology_f2(k - 1).image_rows is None, (name, k)
-                assert h._ech._rows is rows, (name, k)
+                assert h._ech.rows is rows, (name, k)
             # read the image rows before H^(k+1) takes them over
             rows = h.image_rows
             assert rows == image_rows, (name, k)
-            assert h._ech._rows == ech._rows, (name, k)
+            assert h._ech.rows == ech.rows, (name, k)
             # the kernel vectors that reduce to zero are exactly those of
             # the cleared columns, the leading bits of im delta_(k-1)
             _, cleared = f2linalg.kernel_basis(K.coboundary_f2(k - 1))
@@ -441,22 +440,37 @@ def test_kernel_basis_skipping_dependent_columns(columns, rnd):
     assert ker_s == [z for z in ker if z.bit_length() - 1 not in skip]
 
 
-def _kernel_basis_by_masks(columns, skip):
-    """kernel_basis as a plain elimination: every row keeps the mask of
-    the columns that sum to it, made or not by a reduction."""
-    rows, exprs, ker = {}, {}, []
-    for j, v in enumerate(columns):
-        if j in skip:
-            continue
-        expr = 1 << j
-        while v and v.bit_length() - 1 in rows:
+class _EchelonByMasks:
+    """Echelon as a plain elimination: every row keeps the mask of the
+    generators that sum to it, made or not by a reduction, and a row
+    taken over keeps the mask 0."""
+
+    def __init__(self, rows=()):
+        self.rows = dict(rows)
+        self.exprs = dict.fromkeys(self.rows, 0)
+
+    def residue(self, v, expr=0):
+        while v and v.bit_length() - 1 in self.rows:
             b = v.bit_length() - 1
-            v, expr = v ^ rows[b], expr ^ exprs[b]
-        if v:
-            rows[v.bit_length() - 1], exprs[v.bit_length() - 1] = v, expr
-        else:
-            ker.append(expr)
-    return ker, rows
+            v, expr = v ^ self.rows[b], expr ^ self.exprs[b]
+        return v, expr
+
+    def insert(self, v, j):
+        v, expr = self.residue(v, 1 << j)
+        if not v:
+            return expr
+        b = v.bit_length() - 1
+        self.rows[b], self.exprs[b] = v, expr
+        return None
+
+
+def _kernel_basis_by_masks(columns, skip):
+    """kernel_basis as a plain elimination of the columns not skipped."""
+    ech, ker = _EchelonByMasks(), []
+    for j, v in enumerate(columns):
+        if j not in skip and (z := ech.insert(v, j)) is not None:
+            ker.append(z)
+    return ker, ech.rows
 
 
 @given(st.lists(st.integers(0, 2 ** 12 - 1), max_size=24), st.randoms())
@@ -474,13 +488,33 @@ def test_kernel_basis_matches_mask_tracking_elimination(columns, rnd):
             c for j, c in enumerate(columns) if z >> j & 1), 0) == 0
 
 
+@given(st.integers(0, 12), st.lists(st.integers(0, 2 ** 12 - 1), max_size=16),
+       st.randoms())
+@settings(max_examples=300, deadline=None)
+def test_echelon_matches_mask_tracking_echelon(n_taken, vectors, rnd):
+    # rows taken over: any echelon, distinct leading bits, expression 0
+    leads = rnd.sample(range(12), n_taken)
+    taken = {b: 1 << b | rnd.getrandbits(b) for b in leads}
+    ech = f2linalg.Echelon(dict(taken))
+    want = _EchelonByMasks(taken)
+    for v in vectors:
+        # any index names a generator, in any order, even twice
+        j = rnd.randrange(24)
+        assert ech.insert(v, j) == want.insert(v, j)
+        assert ech.rows == want.rows
+    for v in [*vectors, *(rnd.getrandbits(12) for _ in range(8))]:
+        assert ech.residue(v) == want.residue(v)
+    assert f2linalg.rank(vectors) == len(
+        _kernel_basis_by_masks(vectors, ())[1])
+
+
 def test_panel_inserts_each_f2_coboundary_once(monkeypatch):
     callers = collections.Counter()
     insert = f2linalg.Echelon.insert
 
-    def recording_insert(self, v, expr=0):
+    def recording_insert(self, v, j):
         callers[sys._getframe(1).f_code.co_name] += 1
-        return insert(self, v, expr)
+        return insert(self, v, j)
 
     built, eliminated = [], []
     coboundary_f2 = cx.SimplicialComplex.coboundary_f2
@@ -492,7 +526,9 @@ def test_panel_inserts_each_f2_coboundary_once(monkeypatch):
 
     def recording_kernel_basis(columns, skip=()):
         ker, rows = kernel_basis(columns, skip)
-        eliminated.append((columns, set(skip), len(ker) + len(rows)))
+        # the coboundaries only: rank eliminates its pairings here too
+        if sys._getframe(1).f_code is cx.F2Cohomology.__init__.__code__:
+            eliminated.append((columns, set(skip), len(ker) + len(rows)))
         return ker, rows
 
     monkeypatch.setattr(f2linalg.Echelon, "insert", recording_insert)
@@ -517,10 +553,10 @@ def test_panel_inserts_each_f2_coboundary_once(monkeypatch):
         # nor inserted: every column kernel_basis inserts gives a row or a
         # kernel vector, and only the columns not cleared do
         assert kept == K.n_simplices(k) - len(skip)
-    # kernel_basis inserts the columns itself; Echelon.insert, here from
-    # F2Cohomology.__init__, takes only the new cocycle residues, and the
-    # rank and Wu solve their own vectors
-    assert set(callers) <= {"__init__", "rank", "solve_square"}
+    # Echelon.insert is called by kernel_basis (for the coboundaries and
+    # the rank), by F2Cohomology.__init__ for the new cocycle residues
+    # alone, and by the Wu solve
+    assert set(callers) == {"__init__", "kernel_basis", "solve_square"}
     assert callers["__init__"] == sum(
         K.cohomology_f2(k).dim for k in range(n + 1))
 
