@@ -4,10 +4,12 @@ A form is a nonsingular symmetric matrix over Q.  Its local data at each
 prime is read off a diagonalization: split each diagonal entry as p^a * b
 with b prime to p, count antisquares, and sum the unit parts mod 8.  The
 diagonalization is fraction-free (Bareiss 1968): the Gram matrix is scaled
-once to integers, eliminated on Python ints in its upper triangle only, and
-each diagonal entry is a ratio of successive pivots.  At an odd prime only
-the entries p divides need splitting: every other entry is a unit that adds
-1 to the p-signature.  The resulting p-signatures, oddity, and
+once to integers, eliminated on Python ints in its upper triangle only,
+rewriting no row while the pivot rows have a 0 in it, and each diagonal
+entry is a ratio of successive pivots.  At an odd prime only the entries p
+divides need splitting: every other entry is a unit that adds 1 to the
+p-signature.  Which entries each odd prime divides is recorded when the
+diagonal is factored.  The resulting p-signatures, oddity, and
 p-excesses satisfy the mod-8 reciprocity identity, and together with
 dimension, determinant square class and real signature they decide
 rational equivalence.
@@ -24,6 +26,7 @@ factoring loads only when a cofactor needs splitting.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -61,6 +64,8 @@ class QuadraticForm:
         # (numerator, denominator) of each diagonal entry, read once
         self._pairs = tuple((d.numerator, d.denominator) for d in self.diagonal)
         self._odd_primes: tuple[int, ...] | None = None
+        # odd prime -> indices of the diagonal entries it divides
+        self._odd_entries: dict[int, list[int]] = {}
         self._local: dict[int, LocalInvariants] = {}
 
     def __repr__(self):
@@ -75,7 +80,13 @@ def _decimal(x: int) -> str:
     try:
         return str(x)
     except ValueError:
-        return f"<{math.floor(math.log10(abs(x))) + 1} digits>"
+        x = abs(x)
+        # 30102999566 / 10^11 is below log10(2), so d is at most the digit
+        # count of x, and the loop counts up to it in integers
+        d = (x.bit_length() - 1) * 30102999566 // 10**11 + 1
+        while x >= 10**d:
+            d += 1
+        return f"<{d} digits>"
 
 
 def _exact(x) -> int | Fraction:
@@ -115,6 +126,15 @@ def _diagonalize(gram, integral: bool) -> list[Fraction]:
     trailing block, so only it is kept up to date; the swap and x_k ->
     x_k + x_j move whole rows and columns, so its lower part is restored
     from the upper one just before they run, when a[k][k] = 0.
+
+    A step whose pivot row k has a 0 in column i only scales row i by
+    p_k / p_{k-1}, and these factors telescope, so row i is left as it is:
+    since[i] is the step as of which its stored values hold, and at step k
+    its values are stored * p_{k-1} / pivots[since[i]].  Every Bareiss
+    entry is an integer minor of L * gram, so each such division is exact.
+    A row is brought up to date only when it is read: as the pivot row,
+    in a step whose pivot row has a nonzero entry in it (one division for
+    both), or before the lower part is restored.
     """
     n = len(gram)
     if integral:
@@ -135,10 +155,21 @@ def _diagonalize(gram, integral: bool) -> list[Fraction]:
         for row in a:
             row[k] += row[j]
 
-    diag, prev = [], 1
+    # pivots[s] is p_{s-1} (pivots[0] = 1), the divisor of step s
+    diag, pivots, since = [], [1], [0] * n
+
+    def catch_up(i, k):
+        # row i's upper part as of step k
+        q, prev = pivots[since[i]], pivots[k]
+        if q != prev:
+            a[i][i:] = [x * prev // q for x in a[i][i:]]
+        since[i] = k
+
     for k in range(n):
+        catch_up(k, k)
         if a[k][k] == 0:
             for i in range(k + 1, n):  # the lower part, from the upper
+                catch_up(i, k)
                 a[i][k:i] = [a[j][i] for j in range(k, i)]
             piv = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
             if piv is not None:
@@ -152,12 +183,19 @@ def _diagonalize(gram, integral: bool) -> list[Fraction]:
                 if r != k:
                     swap(k, r)
                 add_into(k, c)
-        ak, p = a[k], a[k][k]
+        ak, p, prev = a[k], a[k][k], pivots[k]
         diag.append(Fraction(p, prev * scale))
-        for i in range(k + 1, n):
-            ai, f = a[i], ak[i]
-            ai[i:] = [(p * x - f * y) // prev for x, y in zip(ai[i:], ak[i:])]
-        prev = p
+        for i in itertools.compress(range(k + 1, n), ak[k + 1:]):
+            ai, f, q = a[i], ak[i], pivots[since[i]]
+            if q == prev:
+                ai[i:] = [(p * x - f * y) // prev
+                          for x, y in zip(ai[i:], ak[i:])]
+            else:  # row i as of step since[i], brought up in the same division
+                u, v, d = p * prev, f * q, prev * q
+                ai[i:] = [(u * x - v * y) // d
+                          for x, y in zip(ai[i:], ak[i:])]
+            since[i] = k + 1
+        pivots.append(p)
     return diag
 
 
@@ -212,14 +250,18 @@ def local_invariants(form: QuadraticForm, p: int) -> LocalInvariants:
 
     At odd p an entry whose numerator and denominator are prime to p is a
     unit (a = 0): no antisquare, and 1 to the p-signature.  So only the
-    entries p divides are split; at p = 2 every entry is.
+    entries p divides are split, read from the record relevant_odd_primes
+    keeps; the diagonal is factored first if it has not been, so a
+    cofactor past the budget raises its FormError here.  At p = 2 every
+    entry is split.
     """
     if p not in form._local:
         if p == 2:
             hits, total = form._pairs, 0
         else:
-            hits = [(num, den) for num, den in form._pairs
-                    if not (num % p and den % p)]
+            if form._odd_primes is None:
+                relevant_odd_primes(form)
+            hits = [form._pairs[i] for i in form._odd_entries.get(p, ())]
             total = form.dim - len(hits)
         m = 0
         for num, den in hits:
@@ -264,29 +306,41 @@ def relevant_odd_primes(form: QuadraticForm) -> list[int]:
     above it, and the primes of each cofactor cached for the process.  A
     cofactor that exhausts the budget raises FormError naming its digit
     count.
+
+    The primes found for a part are every prime that divides it, so the
+    diagonal entries each prime divides are recorded on the way, for
+    local_invariants.
     """
     if form._odd_primes is None:
-        ps: set[int] = set()
-        parts = {part // (part & -part) for num, den in form._pairs
-                 for part in (abs(num), den)}
-        for odd in sorted(parts):
+        owners: dict[int, list[int]] = {}  # odd part -> its entries
+        for i, (num, den) in enumerate(form._pairs):
+            for part in (abs(num), den):
+                owners.setdefault(part // (part & -part), []).append(i)
+        entries: dict[int, list[int]] = {}  # odd prime -> its entries
+        for part in sorted(owners):
+            odd, found = part, []
             for p in _SMALL_ODD_PRIMES:
                 if p * p > odd:
                     break
                 if odd % p == 0:
-                    ps.add(p)
+                    found.append(p)
                     odd //= p
                     while odd % p == 0:
                         odd //= p
-            for p in ps:  # factor only what earlier parts left unexplained
-                while odd % p == 0:
-                    odd //= p
+            for p in entries:  # factor only what earlier parts left unexplained
+                if odd % p == 0:
+                    found.append(p)
+                    while odd % p == 0:
+                        odd //= p
             if odd >= 10**6:
                 from .factoring import prime_factors
-                ps.update(prime_factors(odd))
+                found += prime_factors(odd)
             elif odd > 1:  # no prime below 1000 divides it
-                ps.add(odd)
-        form._odd_primes = tuple(sorted(ps))
+                found.append(odd)
+            for p in found:
+                entries.setdefault(p, []).extend(owners[part])
+        form._odd_primes = tuple(sorted(entries))
+        form._odd_entries = entries
     return list(form._odd_primes)
 
 

@@ -42,6 +42,14 @@ def test_repr_of_a_determinant_past_the_digit_limit():
     assert repr(F) == "QuadraticForm(dim=2, det=<8589 digits>)"
     G = qf.QuadraticForm([[Fraction(1, 3**9100), 0], [0, 5]])
     assert repr(G) == "QuadraticForm(dim=2, det=5/<4342 digits>)"
+    # the count is exact at each power of ten, where a float log10 reads
+    # 10^k - 1 as k + 1 digits
+    for k in (4301, 5000, 10000):
+        for x, digits in ((10**k - 1, k), (10**k, k + 1)):
+            assert repr(qf.QuadraticForm([[x]])) == (
+                f"QuadraticForm(dim=1, det=<{digits} digits>)")
+            assert repr(qf.QuadraticForm([[Fraction(-1, x)]])) == (
+                f"QuadraticForm(dim=1, det=-1/<{digits} digits>)")
     assert repr(qf.QuadraticForm([[2, 1], [1, 2]])) == (
         "QuadraticForm(dim=2, det=3)")
 
@@ -243,11 +251,18 @@ def sparse_unimodular(rng, n):
 
 
 def congruent_gram(rng, gram, unimodular=random_unimodular):
-    n = len(gram)
-    s = unimodular(rng, n)
-    return [[sum(s[i][a] * gram[a][b] * s[j][b]
-                 for a in range(n) for b in range(n))
-             for j in range(n)] for i in range(n)]
+    # S G S^T, as two products
+    s = unimodular(rng, len(gram))
+    sg = [[sum(x * y for x, y in zip(row, col)) for col in zip(*gram)]
+          for row in s]
+    return [[sum(x * y for x, y in zip(row, srow)) for srow in s]
+            for row in sg]
+
+
+def block_diagonal(block, k):
+    m = len(block)
+    return [[block[i % m][j % m] if i // m == j // m else 0
+             for j in range(m * k)] for i in range(m * k)]
 
 
 def congruent_form(rng, f):
@@ -260,10 +275,7 @@ def test_det_matches_bareiss(rng):
     # an independent route to the same number
     e8 = catalog.e8_gram()
     for k in (1, 2, 3):
-        n = 8 * k
-        block = [[e8[i % 8][j % 8] if i // 8 == j // 8 else 0
-                  for j in range(n)] for i in range(n)]
-        g = congruent_gram(rng, block)
+        g = congruent_gram(rng, block_diagonal(e8, k))
         assert qf.QuadraticForm(g).det == zlinalg.det(g) == 1
     singular = 0
     for _ in range(80):
@@ -337,11 +349,12 @@ def assert_same_diagonal(gram):
     return True
 
 
-def random_symmetric(rng, n, zero_diagonal=False):
+def random_symmetric(rng, n, zero_diagonal=False, density=1):
     g = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            if i == j and zero_diagonal:
+            if (i == j and zero_diagonal
+                    or density < 1 and rng.random() >= density):
                 continue
             g[i][j] = g[j][i] = Fraction(rng.randint(-4, 4),
                                          rng.choice((1, 1, 2, 3, 4, 9)))
@@ -357,6 +370,12 @@ def test_diagonal_matches_fraction_reference_random(rng):
         else:
             singular += 1
     assert nonsingular > 100 and singular > 10
+    # sparse ones, where steps skip most rows
+    nonsingular = 0
+    for _ in range(150):
+        g = random_symmetric(rng, rng.randint(2, 14), density=0.3)
+        nonsingular += assert_same_diagonal(g)
+    assert nonsingular > 30
 
 
 def test_diagonal_matches_fraction_reference_zero_diagonal(rng):
@@ -364,9 +383,7 @@ def test_diagonal_matches_fraction_reference_zero_diagonal(rng):
     # x_k -> x_k + x_c
     h = catalog.hyperbolic_gram()
     for k in (1, 2, 3, 5):
-        n = 2 * k
-        g = [[h[i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(n)]
-             for i in range(n)]
+        g = block_diagonal(h, k)
         assert assert_same_diagonal(g)
         assert assert_same_diagonal([[Fraction(x, 3) for x in row]
                                      for row in congruent_gram(rng, g)])
@@ -378,10 +395,22 @@ def test_diagonal_matches_fraction_reference_zero_diagonal(rng):
 def test_diagonal_matches_fraction_reference_e8_copies(rng):
     e8 = catalog.e8_gram()
     for k in (1, 2, 4, 8):
-        n = 8 * k
-        block = [[e8[i % 8][j % 8] if i // 8 == j // 8 else 0
-                  for j in range(n)] for i in range(n)]
-        assert assert_same_diagonal(congruent_gram(rng, block))
+        assert assert_same_diagonal(congruent_gram(rng, block_diagonal(e8, k)))
+
+
+def test_diagonal_matches_fraction_reference_sparse_copies(rng):
+    # a step skips each row its pivot row has a 0 in, and brings it up to
+    # date when a later pivot row reaches it: in a sparse congruent copy
+    # most rows are skipped for many steps at a time, and in a block-
+    # diagonal form every row outside the pivot's block is skipped
+    e8 = catalog.e8_gram()
+    for k in (1, 2, 4, 8):
+        assert assert_same_diagonal(
+            congruent_gram(rng, block_diagonal(e8, k), sparse_unimodular))
+        assert assert_same_diagonal(block_diagonal(e8, k))
+    for n in (8, 32, 64):
+        assert assert_same_diagonal(
+            congruent_gram(rng, block_diagonal([[1]], n), sparse_unimodular))
 
 
 def test_diagonal_matches_fraction_reference_zero_pivot_after_steps(rng):
@@ -405,6 +434,10 @@ def test_diagonal_matches_fraction_reference_zero_pivot_after_steps(rng):
         for g in (planes, dense):
             assert assert_same_diagonal(g)
             assert assert_same_diagonal(congruent_gram(rng, g))
+        # a sparse copy keeps some rows skipped up to the zero pivot, so
+        # they must be brought up to date before the lower part is rebuilt
+        assert assert_same_diagonal(
+            congruent_gram(rng, planes, sparse_unimodular))
 
 
 def odd_primes_to(n):
@@ -417,14 +450,28 @@ def test_local_invariants_match_per_entry_definition(rng):
     # entries p divides; is_antisquare and p_split are the per-entry
     # definitions it must agree with, at the relevant primes and at odd
     # primes that divide no entry
-    e8 = catalog.e8_gram()
-    e8_4 = [[e8[i % 8][j % 8] if i // 8 == j // 8 else 0 for j in range(32)]
-            for i in range(32)]
+    e8_4 = block_diagonal(catalog.e8_gram(), 4)
     forms = [congruent_form(rng, random_form(rng, max_dim=5,
                                              allow_fractions=True))
              for _ in range(60)]
     forms += [qf.QuadraticForm(congruent_gram(rng, e8_4, sparse_unimodular))
               for _ in range(3)]
+    # primes that trial division does not find: c = 1009 * 1013 is a
+    # cofactor past 10^6 that prime_factors splits, shared by two entries
+    # (c and c/7) and met again in 3c and -5c; 1000003 is a prime cofactor
+    # past 10^6; in 7 * 1009^2 * 1013 and 11 * 1000003 * 1009 the large
+    # primes were found in an earlier part
+    c, big = 1009 * 1013, 1000003
+    for diag in ([c, Fraction(c, 7), 3 * c, -5 * c],
+                 [c, 7 * 1009**2 * 1013, Fraction(-2, 9 * big),
+                  11 * big * 1009],
+                 [Fraction(big, 3 * c), Fraction(-c, 5 * big), 2]):
+        f = qf.QuadraticForm([[diag[i] if i == j else 0
+                               for j in range(len(diag))]
+                              for i in range(len(diag))])
+        assert {1009, 1013} <= set(qf.relevant_odd_primes(f))
+        forms += [f, qf.QuadraticForm(congruent_gram(rng, f.gram,
+                                                     sparse_unimodular))]
     for f in forms:
         relevant = qf.relevant_odd_primes(f)
         others = [p for p in odd_primes_to(97) if p not in relevant]
@@ -440,6 +487,27 @@ def test_local_invariants_match_per_entry_definition(rng):
             li = qf.local_invariants(f, p)
             assert (li.antisquare_count, li.p_signature) == (m, total % 8)
             assert qf.local_invariants(f, p) is li
+
+
+def test_local_invariants_raise_the_budget_error_at_once(monkeypatch):
+    # at odd p, local_invariants reads the entries p divides from the
+    # factoring of the diagonal, so a cofactor past the splitting bound
+    # refuses the form before any splitting step, even at a prime (3)
+    # that divides another entry
+    import sympy
+    a = sympy.nextprime(10**50)
+    b = sympy.nextprime(a)
+    assert a * b >= factoring._SPLIT_BOUND
+
+    def no_step(*args):
+        raise AssertionError("a splitting step ran")
+    monkeypatch.setattr(factoring, "_brent", no_step)
+    monkeypatch.setattr(factoring, "_ecm", no_step)
+    f = qf.QuadraticForm([[int(a * b), 0], [0, 3]])
+    for _ in range(2):
+        with pytest.raises(qf.FormError, match="more than 100 digits"):
+            qf.local_invariants(f, 3)
+    assert qf.local_invariants(f, 2).p_signature == (a * b + 3) % 8
 
 
 def test_relevant_odd_primes_factors_each_part_once(rng, monkeypatch):
