@@ -1,9 +1,9 @@
 """Primality and factoring within a fixed budget, for the odd primes of a
-form's diagonal.
+form's determinant and denominators.
 
-quadforms imports this module only when a cofactor of 10^6 or more is
-left after trial division, so a form whose parts trial division settles
-(E8, the unimodular forms) loads and compiles none of it.
+quadforms imports this module only for a piece of a determinant, or a p
+passed to local_invariants, of 10^6 or more, so a form whose determinant
+trial division settles (E8, the unimodular forms) loads none of it.
 
 A number is declared prime by Miller-Rabin to the first 13 prime bases,
 a proof below PSI13 (about 3.3 * 10^24), and by BPSW at or above it,
@@ -11,9 +11,10 @@ which has no known counterexample but no proof.  A composite is split by
 Pollard-Brent, then by ECM, each within a fixed budget; a composite that
 exhausts both raises FormError naming its digit count.  The budget counts
 steps, whose cost grows with the composite's size, so a composite of more
-than 100 digits raises FormError before any step; primes and squares of
-any size still answer.  The primes of each number split are cached for
-the life of the process.
+than 100 digits raises FormError before any step, and any number of more
+than 1,000 digits before its primality test, whose cost grows faster
+than the square of its digit count.  The primes of each number split
+are cached for the life of the process.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ _RHO_STEPS = 1 << 16
 _ECM_B1, _ECM_B2, _ECM_D = 2000, 200_000, 2310
 _ECM_CURVES = 100
 # The budget's wall time grows with the composite (it ran out after 5.6 s
-# at 108 digits and 18.6 s at 208), so composites at or above this bound
-# are refused before any step
-_SPLIT_BOUND = 10 ** 100
+# at 108 digits and 18.6 s at 208): composites from the first bound on are
+# refused before any step, numbers from the second before any test
+_SPLIT_BOUND, _PRIME_BOUND = 10 ** 100, 10 ** 1000
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -274,6 +275,8 @@ def _find_factor(n: int) -> int:
 def prime_factors(n: int) -> tuple[int, ...]:
     """The distinct primes of an odd n > 1, sorted.  Cached process-wide,
     so a worker that meets the same cofactor again does not split it."""
+    if n >= _PRIME_BOUND:
+        raise FormError("cannot factor a cofactor of more than 100 digits")
     primes, todo = set(), [n]
     while todo:
         m = todo.pop()

@@ -6,22 +6,21 @@ with b prime to p, count antisquares, and sum the unit parts mod 8.  The
 diagonalization is fraction-free (Bareiss 1968): the Gram matrix is scaled
 once to integers, eliminated on Python ints in its upper triangle only,
 rewriting no row while the pivot rows have a 0 in it, and each diagonal
-entry is a ratio of successive pivots.  At an odd prime only the entries p
-divides need splitting: every other entry is a unit that adds 1 to the
-p-signature.  Which entries each odd prime divides is recorded when the
-diagonal is factored.  The resulting p-signatures, oddity, and
-p-excesses satisfy the mod-8 reciprocity identity, and together with
-dimension, determinant square class and real signature they decide
-rational equivalence.
+entry is a ratio of successive pivots.  The resulting p-signatures,
+oddity, and p-excesses satisfy the mod-8 reciprocity identity, and
+together with dimension, determinant square class and real signature
+they decide rational equivalence.
 
-The odd primes of the diagonal are found by trial division here and, for
-a cofactor of 10^6 or more that it leaves, by the factoring module within
-a fixed budget; an input whose cofactor the budget cannot split is
-refused with a FormError, not factored without bound.
+The p-excess is 0 at every odd prime that divides neither the
+determinant's numerator nor the lcm of the gram's denominators, so only
+those primes are read: by trial division and gcds with the diagonal here,
+then by the factoring module within a fixed budget, so an input whose
+cofactor the budget cannot split is refused, not factored without bound.
 
 Nothing here imports complex code: parse_gram shares only textformat
 with the complex parser, so the qf verbs load no simplicial module, and
-factoring loads only when a cofactor needs splitting.
+factoring loads only when a cofactor needs splitting or local_invariants
+tests a p of 10^6 or more for primality.
 """
 
 from __future__ import annotations
@@ -61,11 +60,7 @@ class QuadraticForm:
         self.diagonal: tuple[Fraction, ...] = tuple(
             _diagonalize(gram, self.is_integral))
         self.det: Fraction = math.prod(self.diagonal, start=Fraction(1))
-        # (numerator, denominator) of each diagonal entry, read once
-        self._pairs = tuple((d.numerator, d.denominator) for d in self.diagonal)
         self._odd_primes: tuple[int, ...] | None = None
-        # odd prime -> indices of the diagonal entries it divides
-        self._odd_entries: dict[int, list[int]] = {}
         self._local: dict[int, LocalInvariants] = {}
 
     def __repr__(self):
@@ -246,26 +241,15 @@ class LocalInvariants:
 
 
 def local_invariants(form: QuadraticForm, p: int) -> LocalInvariants:
-    """p-signature (oddity at p = 2), p-excess, and antisquare count.
-
-    At odd p an entry whose numerator and denominator are prime to p is a
-    unit (a = 0): no antisquare, and 1 to the p-signature.  So only the
-    entries p divides are split, read from the record relevant_odd_primes
-    keeps; the diagonal is factored first if it has not been, so a
-    cofactor past the budget raises its FormError here.  At p = 2 every
-    entry is split.
-    """
+    """p-signature (oddity at p = 2), p-excess, and antisquare count, from
+    every diagonal entry split at p; no factoring step runs.  A p that is
+    neither 2 nor an odd prime (_is_odd_prime) raises FormError."""
     if p not in form._local:
-        if p == 2:
-            hits, total = form._pairs, 0
-        else:
-            if form._odd_primes is None:
-                relevant_odd_primes(form)
-            hits = [form._pairs[i] for i in form._odd_entries.get(p, ())]
-            total = form.dim - len(hits)
-        m = 0
-        for num, den in hits:
-            a, num, den = _split(num, den, p)
+        if p != 2 and not _is_odd_prime(p):
+            raise FormError(f"p = {p} is neither 2 nor an odd prime")
+        m = total = 0
+        for d in form.diagonal:
+            a, num, den = _split(d.numerator, d.denominator, p)
             m += _antisquare(a, num, den, p)
             if p == 2:
                 total += num * pow(den, -1, 8) % 8  # the unit mod 8
@@ -287,60 +271,70 @@ def real_signature(form: QuadraticForm) -> int:
     return sum(1 if d > 0 else -1 for d in form.diagonal)
 
 
-# the odd primes below 1000: a cofactor below 1000**2 that none divides
-# is prime
+# the odd primes below 1000; a number below 10^6 that none divides is prime
 _SMALL_ODD_PRIMES = tuple(p for p in range(3, 1000, 2)
                           if all(p % q for q in range(3, math.isqrt(p) + 1, 2)))
 
 
+def _is_odd_prime(p: int) -> bool:
+    """Trial division below 10^6, a proof there; factoring's test above."""
+    if p < 10**6:
+        small = itertools.takewhile(lambda q: q * q <= p, _SMALL_ODD_PRIMES)
+        return p > 2 and p % 2 == 1 and all(p % q for q in small)
+    from .factoring import _is_prime
+    return _is_prime(p)
+
+
+def _pieces(c: int, diagonal) -> list[int]:
+    """Divisors of c that hold its primes between them, each dividing or
+    prime to every numerator and denominator of the diagonal."""
+    pieces = {c}
+    for x in (n for d in diagonal for n in (d.numerator, d.denominator)):
+        split = set()
+        for y in pieces:
+            while 1 < (g := math.gcd(y, x)) < y:
+                split.add(g)
+                y //= g
+            split.add(y)
+        pieces = split
+    return sorted(pieces)
+
+
 def relevant_odd_primes(form: QuadraticForm) -> list[int]:
     """Odd primes at which the form can have nonzero p-excess: the odd
-    prime factors of the numerators and denominators of the diagonal.
+    primes of the determinant's numerator and, for a gram that is not
+    integral, of the lcm L of its denominators.  At any other odd p the
+    gram is p-integral with a p-adic unit determinant, so it is
+    Z_p-unimodular and its p-excess is 0 (Conway & Sloane, SPLAG, ch. 15).
+    An intersection form is unimodular, so it has none.
 
-    Each odd part is divided by the odd primes below 1000 while p^2 is at
-    most what is left, then by the primes found so far.  A cofactor below
-    10^6 left after that is prime.  One of 10^6 or more goes to
-    factoring.prime_factors, which is imported there and nowhere else:
-    Pollard-Brent, then ECM, each within a fixed budget, with primality
-    proven by Miller-Rabin below about 3.3 * 10^24 and tested by BPSW
-    above it, and the primes of each cofactor cached for the process.  A
-    cofactor that exhausts the budget raises FormError naming its digit
-    count.
-
-    The primes found for a part are every prime that divides it, so the
-    diagonal entries each prime divides are recorded on the way, for
-    local_invariants.
+    Each odd part loses its primes below 1000 by trial division, and the
+    rest is cut by gcds with the diagonal (_pieces), so primes of separate
+    entries are not factored as one product.  A piece below 10^6 is prime;
+    factoring.prime_factors, imported there, splits a larger one within a
+    fixed budget, caching its primes for the process.
     """
     if form._odd_primes is None:
-        owners: dict[int, list[int]] = {}  # odd part -> its entries
-        for i, (num, den) in enumerate(form._pairs):
-            for part in (abs(num), den):
-                owners.setdefault(part // (part & -part), []).append(i)
-        entries: dict[int, list[int]] = {}  # odd prime -> its entries
-        for part in sorted(owners):
-            odd, found = part, []
+        parts = [abs(form.det.numerator)]
+        if not form.is_integral:
+            parts.append(math.lcm(*(x.denominator for row in form.gram
+                                    for x in row)))
+        primes: set[int] = set()
+        for part in parts:
+            odd = part // (part & -part)
             for p in _SMALL_ODD_PRIMES:
                 if p * p > odd:
                     break
                 if odd % p == 0:
-                    found.append(p)
-                    odd //= p
-                    while odd % p == 0:
-                        odd //= p
-            for p in entries:  # factor only what earlier parts left unexplained
-                if odd % p == 0:
-                    found.append(p)
-                    while odd % p == 0:
-                        odd //= p
-            if odd >= 10**6:
-                from .factoring import prime_factors
-                found += prime_factors(odd)
-            elif odd > 1:  # no prime below 1000 divides it
-                found.append(odd)
-            for p in found:
-                entries.setdefault(p, []).extend(owners[part])
-        form._odd_primes = tuple(sorted(entries))
-        form._odd_entries = entries
+                    primes.add(p)
+                    odd = _split(odd, 1, p)[1]
+            for piece in _pieces(odd, form.diagonal) if odd > 1 else ():
+                if piece >= 10**6:
+                    from .factoring import prime_factors
+                    primes.update(prime_factors(piece))
+                else:  # no prime below 1000 divides it
+                    primes.add(piece)
+        form._odd_primes = tuple(sorted(primes))
     return list(form._odd_primes)
 
 

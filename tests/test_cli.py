@@ -129,12 +129,13 @@ def test_qf_factors_each_odd_part_once(files, capsys, monkeypatch, tmp_path):
     find_factor = factoring._find_factor
     monkeypatch.setattr(factoring, "_find_factor",
                         lambda n: seen.append(n) or find_factor(n))
-    # trial division by the primes below 1000 settles every part of E8
+    # E8 has determinant 1: nothing to factor
     code, out, err = run(capsys, "qf", files["E8"], "--json")
     assert code == 0 and seen == []
-    # cofactors of 10**6 or more reach the splitter: 1009 * 1013 once
-    # (3 * 1009 * 1013 is then explained by primes already found), and
-    # 1019 * 1021 * 1031, split once and its composite part once more
+    # the determinant 3 * (1009 * 1013)^2 * 1019 * 1021 * 1031 leaves a
+    # cofactor past 10**6 after trial division, which gcds with the
+    # diagonal cut into 1009 * 1013 and 1019 * 1021 * 1031: the splitter
+    # takes the first once and the second twice, its composite part again
     big = [[0] * 3 for _ in range(3)]
     for i, v in enumerate((1009 * 1013, 3 * 1009 * 1013, 1019 * 1021 * 1031)):
         big[i][i] = v
@@ -146,7 +147,7 @@ def test_qf_factors_each_odd_part_once(files, capsys, monkeypatch, tmp_path):
     assert report["reciprocity_residual"] == 0
     assert [e["p"] for e in report["p_excess"]] == [3, 1009, 1013, 1019,
                                                      1021, 1031]
-    assert len(seen) == 3 and seen[0] == 1009 * 1013
+    assert len(seen) == 3 and seen[:2] == [1009 * 1013, 1019 * 1021 * 1031]
     assert len(set(seen)) == len(seen)
     # a congruent copy P^T B P, P = I plus ones below the diagonal
     p = [[int(j in (i, i - 1)) for j in range(3)] for i in range(3)]
@@ -156,8 +157,9 @@ def test_qf_factors_each_odd_part_once(files, capsys, monkeypatch, tmp_path):
     copy.write_text(qf.gram_text(qf.QuadraticForm(g)))
     code, out, err = run(capsys, "qf-equiv", str(path), str(copy), "--json")
     assert code == 0
-    # the process-wide cache hands back the three splits' primes: the
-    # second verb splits nothing again
+    # the copy's diagonal cuts its determinant into the same pieces, and
+    # the process-wide cache hands back their primes: the second verb
+    # splits nothing again
     assert len(seen) == 3
 
 
@@ -556,13 +558,13 @@ def test_ladder_script_rungs_run():
 
 
 def test_no_verb_imports_sympy(files, tmp_path):
-    # complex verbs never factor, and trial division settles E8's 3, 5, 7,
-    # so neither loads the splitter either
+    # complex verbs never factor, and E8 has determinant 1, so neither
+    # loads the splitter either
     names = _imports("panel", files["CP2"])[0]
     assert not names & {"sympy", "topinv.factoring"}
     names, out = _imports("qf", files["E8"], "--json")
     assert not names & {"sympy", "topinv.factoring"}
-    assert [e["p"] for e in json.loads(out)["p_excess"]] == [3, 5, 7]
+    assert json.loads(out)["p_excess"] == []
     # 1009 * 1013 is past 10**6 with no prime factor below 1000, so it
     # reaches the splitter
     path = tmp_path / "big.qf"
@@ -570,7 +572,8 @@ def test_no_verb_imports_sympy(files, tmp_path):
     names, out = _imports("qf", str(path), "--json")
     assert "sympy" not in names and "topinv.factoring" in names
     assert [e["p"] for e in json.loads(out)["p_excess"]] == [1009, 1013]
-    # a dense dim-32 form, whose diagonal has cofactors of 20 digits and more
+    # a dense dim-32 form, whose diagonal has cofactors of 20 digits and
+    # more, and whose determinant has a 21-digit prime
     rng = random.Random(32)
     g = [[0] * 32 for _ in range(32)]
     for i in range(32):
@@ -585,8 +588,7 @@ def test_no_verb_imports_sympy(files, tmp_path):
     assert report["reciprocity_residual"] == 0
     assert max(len(str(d.numerator)) for d in form.diagonal) >= 20
     assert [e["p"] for e in report["p_excess"]] == sorted(
-        {p for d in form.diagonal for part in (abs(d.numerator), d.denominator)
-         for p in sympy.factorint(part) if p > 2})
+        p for p in sympy.factorint(form.det.numerator) if p > 2)
 
 
 def test_cofactor_over_the_splitting_budget_exits_1_with_one_line(tmp_path):
@@ -646,6 +648,33 @@ def test_primes_and_composites_around_the_split_bound(capsys, tmp_path,
     with pytest.raises(qf.FormError, match="more than 100 digits"):
         factoring.prime_factors(n)
     assert steps == []
+
+
+def test_primes_in_separate_entries_are_not_split(capsys, tmp_path,
+                                                  monkeypatch):
+    # the determinant of diag(a, b) is the composite a * b: 101 digits for
+    # two 51-digit primes, past the split bound, and 80 digits for two
+    # 40-digit ones, which can run the splitting budget out; 2^2203 - 1 is
+    # a 664-digit prime whose square has 1,327 digits, past the bound of
+    # any primality test.  The diagonal cuts each determinant into primes,
+    # which are answered by the primality test alone.
+    def no_split(n):
+        raise AssertionError(f"split a {len(str(n))}-digit cofactor")
+    monkeypatch.setattr(factoring, "_find_factor", no_split)
+    a51 = sympy.nextprime(10**50)
+    a40 = sympy.nextprime(10**39)
+    q = 2**2203 - 1
+    for a, b in ((a51, sympy.nextprime(a51)), (a40, sympy.nextprime(a40)),
+                 (q, q)):
+        path = tmp_path / "primes.qf"
+        path.write_text(f"dim 2\n{a} 0\n0 {b}\n")
+        for argv in (["qf", str(path)], ["qf-equiv", str(path), str(path)]):
+            code, out, err = run(capsys, *argv, "--json")
+            assert code == 0 and err == "", argv
+        code, out, err = run(capsys, "qf", str(path), "--json")
+        report = json.loads(out)
+        assert [e["p"] for e in report["p_excess"]] == sorted({a, b})
+        assert report["reciprocity_residual"] == 0
 
 
 def test_point_gets_one_report_from_every_sw_verb(capsys, tmp_path):

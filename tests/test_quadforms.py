@@ -446,21 +446,18 @@ def odd_primes_to(n):
 
 
 def test_local_invariants_match_per_entry_definition(rng):
-    # local_invariants splits each entry once, and at odd p only the
-    # entries p divides; is_antisquare and p_split are the per-entry
-    # definitions it must agree with, at the relevant primes and at odd
-    # primes that divide no entry
+    # local_invariants splits each entry once; is_antisquare and p_split
+    # are the per-entry definitions it must agree with, at the relevant
+    # primes and at odd primes that it does not read
     e8_4 = block_diagonal(catalog.e8_gram(), 4)
     forms = [congruent_form(rng, random_form(rng, max_dim=5,
                                              allow_fractions=True))
              for _ in range(60)]
     forms += [qf.QuadraticForm(congruent_gram(rng, e8_4, sparse_unimodular))
               for _ in range(3)]
-    # primes that trial division does not find: c = 1009 * 1013 is a
-    # cofactor past 10^6 that prime_factors splits, shared by two entries
-    # (c and c/7) and met again in 3c and -5c; 1000003 is a prime cofactor
-    # past 10^6; in 7 * 1009^2 * 1013 and 11 * 1000003 * 1009 the large
-    # primes were found in an earlier part
+    # primes that trial division does not find: 1009, 1013 and 1000003,
+    # in cofactors past 10^6 of the determinant's numerator or of the lcm
+    # of the denominators (the third form's determinant is -2/15)
     c, big = 1009 * 1013, 1000003
     for diag in ([c, Fraction(c, 7), 3 * c, -5 * c],
                  [c, 7 * 1009**2 * 1013, Fraction(-2, 9 * big),
@@ -489,25 +486,45 @@ def test_local_invariants_match_per_entry_definition(rng):
             assert qf.local_invariants(f, p) is li
 
 
-def test_local_invariants_raise_the_budget_error_at_once(monkeypatch):
-    # at odd p, local_invariants reads the entries p divides from the
-    # factoring of the diagonal, so a cofactor past the splitting bound
-    # refuses the form before any splitting step, even at a prime (3)
-    # that divides another entry
+def test_local_invariants_run_no_factoring_step(monkeypatch):
+    # local_invariants splits the diagonal at the p it is given, and reads
+    # no factoring of it: a form whose determinant has a cofactor past the
+    # splitting bound answers at 2, at 3 and at the two 51-digit primes of
+    # that cofactor, which are tested for primality and not split
     import sympy
     a = sympy.nextprime(10**50)
     b = sympy.nextprime(a)
     assert a * b >= factoring._SPLIT_BOUND
 
     def no_step(*args):
-        raise AssertionError("a splitting step ran")
-    monkeypatch.setattr(factoring, "_brent", no_step)
-    monkeypatch.setattr(factoring, "_ecm", no_step)
+        raise AssertionError("a factoring step ran")
+    for name in ("_brent", "_ecm", "prime_factors"):
+        monkeypatch.setattr(factoring, name, no_step)
     f = qf.QuadraticForm([[int(a * b), 0], [0, 3]])
-    for _ in range(2):
-        with pytest.raises(qf.FormError, match="more than 100 digits"):
-            qf.local_invariants(f, 3)
     assert qf.local_invariants(f, 2).p_signature == (a * b + 3) % 8
+    for p in (3, a, b):
+        li = qf.local_invariants(f, int(p))
+        m = sum(qf.is_antisquare(d, int(p)) for d in f.diagonal)
+        units = sum(qf.p_split(d, int(p))[0] % 2 == 0 for d in f.diagonal)
+        assert li.antisquare_count == m
+        assert li.p_signature == (units + (2 - units) * (p % 8) + 4 * m) % 8
+    with pytest.raises(AssertionError, match="factoring step"):
+        qf.relevant_odd_primes(f)
+
+
+def test_local_invariants_refuse_a_p_that_is_not_prime():
+    # 0 once divided by zero, 1 looped in _split, and the others answered
+    # as if every entry were a p-unit
+    e8 = qf.QuadraticForm(catalog.e8_gram())
+    d = qf.QuadraticForm([[3, 0], [0, 9]])
+    for f in (e8, d):
+        for p in (0, 4, 9, -3, 1, 1009 * 1013):
+            with pytest.raises(qf.FormError, match="nor an odd prime"):
+                qf.local_invariants(f, p)
+    li = qf.local_invariants(e8, 3)
+    assert (li.p_excess, li.p_signature) == (0, 0)
+    li = qf.local_invariants(d, 3)  # 3 = 3 * 1 and 9 = 3^2 * 1
+    assert (li.p_excess, li.p_signature) == (2, 4)
 
 
 def test_relevant_odd_primes_factors_each_part_once(rng, monkeypatch):
@@ -525,11 +542,62 @@ def test_relevant_odd_primes_factors_each_part_once(rng, monkeypatch):
         assert qf.relevant_odd_primes(f) == primes
         assert qf.reciprocity_residual(f) == 0
         assert len(seen) == len(set(seen))
-        # the primes of every odd part, each part factored in full
-        want = {p for d in f.diagonal
-                for part in (abs(d.numerator), d.denominator)
+        # the odd primes of num(det) and, for a gram that is not
+        # integral, of the lcm of its denominators
+        lcm = math.lcm(*(Fraction(x).denominator for row in f.gram
+                         for x in row))
+        want = {p for part in (abs(f.det.numerator), lcm)
                 for p in factorint(part) if p > 2}
         assert primes == sorted(want)
+
+
+def test_pieces_hold_the_primes_and_divide_or_miss_each_entry(rng):
+    from sympy import primefactors
+    p, q, r = 1009, 1013, 1019
+    # p^3 q against the entry p leaves p^2 q after one gcd, which p
+    # divides again; q r against p q and q r against r
+    cases = [(p**3 * q, [Fraction(p), Fraction(p * q, 7)]),
+             (q * r, [Fraction(p * q), Fraction(-3, r)]),
+             (p * q * r, [Fraction(5)])]
+    for _ in range(40):
+        f = congruent_form(rng, random_form(rng, allow_fractions=True))
+        cases.append((abs(f.det.numerator), f.diagonal))
+    for c, diagonal in cases:
+        pieces = qf._pieces(c, diagonal)
+        assert pieces == sorted(set(pieces)) and all(c % y == 0
+                                                     for y in pieces)
+        assert {s for y in pieces for s in primefactors(y)} == set(
+            primefactors(c))
+        for d in diagonal:
+            for x in (d.numerator, d.denominator):
+                assert all(math.gcd(y, x) in (1, y) for y in pieces)
+
+
+def test_primes_off_the_determinant_have_zero_excess(rng):
+    # every odd prime of the diagonal that relevant_odd_primes omits is
+    # one at which the form is Z_p-unimodular
+    omitted = 0
+    for fractions in (False, True):
+        for _ in range(60):
+            f = congruent_form(rng, random_form(rng,
+                                                allow_fractions=fractions))
+            relevant = qf.relevant_odd_primes(f)
+            for p in odd_primes_by_sympy(f):
+                if p not in relevant:
+                    omitted += 1
+                    assert qf.local_invariants(f, p).p_excess == 0, (f, p)
+            assert qf.signature_mod8_from_local(f) == qf.real_signature(f) % 8
+    assert omitted > 100
+    # a dense dim-64 gram with entries in -3..3, as perfbench's qf-forms
+    # probe draws them: its diagonal has a 44-digit cofactor past the
+    # splitting budget, its determinant's primes split at once
+    g = [[0] * 64 for _ in range(64)]
+    seeded = random.Random(1)
+    for i in range(64):
+        for j in range(i, 64):
+            g[i][j] = g[j][i] = seeded.randint(-3, 3)
+    f = qf.QuadraticForm(g)
+    assert qf.signature_mod8_from_local(f) == qf.real_signature(f) % 8
 
 
 def odd_primes_by_sympy(f):
