@@ -2,10 +2,12 @@
 
 Usage: PYTHONPATH=src python scripts/ladder.py
 
-Builds S2xS2xS2, CP2xT2, S4xS4 and K2xK2 with the staircase
+Builds S2xS2xS2, CP2xT2, S4xS4, T2xT2 and K2xK2 with the staircase
 product_complex and times panel on each, and on S4xS4 also integral
 homology and what the intersection verb computes: the checked form on
-the pinned basis.  K2xK2 is non-orientable
+the pinned basis.  T2xT2 is aspherical and orientable, with b_2 = 6: its
+panel clears the most rows of delta_2 (SimplicialComplex._walk_tree)
+and of im delta_1 (_spanning_forest).  K2xK2 is non-orientable
 (w_1 != 0), so its panel runs the F2 pipeline alone and never reaches the
 integral engine.  "simplex17 F2" is F2 homology of one 16-simplex, whose
 131,071 faces are the most MAX_FACES allows: the F2 side's peak memory,
@@ -37,6 +39,8 @@ RUNGS = {
                     "panel"),
     "S4xS4 intersection": ("product_complex(catalog.sphere(4), "
                            "catalog.sphere(4))", "intersection"),
+    "T2xT2 panel": ("product_complex(catalog.torus(), catalog.torus())",
+                    "panel"),
     "K2xK2": ("product_complex(catalog.klein_bottle(), catalog.klein_bottle())",
               "panel"),
     "simplex17 F2": ("SimplicialComplex([tuple(range(17))])", "homology F2"),

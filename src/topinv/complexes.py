@@ -13,6 +13,7 @@ so F2 answers never load it.
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import itertools
 import operator
@@ -157,6 +158,8 @@ class SimplicialComplex:
         One string pass: x's bits in ascending order, picked by
         operator.itemgetter over the face table, read back by int(_, 2).
         """
+        if len(pos) == n + 1:  # every position: the face of s is s itself
+            return x & ((1 << self.n_simplices(n)) - 1)
         pick = operator.itemgetter(*self.face_table(n, pos))
         bits = format(x, f"0{self.n_simplices(len(pos) - 1)}b")[::-1]
         # with one n-simplex, pick returns a lone character; join takes both
@@ -165,29 +168,28 @@ class SimplicialComplex:
     # ---- boundary and coboundary matrices ----
 
     def boundary_z(self, k: int) -> list[list[int]]:
-        """Matrix of the boundary C_k -> C_{k-1}, rows over (k-1)-simplices."""
+        """Matrix of the boundary C_k -> C_{k-1}, rows over (k-1)-simplices,
+        dense, off the face tables."""
         def build():
             rows = [[0] * self.n_simplices(k)
                     for _ in range(self.n_simplices(k - 1))]
-            if k <= 0:
-                return rows
-            idx = self.simplex_index(k - 1)
-            for j, s in enumerate(self.simplices(k)):
-                for i in range(k + 1):
-                    face = s[:i] + s[i + 1:]
-                    rows[idx[face]][j] += (-1) ** i
+            for i, table in enumerate(self._facet_tables(k)):
+                for j, f in enumerate(table):
+                    rows[f][j] = (-1) ** i
             return rows
         return self._memo(("bdz", k), build)
 
     def coboundary_z(self, k: int) -> list[dict[int, int]]:
         """Matrix of delta: C^k -> C^{k+1} as sparse rows, one per
-        (k+1)-simplex: {index of its i-th face: (-1)^i}."""
+        (k+1)-simplex: {index of its i-th face: (-1)^i}, off the face tables,
+        keyed by simplex_index(k)'s own ints, which all rows share."""
         def build():
-            if k < 0:
-                return [{} for _ in range(self.n_simplices(0))]
-            idx = self.simplex_index(k)
-            return [{idx[s[:i] + s[i + 1:]]: (-1) ** i for i in range(k + 2)}
-                    for s in self.simplices(k + 1)]
+            if not 0 <= k < self.dimension:
+                return [{} for _ in range(self.n_simplices(k + 1))]
+            keys, signs = list(self.simplex_index(k).values()), (1, -1) * (k + 2)
+            faces = zip(*(map(keys.__getitem__, table)
+                          for table in self._facet_tables(k + 1)))
+            return [dict(zip(f, signs)) for f in faces]
         return self._memo(("cbz", k), build)
 
     def coboundary_f2(self, k: int, skip: Container[int] = ()) -> list[int]:
@@ -197,9 +199,8 @@ class SimplicialComplex:
         cols = [0] * self.n_simplices(k)
         if not 0 <= k < self.dimension:
             return cols
-        for i in range(k + 2):
-            pos = tuple(range(i)) + tuple(range(i + 1, k + 2))
-            for t, f in enumerate(self.face_table(k + 1, pos)):
+        for table in self._facet_tables(k + 1):
+            for t, f in enumerate(table):
                 if f not in skip:
                     cols[f] |= 1 << t
         return cols
@@ -209,15 +210,18 @@ class SimplicialComplex:
         first: modulo the unit pivots of im delta_(k-1), a cochain is 0 on
         their columns, so delta_k drops them; kernel_quotient reads the
         generators off what delta_k's own units leave, and back-substitution
-        fills in those units' columns.  No answer prints this basis."""
+        fills in those units' columns.  No answer prints this basis.  Both
+        steps skip rows the others span: delta_k's at _walk_tree and, for
+        k = 2, delta_1's columns at a spanning forest of the 1-skeleton."""
         from . import zlinalg
         nk = self.n_simplices(k)
         image_pivots, image, _ = zlinalg.eliminate_units(zlinalg.transpose(
-            self.coboundary_z(k - 1), self.n_simplices(k - 1)), nk)
+            self.coboundary_z(k - 1), self.n_simplices(k - 1)), nk,
+            skip=self._spanning_forest() if k == 2 else ())
         off = {j for j, _ in image_pivots}
         pivots, rest, _ = zlinalg.eliminate_units(
             [{c: x for c, x in row.items() if c not in off}
-             for row in self.coboundary_z(k)], nk)
+             for row in self.coboundary_z(k)], nk, skip=self._walk_tree(k))
         free = sorted(set(range(nk)) - off - {j for j, _ in pivots})
         at = dict(zip(free, range(len(free))))
         dz = zlinalg.diagonalize(
@@ -233,6 +237,19 @@ class SimplicialComplex:
                 x[j] = -row[j] * sum(v * x[c] for c, v in row.items())
             out.append(tuple(x))
         return out
+
+    def _spanning_forest(self) -> frozenset[int]:
+        """Indices of the edges of a spanning forest of the 1-skeleton."""
+        root, forest = {v: v for v in self.vertices}, set()
+        for e, (a, b) in enumerate(self.simplices(1)):
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a != b:
+                root[a] = b
+                forest.add(e)
+        return frozenset(forest)
 
     # ---- cohomology structures ----
 
@@ -250,10 +267,9 @@ class SimplicialComplex:
         return tuple(map(tuple, zlinalg.kernel_quotient(
             dz, self.coboundary_z(k - 1), self.n_simplices(k - 1))))
 
-    def _top_tables(self) -> list[array]:
-        """The n+1 face tables of the facets on their (n-1)-faces, face i
-        leaving out the vertex at position i."""
-        n = self.dimension
+    def _facet_tables(self, n: int) -> list[array]:
+        """The n+1 face tables of the n-simplices on their (n-1)-faces,
+        face i leaving out the vertex at position i; none for n = 0."""
         return [self.face_table(n, tuple(range(i)) + tuple(range(i + 1, n + 1)))
                 for i in range(n + 1)] if n else []
 
@@ -272,7 +288,7 @@ class SimplicialComplex:
                     raise TopologyError(f"not a pseudo-manifold: facet {s} "
                                         f"is not {n}-dimensional")
             counts = collections.Counter(
-                itertools.chain.from_iterable(self._top_tables()))
+                itertools.chain.from_iterable(self._facet_tables(n)))
             if set(counts.values()) - {2}:
                 f = min(f for f, c in counts.items() if c != 2)
                 raise TopologyError(f"not a pseudo-manifold: face "
@@ -289,14 +305,14 @@ class SimplicialComplex:
         past the incidence checks of _pseudo_manifold_gate only."""
         def build():
             n = self.dimension
-            tables = self._top_tables()
+            tables = self._facet_tables(n)
             ends = [[] for _ in self.simplices(n - 1)]
             for i, table in enumerate(tables):
                 for s, f in enumerate(table):
                     ends[f].append((s, i))
             # face i of s is face j of t: t gets -sign(s) (-1)^(i+j) to cancel
             signs = [1] + [0] * (self.n_simplices(n) - 1)
-            stack, orientable = [0], True
+            stack, orientable, tree = [0], True, array("i")
             while stack:
                 s = stack.pop()
                 for i, table in enumerate(tables):
@@ -306,6 +322,7 @@ class SimplicialComplex:
                     if not signs[t]:
                         signs[t] = sign
                         stack.append(t)
+                        tree.append(table[s])
                     orientable &= signs[t] == sign
             if 0 in signs:
                 missed = self.simplices(n)[signs.index(0)]
@@ -313,8 +330,21 @@ class SimplicialComplex:
                        "(a 0-dimensional one is a single vertex)")
                 raise TopologyError(f"not a pseudo-manifold: facet {missed} "
                                     f"is not reached {how}")
+            self._cache[("tree",)] = tree  # read by _walk_tree
             return tuple(signs) if orientable else None
         return self._memo(("fcz",), build)
+
+    def _walk_tree(self, k: int) -> frozenset[int]:
+        """Rows of delta_k that the others span over Z: for k = n - 2 on a
+        pseudo-manifold, the facet walk's tree ridges.  Each lies in its
+        facet and that facet's parent alone, so delta_(n-1) delta_k = 0
+        gives their rows from the others, leaves first."""
+        with contextlib.suppress(TopologyError):  # not a pseudo-manifold
+            if k == self.dimension - 2:
+                self._pseudo_manifold_gate()
+                self._facet_walk()
+                return frozenset(self._cache[("tree",)])
+        return frozenset()
 
     def fundamental_class_f2(self) -> int:
         """Mask of the F2 fundamental cycle: all top simplices."""

@@ -49,9 +49,9 @@ def bockstein(K: SimplicialComplex, x: CohomologyClass
     Returns the integral (k+1)-cocycle beta together with an is_zero
     flag: beta is zero in H^(k+1)(K; Z) exactly when delta_k c = beta has
     an integral solution c.  beta is a homomorphism on classes, so the
-    zero class needs no solve.  Otherwise the unit pivots of delta_k are
-    eliminated with beta carried along, and the rows left are diagonalized
-    and solved; no basis is read, so no pinned order is needed.
+    zero class needs no solve.  Otherwise delta_k less the rows _walk_tree
+    clears (beta is a cocycle) has its unit pivots eliminated with beta
+    carried along, and the rows left are diagonalized and solved.
     """
     from . import zlinalg
     k = x.degree
@@ -63,7 +63,8 @@ def bockstein(K: SimplicialComplex, x: CohomologyClass
     beta = tuple(v // 2 for v in dz)
     if x.is_zero:
         return beta, True
-    _, rest, b = zlinalg.eliminate_units(K.coboundary_z(k), nk, beta)
+    _, rest, b = zlinalg.eliminate_units(K.coboundary_z(k), nk, beta,
+                                         skip=K._walk_tree(k))
     return beta, zlinalg.solve(zlinalg.diagonalize(rest, nk), b) is not None
 
 

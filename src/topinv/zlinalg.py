@@ -19,6 +19,7 @@ and the basis of the panel's form, SimplicialComplex.free_cocycles.
 from __future__ import annotations
 
 import math
+from collections.abc import Container
 from dataclasses import dataclass
 
 
@@ -194,11 +195,13 @@ def diagonalize(a: list[dict], ncols: int) -> Diagonalization:
     return Diagonalization(diag, rank, m, n, row_log, col_log)
 
 
-def eliminate_units(a: list[dict], ncols: int, b: list[int] | None = None
+def eliminate_units(a: list[dict], ncols: int, b: list[int] | None = None,
+                    skip: Container[int] = ()
                     ) -> tuple[list[tuple[int, dict]], list[dict], list[int]]:
-    """Eliminate the +-1 pivots of the sparse rows a by row operations,
-    carrying b (zero if not given) along, and drop each pivot row and
-    column.
+    """Eliminate the +-1 pivots of the sparse rows a, less the rows whose
+    index is in skip, by row operations, carrying b (zero if not given)
+    along, and drop each pivot row and column.  A caller skips only rows
+    that the others span over Z (clearing), so the row lattice stays.
 
     Returns (pivots, rest, rest_b): (column, row) per pivot in order,
     the row as it stood then, and the rows left, over the original
@@ -210,14 +213,15 @@ def eliminate_units(a: list[dict], ncols: int, b: list[int] | None = None
     entry of b is nonzero.
 
     Each pass visits the live rows once, by ascending nonzero count, and
-    takes the unit entry whose column meets the fewest rows, which limits
-    fill without a rescan per pivot; passes repeat while fill makes new
-    units.  The pivot order is free, so the basis of free_cocycles takes
-    it, solving the pivot rows backwards (each meets no earlier pivot's
-    column); the printed basis comes from diagonalize instead.
+    takes, in one pass over the row, its first unit entry among those whose
+    column meets the fewest rows, which limits fill without a rescan per
+    pivot; passes repeat while fill makes new units.  The pivot order is
+    free, so the basis of free_cocycles takes it, solving the pivot rows
+    backwards (each meets no earlier pivot's column); the printed basis
+    comes from diagonalize instead.
     """
-    d = [dict(row) for row in a]
-    b = list(b) if b is not None else [0] * len(d)
+    kept = [i for i in range(len(a)) if i not in skip]
+    d, b = [dict(a[i]) for i in kept], [b[i] if b else 0 for i in kept]
     cols: list[set[int]] = [set() for _ in range(ncols)]
     for i, row in enumerate(d):
         for j in row:
@@ -229,16 +233,19 @@ def eliminate_units(a: list[dict], ncols: int, b: list[int] | None = None
         for i in sorted((i for i in range(len(d)) if live[i]),
                         key=lambda i: len(d[i])):
             row = d[i]
-            units = [j for j, x in row.items() if x == 1 or x == -1]
-            if not units:
+            j, fewest = None, len(d) + 1
+            for c, x in row.items():
+                if (x == 1 or x == -1) and len(cols[c]) < fewest:
+                    j, fewest = c, len(cols[c])
+            if j is None:
                 continue
-            j = min(units, key=lambda c: len(cols[c]))
             for c in row:
                 cols[c].discard(i)
             for s in list(cols[j]):
                 q = d[s][j] * row[j]
                 _axpy(d[s], row, -q, cols, s)
-                b[s] -= q * b[i]
+                if b[i]:
+                    b[s] -= q * b[i]
             live[i] = False
             pivots.append((j, row))
             found = True

@@ -580,8 +580,9 @@ def test_complex_keeps_only_what_is_read_again(monkeypatch):
     # delta over F2, the pinned H^k(K; Z) basis and the F2 fundamental mask
     # each have one reader, which keeps its answer, so none is kept itself;
     # "pm" is the pseudo-manifold gate's pass, "fcz" the facet walk's signs
-    kept = {"simp", "idx", "face", "cbz", "hf2", "pm", "fcz", "pair", "wu",
-            "sw", "swn", "iform", "pform"}
+    # and "tree" its tree, the rows free_cocycles and bockstein clear
+    kept = {"simp", "idx", "face", "cbz", "hf2", "pm", "fcz", "tree", "pair",
+            "wu", "sw", "swn", "iform", "pform"}
     bases = dict(catalog.manifold_fixtures())
     bases["S2xS2"] = catalog.s2xs2()
     bases["RP2xRP2"] = cx.product_complex(catalog.projective_plane(),
@@ -1084,3 +1085,191 @@ def test_no_degree_is_built_past_the_face_bound(monkeypatch):
     monkeypatch.setattr(cx, "MAX_FACES", 652)
     assert K.simplices(4) == K.maximal_simplices  # the facets are not built
     assert sorted(K._cache) == [("simp", k) for k in range(5)]
+
+
+def _coboundary_z_by_slices(K, k):
+    """delta_k over Z from each (k+1)-simplex's faces, sliced out and
+    looked up in the simplex index."""
+    if k < 0:
+        return [{} for _ in range(K.n_simplices(0))]
+    idx = K.simplex_index(k)
+    return [{idx[s[:i] + s[i + 1:]]: (-1) ** i for i in range(k + 2)}
+            for s in K.simplices(k + 1)]
+
+
+def test_coboundary_z_matches_slices(fixtures):
+    rng = random.Random(3232)
+    complexes = list(_f2_oracle_complexes(fixtures))
+    complexes += [(f"random {i}", catalog.random_complex(rng))
+                  for i in range(40)]
+    assert any(len({len(s) for s in K.maximal_simplices}) > 1
+               for _, K in complexes)  # non-pure ones among them
+    for name, K in complexes:
+        for k in range(-1, K.dimension + 1):
+            rows = K.coboundary_z(k)
+            assert rows == _coboundary_z_by_slices(K, k), (name, k)
+            if k >= 0:
+                # every row's keys are the index's own int objects
+                keys = list(K.simplex_index(k).values())
+                assert all(c is keys[c] for row in rows for c in row), name
+
+
+def test_gather_on_every_position_is_the_cochain(fixtures):
+    rng = random.Random(3233)
+    for name, K0 in _walk_oracle_complexes(fixtures):
+        K = cx.SimplicialComplex(K0.maximal_simplices)
+        n = K.dimension
+        every = tuple(range(n + 1))
+        intersection.panel(K)
+        # the one-part partition (n) of sw_numbers builds no identity table
+        assert ("face", n, every) not in K._cache, name
+        nn = K.n_simplices(n)
+        for x in (0, (1 << nn) - 1, rng.getrandbits(nn),
+                  rng.getrandbits(nn) | rng.getrandbits(8) << nn | 1 << nn):
+            # the table path, gather's other branch, as it reads any pos
+            pick = operator.itemgetter(*K.face_table(n, every))
+            bits = format(x, f"0{nn}b")[::-1]
+            want = int("".join(pick(bits))[::-1], 2)
+            assert K.gather(n, every, x) == want, name
+
+
+def _clearing_complexes(fixtures):
+    """Pseudo-manifolds, non-orientable ones too, with seeded relabelings."""
+    T, P, KB = catalog.torus(), catalog.projective_plane(), catalog.klein_bottle()
+    bases = dict(fixtures)
+    bases["T2xS2"] = cx.product_complex(T, catalog.sphere(2))
+    bases["T2xT2"] = cx.product_complex(T, T)
+    bases["RP2xRP2"] = cx.product_complex(P, P)
+    bases["K2xT2"] = cx.product_complex(KB, T)
+    rng = random.Random(3234)
+    for name, K in bases.items():
+        yield name, cx.SimplicialComplex(K.maximal_simplices)
+        perm = rng.sample(range(3 * len(K.vertices)), len(K.vertices))
+        yield f"{name}~", cx.relabel(K, dict(zip(K.vertices, perm)))
+
+
+def test_facet_walk_tree_is_unit_triangular(fixtures):
+    # each tree ridge joins one facet reached before it to the one it
+    # reaches, so the ridges give back the discovery order; delta_(n-1) on
+    # the facets past the first, in that order, and the tree ridges, in
+    # theirs, has units on the diagonal and nothing below it
+    for name, K in _clearing_complexes(fixtures):
+        n = K.dimension
+        K.fundamental_class_f2()
+        K._facet_walk()
+        tree = list(K._cache[("tree",)])
+        nn = K.n_simplices(n)
+        assert len(tree) == len(set(tree)) == nn - 1, name
+        delta = _coboundary_z_by_slices(K, n - 1)
+        ends = collections.defaultdict(list)
+        for t, row in enumerate(delta):
+            for r in row:
+                ends[r].append(t)
+        order, reached = [0], {0}
+        for r in tree:
+            new = [t for t in ends[r] if t not in reached]
+            assert len(new) == 1 and len(ends[r]) == 2, name
+            order += new
+            reached |= set(new)
+        for p, t in enumerate(order[1:]):
+            for q, r in enumerate(tree):
+                x = delta[t].get(r, 0)
+                if p == q:
+                    assert x in (1, -1), name
+                elif p > q:
+                    assert x == 0, name
+        if n >= 2:
+            assert K._walk_tree(n - 2) == frozenset(tree), name
+        assert K._walk_tree(n - 1) == K._walk_tree(n - 3) == frozenset()
+
+
+def _free_cocycles_uncleared(K, k):
+    """free_cocycles with no row cleared: the units of every column of
+    delta_(k-1) and every row of delta_k."""
+    nk = K.n_simplices(k)
+    image_pivots, image, _ = zlinalg.eliminate_units(zlinalg.transpose(
+        K.coboundary_z(k - 1), K.n_simplices(k - 1)), nk)
+    off = {j for j, _ in image_pivots}
+    pivots, rest, _ = zlinalg.eliminate_units(
+        [{c: x for c, x in row.items() if c not in off}
+         for row in K.coboundary_z(k)], nk)
+    free = sorted(set(range(nk)) - off - {j for j, _ in pivots})
+    at = dict(zip(free, range(len(free))))
+    dz = zlinalg.diagonalize(
+        [{at[c]: x for c, x in row.items()} for row in rest], len(free))
+    image_at = zlinalg.transpose(image, nk)
+    out = []
+    for y in zlinalg.kernel_quotient(
+            dz, [image_at[c] for c in free], len(image)):
+        x = [0] * nk
+        for c, v in zip(free, y):
+            x[c] = v
+        for j, row in reversed(pivots):
+            x[j] = -row[j] * sum(v * x[c] for c, v in row.items())
+        out.append(tuple(x))
+    return out
+
+
+def _gram(K, basis):
+    fc = K.fundamental_class_z()
+    return [[sum(map(operator.mul, cx.cup_cochain_z(K, 2, 2, x, y), fc))
+             for y in basis] for x in basis]
+
+
+def test_cleared_free_cocycles_give_the_uncleared_form(fixtures, monkeypatch):
+    # rank, det, signature and parity fix a unimodular form: an indefinite
+    # one up to isomorphism, and a definite one here is +-I_1 or empty
+    from topinv import quadforms
+    calls = []
+    eliminate_units = zlinalg.eliminate_units
+
+    def recording(a, ncols, b=None, skip=()):
+        calls.append(sum(i not in skip for i in range(len(a))))
+        return eliminate_units(a, ncols, b, skip)
+
+    for name, K in _clearing_complexes(fixtures):
+        if K.dimension != 4 or not charclasses.sw_classes(K)[1].is_zero:
+            continue  # no form: not 4-dimensional, or non-orientable
+        want = _gram(K, _free_cocycles_uncleared(K, 2))
+        monkeypatch.setattr(zlinalg, "eliminate_units", recording)
+        calls.clear()
+        got = _gram(K, K.free_cocycles(2))
+        monkeypatch.undo()
+        # the rows reduced: the image step skips the V - 1 forest edges (K
+        # is connected), the kernel step the N_4 - 1 tree ridges
+        assert calls == [K.n_simplices(1) - (len(K.vertices) - 1),
+                         K.n_simplices(3) - (K.n_simplices(4) - 1)], name
+        assert len(got) == len(want) == cx.homology(K, "Z")[2].betti, name
+        if not got:
+            continue
+        f, g = quadforms.QuadraticForm(got), quadforms.QuadraticForm(want)
+        assert abs(zlinalg.det(got)) == abs(zlinalg.det(want)) == 1, name
+        assert zlinalg.det(got) == zlinalg.det(want), name
+        assert quadforms.real_signature(f) == quadforms.real_signature(g)
+        assert quadforms.is_even(f) == quadforms.is_even(g), name
+
+
+def _bockstein_uncleared(K, x):
+    """bockstein's flag with no row of delta_k cleared."""
+    nk = K.n_simplices(x.degree)
+    lift = [(x.cocycle >> i) & 1 for i in range(nk)]
+    beta = [v // 2 for v in zlinalg.matvec(K.coboundary_z(x.degree), lift)]
+    _, rest, b = zlinalg.eliminate_units(K.coboundary_z(x.degree), nk, beta)
+    return zlinalg.solve(zlinalg.diagonalize(rest, nk), b) is not None
+
+
+def test_cleared_bockstein_flag_matches_uncleared(fixtures):
+    from topinv import steenrod
+    flags = set()
+    for name, K in _clearing_complexes(fixtures):
+        if K.dimension < 2:
+            continue
+        k = K.dimension - 2
+        K.fundamental_class_f2()
+        assert K._walk_tree(k), name
+        for b in K.cohomology_f2(k).basis:
+            x = cx.f2_class(K, k, b)
+            flag = steenrod.bockstein(K, x)[1]
+            assert flag == _bockstein_uncleared(K, x), name
+            flags.add(flag)
+    assert flags == {True, False}

@@ -474,3 +474,19 @@ def test_det_matches_sympy():
         assert zlinalg.det(a) == want, a
         singular += want == 0
     assert singular >= 150
+
+
+def test_eliminate_units_skip_drops_those_rows_first():
+    # skipping rows is eliminating the others: the same pivots, rest and
+    # rest_b, with and without b
+    rng = random.Random(3235)
+    for a, n in random_matrices() + EDGE_CASES:
+        rows = sparse(a)
+        skip = {i for i in range(len(rows)) if rng.random() < 0.3}
+        kept = [i for i in range(len(rows)) if i not in skip]
+        b = [rng.randint(-3, 3) for _ in rows]
+        assert zlinalg.eliminate_units(rows, n, skip=skip) == \
+            zlinalg.eliminate_units([rows[i] for i in kept], n)
+        assert zlinalg.eliminate_units(rows, n, b, skip) == \
+            zlinalg.eliminate_units([rows[i] for i in kept], n,
+                                    [b[i] for i in kept])
