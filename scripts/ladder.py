@@ -14,14 +14,18 @@ integral engine.  "simplex17 F2" is F2 homology of one 16-simplex, whose
 which grows with the product of adjacent face counts while one
 coboundary is eliminated.  "S16 panel" is panel on the boundary of the
 17-simplex, whose 262,142 faces are past MAX_FACES: the cost of a
-refusal.  Each rung runs in its own interpreter, so no memoized
-elimination carries over: the child builds its complex and its faces,
-then times the call alone with time.perf_counter and reports the
-process's peak RSS (ru_maxrss).  Prints one JSON line,
+refusal.  "CP2xT2 compare" runs the compare verb through cli.main on
+CP2xT2 and a relabeled copy (the vertex order reversed), both written to
+files before the timing: its peak is that of two such complexes parsed
+and panelled in one process.  Each rung runs in its own interpreter, so
+no memoized elimination carries over: the child builds its complex and
+its faces, then times the call alone with time.perf_counter and reports
+the process's peak RSS (ru_maxrss).  Prints one JSON line,
 {name: {"op", "f_vector", "s", "peak_rss_mb"}}, with the printed "gram",
 "signature", "signature_mod8" and "even", read off the built form, too on
-the intersection rung.  A rung whose faces are refused reports "refused",
-the error line, in place of "f_vector", and "s" times the refused build.
+the intersection rung, and "exit", the verb's exit code, on a compare.
+A rung whose faces are refused reports "refused", the error line, in
+place of "f_vector", and "s" times the refused build.
 """
 
 import json
@@ -33,6 +37,8 @@ RUNGS = {
                  "panel"),
     "CP2xT2": ("product_complex(catalog.complex_projective_plane(), "
                "catalog.torus())", "panel"),
+    "CP2xT2 compare": ("product_complex(catalog.complex_projective_plane(), "
+                       "catalog.torus())", "compare"),
     "S4xS4": ("product_complex(catalog.sphere(4), catalog.sphere(4))",
               "homology Z"),
     "S4xS4 panel": ("product_complex(catalog.sphere(4), catalog.sphere(4))",
@@ -48,10 +54,10 @@ RUNGS = {
 }
 
 CHILD = """
-import json, resource, time
-from topinv import catalog, intersection
-from topinv.complexes import (SimplicialComplex, TopologyError, homology,
-                              product_complex)
+import contextlib, io, json, resource, tempfile, time
+from topinv import catalog, cli, intersection
+from topinv.complexes import (SimplicialComplex, TopologyError, complex_text,
+                              homology, product_complex, relabel)
 K = {build}
 out = {{"op": {op!r}}}
 t = time.perf_counter()
@@ -60,15 +66,26 @@ try:
 except TopologyError as e:
     out["refused"] = str(e)
 else:
-    t = time.perf_counter()
-    if {op!r} == "panel":
-        intersection.panel(K)
-    elif {op!r} == "intersection":
-        form = intersection.intersection_form(K)
-        out.update(gram=form.gram, signature=form.signature,
-                   signature_mod8=form.signature_mod8, even=form.even)
-    else:
-        homology(K, {op!r}.split()[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        if {op!r} == "compare":  # K and a relabeled copy as files; K dropped
+            argv = ["compare", tmp + "/a.cx", tmp + "/b.cx"]
+            for path, L in zip(argv[1:], (K, relabel(
+                    K, dict(zip(K.vertices, reversed(K.vertices)))))):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(complex_text(L))
+            del K, L
+        t = time.perf_counter()
+        if {op!r} == "compare":
+            with contextlib.redirect_stdout(io.StringIO()):
+                out["exit"] = cli.main(argv)
+        elif {op!r} == "panel":
+            intersection.panel(K)
+        elif {op!r} == "intersection":
+            form = intersection.intersection_form(K)
+            out.update(gram=form.gram, signature=form.signature,
+                       signature_mod8=form.signature_mod8, even=form.even)
+        else:
+            homology(K, {op!r}.split()[1])
 out["s"] = round(time.perf_counter() - t, 3)
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({{**out, "peak_rss_mb": round(rss, 1)}}))

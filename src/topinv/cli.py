@@ -3,7 +3,10 @@
 Every verb is one row of VERBS: its name, its handler, the names of its
 input files and its help.  main parses the files and calls the handler,
 which returns (payload, lines, exit code); main prints the payload as
-JSON under --json and the lines otherwise.
+JSON under --json and the lines otherwise.  A one-input handler gets its
+input; a two-input one gets the list of both, parsed, and pops each as
+it reads it, so that cobordant and compare hold one complex, with its
+memoized faces, tables and echelons, at a time.
 
 Comparison verbs signal their verdict through the exit code: 0 when the
 inputs are equivalent or consistent, 2 when an invariant distinguishes
@@ -87,7 +90,16 @@ def _fmt_partition(part) -> str:
     return "(" + ",".join(map(str, part)) + ")"
 
 
-# ---- verb handlers: (args, *inputs) -> (payload, lines, exit code) ----
+# ---- verb handlers: (args, input or inputs) -> (payload, lines, code) ----
+
+def _each(invariant, inputs: list) -> list:
+    """invariant of each input in turn, each popped off inputs as it is
+    read: no reference is left to an input once its value is taken."""
+    out = []
+    while inputs:
+        out.append(invariant(inputs.pop(0)))
+    return out
+
 
 def _cmd_homology(args, K):
     from .complexes import homology
@@ -130,9 +142,14 @@ def _cmd_obstructions(args, K):
     return payload, [f"{k}: {_fmt(v)}" for k, v in payload.items()], 0
 
 
-def _cmd_cobordant(args, k1, k2):
+def _cmd_cobordant(args, complexes):
     from . import charclasses
-    same, part = charclasses.cobordant(k1, k2)
+    from .complexes import TopologyError
+    if complexes[0].dimension != complexes[1].dimension:
+        raise TopologyError("dimension mismatch")
+    a, b = _each(charclasses.sw_numbers, complexes)
+    part = next((part for part in a if a[part] != b[part]), None)
+    same = part is None
     payload = {"cobordant": same,
                "first_differing": None if part is None else list(part)}
     lines = [f"cobordant: {_fmt(same)}"]
@@ -190,9 +207,9 @@ def _cmd_qf(args, F):
     return payload, lines, 0
 
 
-def _cmd_qf_equiv(args, f, g):
+def _cmd_qf_equiv(args, grams):
     from . import quadforms
-    res = quadforms.rationally_equivalent(f, g)
+    res = quadforms.rationally_equivalent(*grams)
     line = ("rationally equivalent" if res
             else f"not rationally equivalent (failing: {res.failing})")
     return dataclasses.asdict(res), [line], 0 if res else 2
@@ -216,10 +233,9 @@ def _cmd_panel(args, K):
     return _panel_json(p), lines, 0
 
 
-def _cmd_compare(args, k1, k2):
+def _cmd_compare(args, complexes):
     from . import intersection
-    p1 = intersection.panel(k1)
-    p2 = intersection.panel(k2)
+    p1, p2 = _each(intersection.panel, complexes)
     cmp = intersection.compare_panel_values(p1, p2)
     payload = {**dataclasses.asdict(cmp),
                "panels": [_panel_json(p1), _panel_json(p2)]}
@@ -288,7 +304,8 @@ def main(argv=None) -> int:
         return 0 if not e.code else 1
     try:
         inputs = [_load(name, getattr(args, name)) for name in args.inputs]
-        payload, lines, code = args.handler(args, *inputs)
+        payload, lines, code = args.handler(
+            args, inputs.pop() if len(inputs) == 1 else inputs)
         if args.json:
             print(json.dumps(payload, sort_keys=True, indent=2))
         else:

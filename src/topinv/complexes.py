@@ -17,7 +17,6 @@ import contextlib
 import functools
 import itertools
 import operator
-from array import array
 from collections.abc import Container
 from dataclasses import dataclass
 
@@ -140,15 +139,18 @@ class SimplicialComplex:
     def n_simplices(self, k: int) -> int:
         return len(self.simplices(k))
 
-    def face_table(self, n: int, pos: tuple[int, ...]) -> array:
+    def face_table(self, n: int, pos: tuple[int, ...]) -> tuple[int, ...]:
         """Entry s is the index of the face of the n-simplex s spanned by
-        its vertices at positions pos, among the (len(pos)-1)-simplices."""
+        its vertices at positions pos, among the (len(pos)-1)-simplices:
+        the very int object simplex_index maps that face to.  Every reader
+        (skip tests, Counters, dict keys, itemgetter) then shares those
+        ints, where an array would box a new one at each read."""
         def build():
             idx = self.simplex_index(len(pos) - 1)
             faces = map(operator.itemgetter(*pos), self.simplices(n))
             if len(pos) == 1:
                 faces = zip(faces)  # the lone vertex, as a 1-tuple key
-            return array("i", map(idx.__getitem__, faces))
+            return tuple(map(idx.__getitem__, faces))
         return self._memo(("face", n, pos), build)
 
     def gather(self, n: int, pos: tuple[int, ...], x: int) -> int:
@@ -182,14 +184,13 @@ class SimplicialComplex:
     def coboundary_z(self, k: int) -> list[dict[int, int]]:
         """Matrix of delta: C^k -> C^{k+1} as sparse rows, one per
         (k+1)-simplex: {index of its i-th face: (-1)^i}, off the face tables,
-        keyed by simplex_index(k)'s own ints, which all rows share."""
+        so keyed by simplex_index(k)'s own ints, which all rows share."""
         def build():
             if not 0 <= k < self.dimension:
                 return [{} for _ in range(self.n_simplices(k + 1))]
-            keys, signs = list(self.simplex_index(k).values()), (1, -1) * (k + 2)
-            faces = zip(*(map(keys.__getitem__, table)
-                          for table in self._facet_tables(k + 1)))
-            return [dict(zip(f, signs)) for f in faces]
+            signs = (1, -1) * (k + 2)
+            return [dict(zip(f, signs))
+                    for f in zip(*self._facet_tables(k + 1))]
         return self._memo(("cbz", k), build)
 
     def coboundary_f2(self, k: int, skip: Container[int] = ()) -> list[int]:
@@ -211,17 +212,18 @@ class SimplicialComplex:
         their columns, so delta_k drops them; kernel_quotient reads the
         generators off what delta_k's own units leave, and back-substitution
         fills in those units' columns.  No answer prints this basis.  Both
-        steps skip rows the others span: delta_k's at _walk_tree and, for
-        k = 2, delta_1's columns at a spanning forest of the 1-skeleton."""
+        steps skip rows the others span: delta_k's at _walk_tree, which are
+        passed on empty, not filtered, and, for k = 2, delta_1's columns at
+        a spanning forest of the 1-skeleton."""
         from . import zlinalg
         nk = self.n_simplices(k)
         image_pivots, image, _ = zlinalg.eliminate_units(zlinalg.transpose(
             self.coboundary_z(k - 1), self.n_simplices(k - 1)), nk,
             skip=self._spanning_forest() if k == 2 else ())
-        off = {j for j, _ in image_pivots}
+        off, tree = {j for j, _ in image_pivots}, self._walk_tree(k)
         pivots, rest, _ = zlinalg.eliminate_units(
-            [{c: x for c, x in row.items() if c not in off}
-             for row in self.coboundary_z(k)], nk, skip=self._walk_tree(k))
+            [{} if i in tree else {c: x for c, x in r.items() if c not in off}
+             for i, r in enumerate(self.coboundary_z(k))], nk, skip=tree)
         free = sorted(set(range(nk)) - off - {j for j, _ in pivots})
         at = dict(zip(free, range(len(free))))
         dz = zlinalg.diagonalize(
@@ -267,9 +269,10 @@ class SimplicialComplex:
         return tuple(map(tuple, zlinalg.kernel_quotient(
             dz, self.coboundary_z(k - 1), self.n_simplices(k - 1))))
 
-    def _facet_tables(self, n: int) -> list[array]:
+    def _facet_tables(self, n: int) -> list[tuple[int, ...]]:
         """The n+1 face tables of the n-simplices on their (n-1)-faces,
-        face i leaving out the vertex at position i; none for n = 0."""
+        face i leaving out the vertex at position i, each a tuple of
+        simplex_index(n - 1)'s own ints; none for n = 0."""
         return [self.face_table(n, tuple(range(i)) + tuple(range(i + 1, n + 1)))
                 for i in range(n + 1)] if n else []
 
@@ -312,7 +315,7 @@ class SimplicialComplex:
                     ends[f].append((s, i))
             # face i of s is face j of t: t gets -sign(s) (-1)^(i+j) to cancel
             signs = [1] + [0] * (self.n_simplices(n) - 1)
-            stack, orientable, tree = [0], True, array("i")
+            stack, orientable, tree = [0], True, []
             while stack:
                 s = stack.pop()
                 for i, table in enumerate(tables):
@@ -336,7 +339,8 @@ class SimplicialComplex:
 
     def _walk_tree(self, k: int) -> frozenset[int]:
         """Rows of delta_k that the others span over Z: for k = n - 2 on a
-        pseudo-manifold, the facet walk's tree ridges.  Each lies in its
+        pseudo-manifold, the facet walk's tree ridges, read off the face
+        tables, so simplex_index(k + 1)'s own ints.  Each lies in its
         facet and that facet's parent alone, so delta_(n-1) delta_k = 0
         gives their rows from the others, leaves first."""
         with contextlib.suppress(TopologyError):  # not a pseudo-manifold

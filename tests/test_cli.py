@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import io
 import json
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topinv import catalog, cli, factoring, intersection
+from topinv import catalog, charclasses, cli, factoring, intersection
 from topinv import complexes as cx
 from topinv import quadforms as qf
 
@@ -217,6 +219,33 @@ def test_compare_json_carries_panels(files, capsys):
     assert len(data["panels"]) == 2
     assert data["panels"][0]["dim"] == 4
     assert {"sw_numbers", "signature_mod8", "spin"} <= set(data["differing"])
+
+
+@pytest.mark.parametrize("verb, module, invariant", [
+    ("compare", intersection, "panel"),
+    ("cobordant", charclasses, "sw_numbers")])
+def test_two_complex_verbs_hold_one_complex_at_a_time(
+        files, capsys, monkeypatch, verb, module, invariant):
+    # when the second complex's invariant starts, the first complex and its
+    # memoized F2 cohomology are gone, freed by reference counts alone
+    real, refs, dead = getattr(module, invariant), [], []
+
+    def recording(K):
+        dead.append([ref() is None for ref in refs])
+        out = real(K)
+        refs.append(weakref.ref(K))
+        refs.extend(weakref.ref(v) for key, v in K._cache.items()
+                    if key[0] == "hf2")
+        return out
+
+    monkeypatch.setattr(module, invariant, recording)
+    gc.disable()
+    try:
+        assert cli.main([verb, files["CP2"], files["S2xS2"]]) == 2
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert dead[0] == [] and len(dead[1]) > 1 and all(dead[1])
 
 
 def test_input_errors_exit_1(files, capsys, tmp_path):
@@ -529,7 +558,8 @@ def test_ladder_script_rungs_run():
         "ladder", root / "scripts" / "ladder.py")
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
-    for op in ("panel", "intersection", "homology Z", "homology F2"):
+    for op in ("panel", "intersection", "homology Z", "homology F2",
+               "compare"):
         proc = subprocess.run(
             [sys.executable, "-c",
              ladder.CHILD.format(build="catalog.s2xs2()", op=op)],
@@ -542,6 +572,9 @@ def test_ladder_script_rungs_run():
             keys |= {"gram", "signature", "signature_mod8", "even"}
             assert (out["signature"], out["signature_mod8"],
                     out["even"]) == (0, 0, True)
+        if op == "compare":  # S2xS2 and a relabeled copy agree
+            keys.add("exit")
+            assert out["exit"] == 0
         assert set(out) == keys and out["op"] == op
         assert out["f_vector"] == [16, 84, 216, 240, 96], op
     # a refused rung reports the refusal line in place of an f-vector

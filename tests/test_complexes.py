@@ -1114,6 +1114,32 @@ def test_coboundary_z_matches_slices(fixtures):
                 assert all(c is keys[c] for row in rows for c in row), name
 
 
+def test_face_tables_hold_the_index_own_ints(fixtures):
+    # every entry of every table a panel builds, and of the walk's tree, is
+    # the very int object simplex_index maps that face to, so no reader
+    # boxes a face index: an array, or ints built anywhere else, fails here
+    # on the entries past CPython's small-int cache
+    largest, walked = 0, False
+    for name, K in _clearing_complexes(fixtures):
+        intersection.panel(K)
+        tables = {key[1:]: t for key, t in K._cache.items()
+                  if key[0] == "face"}
+        assert tables, name
+        for (n, pos), table in tables.items():
+            idx = K.simplex_index(len(pos) - 1)
+            assert type(table) is tuple, (name, pos)
+            assert len(table) == K.n_simplices(n), (name, pos)
+            assert all(f is idx[tuple(s[p] for p in pos)]
+                       for s, f in zip(K.simplices(n), table)), (name, pos)
+            largest = max(largest, max(table))
+        ridges = K.simplex_index(K.dimension - 1)
+        tree = K._cache.get(("tree",), ())
+        assert all(f is ridges[K.simplices(K.dimension - 1)[f]]
+                   for f in tree), name
+        walked |= bool(tree)
+    assert largest > 256 and walked
+
+
 def test_gather_on_every_position_is_the_cochain(fixtures):
     rng = random.Random(3233)
     for name, K0 in _walk_oracle_complexes(fixtures):
