@@ -17,13 +17,15 @@ coboundary is eliminated.  "S16 panel" is panel on the boundary of the
 refusal.  "CP2xT2 compare" runs the compare verb through cli.main on
 CP2xT2 and a relabeled copy (the vertex order reversed), both written to
 files before the timing: its peak is that of two such complexes parsed
-and panelled in one process.  Each rung runs in its own interpreter, so
-no memoized elimination carries over: the child builds its complex and
-its faces, then times the call alone with time.perf_counter and reports
-the process's peak RSS (ru_maxrss).  Prints one JSON line,
-{name: {"op", "f_vector", "s", "peak_rss_mb"}}, with the printed "gram",
-"signature", "signature_mod8" and "even", read off the built form, too on
-the intersection rung, and "exit", the verb's exit code, on a compare.
+and panelled in one process.  "CP2xT2 cobordant" runs the cobordant verb
+on the same two files, which takes the SW numbers of each.  Each rung
+runs in its own interpreter, so no memoized elimination carries over:
+the child builds its complex and its faces, then times the call alone
+with time.perf_counter and reports the process's peak RSS (ru_maxrss).
+Prints one JSON line, {name: {"op", "f_vector", "s", "peak_rss_mb"}},
+with the printed "gram", "signature", "signature_mod8" and "even", read
+off the built form, too on the intersection rung, and "exit", the verb's
+exit code, on a compare or cobordant rung.
 A rung whose faces are refused reports "refused", the error line, in
 place of "f_vector", and "s" times the refused build.
 """
@@ -39,6 +41,9 @@ RUNGS = {
                "catalog.torus())", "panel"),
     "CP2xT2 compare": ("product_complex(catalog.complex_projective_plane(), "
                        "catalog.torus())", "compare"),
+    "CP2xT2 cobordant": ("product_complex("
+                         "catalog.complex_projective_plane(), "
+                         "catalog.torus())", "cobordant"),
     "S4xS4": ("product_complex(catalog.sphere(4), catalog.sphere(4))",
               "homology Z"),
     "S4xS4 panel": ("product_complex(catalog.sphere(4), catalog.sphere(4))",
@@ -65,17 +70,19 @@ try:
     out["f_vector"] = [K.n_simplices(k) for k in range(K.dimension + 1)]
 except TopologyError as e:
     out["refused"] = str(e)
+    out["s"] = round(time.perf_counter() - t, 3)
 else:
     with tempfile.TemporaryDirectory() as tmp:
-        if {op!r} == "compare":  # K and a relabeled copy as files; K dropped
-            argv = ["compare", tmp + "/a.cx", tmp + "/b.cx"]
+        verb = {op!r} in ("compare", "cobordant")
+        if verb:  # K and a relabeled copy as files; K dropped
+            argv = [{op!r}, tmp + "/a.cx", tmp + "/b.cx"]
             for path, L in zip(argv[1:], (K, relabel(
                     K, dict(zip(K.vertices, reversed(K.vertices)))))):
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(complex_text(L))
             del K, L
         t = time.perf_counter()
-        if {op!r} == "compare":
+        if verb:
             with contextlib.redirect_stdout(io.StringIO()):
                 out["exit"] = cli.main(argv)
         elif {op!r} == "panel":
@@ -86,7 +93,7 @@ else:
                        signature_mod8=form.signature_mod8, even=form.even)
         else:
             homology(K, {op!r}.split()[1])
-out["s"] = round(time.perf_counter() - t, 3)
+        out["s"] = round(time.perf_counter() - t, 3)  # before the cleanup
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({{**out, "peak_rss_mb": round(rss, 1)}}))
 """

@@ -138,13 +138,17 @@ def obstructions(K: SimplicialComplex) -> ObstructionReport:
     )
 
 
-def cobordant(K1: SimplicialComplex, K2: SimplicialComplex
+def cobordant(complexes: list[SimplicialComplex]
               ) -> tuple[bool, tuple[int, ...] | None]:
-    """Whether all Stiefel-Whitney numbers agree; if not, the first
-    differing partition in sw_numbers' order, that of partitions(n)."""
-    if K1.dimension != K2.dimension:
+    """Whether all Stiefel-Whitney numbers of the two complexes agree; if
+    not, the first differing partition in sw_numbers' order, that of
+    partitions(n).  Each complex is popped off the list as its numbers are
+    taken, so a caller that hands over its only references holds one
+    complex, with its memo, at a time."""
+    if complexes[0].dimension != complexes[1].dimension:
         raise TopologyError("dimension mismatch")
-    a, b = sw_numbers(K1), sw_numbers(K2)
+    a = sw_numbers(complexes.pop(0))
+    b = sw_numbers(complexes.pop())
     part = next((part for part in a if a[part] != b[part]), None)
     return part is None, part
 

@@ -4,9 +4,10 @@ Every verb is one row of VERBS: its name, its handler, the names of its
 input files and its help.  main parses the files and calls the handler,
 which returns (payload, lines, exit code); main prints the payload as
 JSON under --json and the lines otherwise.  A one-input handler gets its
-input; a two-input one gets the list of both, parsed, and pops each as
-it reads it, so that cobordant and compare hold one complex, with its
-memoized faces, tables and echelons, at a time.
+input; a two-input one gets the list of both, parsed.  compare, and
+charclasses.cobordant for the cobordant verb, pop each complex as they
+read it, so that each holds one complex, with its memoized faces, tables
+and echelons, at a time.
 
 Comparison verbs signal their verdict through the exit code: 0 when the
 inputs are equivalent or consistent, 2 when an invariant distinguishes
@@ -92,15 +93,6 @@ def _fmt_partition(part) -> str:
 
 # ---- verb handlers: (args, input or inputs) -> (payload, lines, code) ----
 
-def _each(invariant, inputs: list) -> list:
-    """invariant of each input in turn, each popped off inputs as it is
-    read: no reference is left to an input once its value is taken."""
-    out = []
-    while inputs:
-        out.append(invariant(inputs.pop(0)))
-    return out
-
-
 def _cmd_homology(args, K):
     from .complexes import homology
     summaries = homology(K, args.ring)
@@ -144,12 +136,7 @@ def _cmd_obstructions(args, K):
 
 def _cmd_cobordant(args, complexes):
     from . import charclasses
-    from .complexes import TopologyError
-    if complexes[0].dimension != complexes[1].dimension:
-        raise TopologyError("dimension mismatch")
-    a, b = _each(charclasses.sw_numbers, complexes)
-    part = next((part for part in a if a[part] != b[part]), None)
-    same = part is None
+    same, part = charclasses.cobordant(complexes)
     payload = {"cobordant": same,
                "first_differing": None if part is None else list(part)}
     lines = [f"cobordant: {_fmt(same)}"]
@@ -235,7 +222,10 @@ def _cmd_panel(args, K):
 
 def _cmd_compare(args, complexes):
     from . import intersection
-    p1, p2 = _each(intersection.panel, complexes)
+    # each popped as its panel is taken, so the first complex and its memo
+    # are freed before the second panel runs
+    p1 = intersection.panel(complexes.pop(0))
+    p2 = intersection.panel(complexes.pop())
     cmp = intersection.compare_panel_values(p1, p2)
     payload = {**dataclasses.asdict(cmp),
                "panels": [_panel_json(p1), _panel_json(p2)]}

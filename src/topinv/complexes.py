@@ -212,9 +212,8 @@ class SimplicialComplex:
         their columns, so delta_k drops them; kernel_quotient reads the
         generators off what delta_k's own units leave, and back-substitution
         fills in those units' columns.  No answer prints this basis.  Both
-        steps skip rows the others span: delta_k's at _walk_tree, which are
-        passed on empty, not filtered, and, for k = 2, delta_1's columns at
-        a spanning forest of the 1-skeleton."""
+        steps skip rows the others span: delta_k's at _walk_tree and, for
+        k = 2, delta_1's columns at a spanning forest of the 1-skeleton."""
         from . import zlinalg
         nk = self.n_simplices(k)
         image_pivots, image, _ = zlinalg.eliminate_units(zlinalg.transpose(
@@ -222,8 +221,8 @@ class SimplicialComplex:
             skip=self._spanning_forest() if k == 2 else ())
         off, tree = {j for j, _ in image_pivots}, self._walk_tree(k)
         pivots, rest, _ = zlinalg.eliminate_units(
-            [{} if i in tree else {c: x for c, x in r.items() if c not in off}
-             for i, r in enumerate(self.coboundary_z(k))], nk, skip=tree)
+            [{c: x for c, x in r.items() if c not in off}
+             for i, r in enumerate(self.coboundary_z(k)) if i not in tree], nk)
         free = sorted(set(range(nk)) - off - {j for j, _ in pivots})
         at = dict(zip(free, range(len(free))))
         dz = zlinalg.diagonalize(

@@ -105,7 +105,7 @@ def test_02_rp2_fixture(fixtures):
 def test_03_torus_vs_klein(fixtures):
     t0 = time.monotonic()
     T, K = fixtures["T2"], fixtures["K2"]
-    same, _ = charclasses.cobordant(T, K)
+    same, _ = charclasses.cobordant([T, K])
     assert same is True
     assert charclasses.obstructions(T).spin is True
     assert charclasses.obstructions(K).spin is False

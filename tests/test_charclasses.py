@@ -210,16 +210,16 @@ def test_de_rham_field(fixtures):
 
 
 def test_cobordant_pairs(fixtures):
-    same, part = charclasses.cobordant(fixtures["T2"], fixtures["K2"])
+    same, part = charclasses.cobordant([fixtures["T2"], fixtures["K2"]])
     assert same and part is None
-    same, part = charclasses.cobordant(fixtures["T2"], fixtures["RP2"])
+    same, part = charclasses.cobordant([fixtures["T2"], fixtures["RP2"]])
     assert not same
     assert part == (2,)
-    same, part = charclasses.cobordant(fixtures["S4"], fixtures["CP2"])
+    same, part = charclasses.cobordant([fixtures["S4"], fixtures["CP2"]])
     assert not same
     assert part == (4,)
     with pytest.raises(cx.TopologyError, match="dimension mismatch"):
-        charclasses.cobordant(fixtures["S2"], fixtures["S4"])
+        charclasses.cobordant([fixtures["S2"], fixtures["S4"]])
 
 
 def _sw_numbers_by_nested_cups(K):

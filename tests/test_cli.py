@@ -559,7 +559,7 @@ def test_ladder_script_rungs_run():
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
     for op in ("panel", "intersection", "homology Z", "homology F2",
-               "compare"):
+               "compare", "cobordant"):
         proc = subprocess.run(
             [sys.executable, "-c",
              ladder.CHILD.format(build="catalog.s2xs2()", op=op)],
@@ -572,7 +572,7 @@ def test_ladder_script_rungs_run():
             keys |= {"gram", "signature", "signature_mod8", "even"}
             assert (out["signature"], out["signature_mod8"],
                     out["even"]) == (0, 0, True)
-        if op == "compare":  # S2xS2 and a relabeled copy agree
+        if op in ("compare", "cobordant"):  # S2xS2 and a relabeled copy agree
             keys.add("exit")
             assert out["exit"] == 0
         assert set(out) == keys and out["op"] == op
