@@ -18,9 +18,13 @@ refusal.  "CP2xT2 compare" runs the compare verb through cli.main on
 CP2xT2 and a relabeled copy (the vertex order reversed), both written to
 files before the timing: its peak is that of two such complexes parsed
 and panelled in one process.  "CP2xT2 cobordant" runs the cobordant verb
-on the same two files, which takes the SW numbers of each.  Each rung
-runs in its own interpreter, so no memoized elimination carries over:
-the child builds its complex and its faces, then times the call alone
+on the same two files, which takes the SW numbers of each.  "CP2xT2
+faces" and "S4xS4 faces" time the face build and every codimension-1
+face table (SimplicialComplex._facet_tables), which the build gives;
+every other rung builds its faces, and with them those tables, before
+its timer starts.  Each rung runs in its own interpreter, so no
+memoized elimination carries over: the child builds its complex and
+its faces, then times the call alone
 with time.perf_counter and reports the process's peak RSS (ru_maxrss).
 Prints one JSON line, {name: {"op", "f_vector", "s", "peak_rss_mb"}},
 with the printed "gram", "signature", "signature_mod8" and "even", read
@@ -44,6 +48,10 @@ RUNGS = {
     "CP2xT2 cobordant": ("product_complex("
                          "catalog.complex_projective_plane(), "
                          "catalog.torus())", "cobordant"),
+    "CP2xT2 faces": ("product_complex(catalog.complex_projective_plane(), "
+                     "catalog.torus())", "faces"),
+    "S4xS4 faces": ("product_complex(catalog.sphere(4), catalog.sphere(4))",
+                    "faces"),
     "S4xS4": ("product_complex(catalog.sphere(4), catalog.sphere(4))",
               "homology Z"),
     "S4xS4 panel": ("product_complex(catalog.sphere(4), catalog.sphere(4))",
@@ -81,12 +89,16 @@ else:
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(complex_text(L))
             del K, L
-        t = time.perf_counter()
+        if {op!r} != "faces":  # faces times the build above too
+            t = time.perf_counter()
         if verb:
             with contextlib.redirect_stdout(io.StringIO()):
                 out["exit"] = cli.main(argv)
         elif {op!r} == "panel":
             intersection.panel(K)
+        elif {op!r} == "faces":
+            for n in range(K.dimension + 1):
+                K._facet_tables(n)
         elif {op!r} == "intersection":
             form = intersection.intersection_form(K)
             out.update(gram=form.gram, signature=form.signature,

@@ -7,7 +7,7 @@ loads only the module that defines it.  So `topinv -h` loads no program
 module; qf and qf-equiv load quadforms and textformat, and factoring
 only for a cofactor that trial division leaves; the F2 verbs (wu, sw,
 sw-numbers, cobordant, and panel, compare and obstructions on a
-non-orientable complex) load complexes, f2linalg,
+non-orientable complex) load complexes, faces, f2linalg,
 steenrod, charclasses and intersection; zlinalg loads for an integral
 answer and quadforms for the form of an orientable 4m-manifold.
 """

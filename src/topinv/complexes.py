@@ -20,7 +20,7 @@ import operator
 from collections.abc import Container
 from dataclasses import dataclass
 
-from . import f2linalg
+from . import f2linalg, faces
 from .textformat import INT, INT_ROW, content_lines
 
 
@@ -91,6 +91,7 @@ class SimplicialComplex:
         self.dimension: int = max(len(s) for s in maximal) - 1
         self.vertices: tuple[int, ...] = tuple(
             sorted({v for s in maximal for v in s}))
+        self._width = (len(self.vertices) - 1).bit_length()  # a rank's bits
         self._cache: dict = {}
 
     def _memo(self, key, build):
@@ -99,58 +100,57 @@ class SimplicialComplex:
         return self._cache[key]
 
     def simplices(self, k: int) -> tuple[tuple[int, ...], ...]:
-        """All k-simplices in lexicographic order; the first request for
-        any degree of K builds every degree (_build_faces)."""
-        if ("simp", k) not in self._cache and 0 <= k <= self.dimension:
-            self._build_faces()
-        return self._memo(("simp", k), tuple)
+        """All k-simplices in lexicographic order, decoded from their codes
+        for the readers that print them."""
+        return self._memo(("simp", k), lambda: tuple(zip(*(
+            map(self.vertices.__getitem__, r) for r in self._ranks(k)))))
 
-    def _build_faces(self) -> None:
-        """The simplices of every degree, one pass a degree, each kept under
-        its own key once all are built.  Their count, facets included, is
-        read once a facet: a refusal past MAX_FACES overshoots by at most one
-        facet's faces and keeps none, and a facet of v vertices with
-        2^v - 1 > MAX_FACES is refused with no face built."""
-        n, facets = self.dimension, self.maximal_simplices
-        degrees = [tuple(s for s in facets if len(s) == n + 1)]
-        alone = 2 ** max(map(len, facets)) - 1  # one facet's faces
-        count = alone if alone > MAX_FACES else len(degrees[0])
-        for k in range(n):
-            out = set()
-            for s in facets:
-                if count + len(out) > MAX_FACES:
-                    break
-                if len(s) > k:
-                    out.update(itertools.combinations(s, k + 1))
-            count += len(out)
-            if count > MAX_FACES:
-                break
-            degrees.insert(k, tuple(sorted(out)))
-        if count > MAX_FACES:
-            raise TopologyError(f"too many faces: at least {count} in all, "
-                                f"above the bound of {MAX_FACES}")
-        for k, faces in enumerate(degrees):
-            self._memo(("simp", k), lambda faces=faces: faces)
+    def _codes(self, k: int) -> tuple[int, dict[int, int]]:
+        """(packed, index) of the k-simplices (see faces.build), their
+        vertex ranks in fields of _width bits; the first request for any
+        degree builds every degree and the codimension-1 face tables, and
+        refuses past MAX_FACES keeping none."""
+        if ("code", k) not in self._cache and 0 <= k <= self.dimension:
+            built = faces.build(self.maximal_simplices, self.vertices,
+                                self._width, MAX_FACES)
+            if built is None:
+                count = faces.refused_count(self.maximal_simplices, MAX_FACES)
+                raise TopologyError(f"too many faces: at least {count} in "
+                                    f"all, above the bound of {MAX_FACES}")
+            degrees, tables = built
+            for j, d in enumerate(degrees):
+                self._cache["code", j] = d
+            for (n, pos), t in tables.items():
+                self._cache["face", n, pos] = t
+        return self._cache.get(("code", k), (0, {}))
+
+    def _ranks(self, k: int) -> list[list[int]]:
+        """The vertex ranks of the k-simplices, one list a position."""
+        packed, index = self._codes(k)
+        return list(faces.pick(packed, len(index), self._width, k,
+                               [(i,) for i in range(k + 1)]))
 
     def simplex_index(self, k: int) -> dict[tuple[int, ...], int]:
-        return self._memo(
-            ("idx", k), lambda: {s: i for i, s in enumerate(self.simplices(k))})
+        """The position of each k-simplex, as the code index's own ints."""
+        return self._memo(("idx", k), lambda: dict(zip(
+            self.simplices(k), self._codes(k)[1].values())))
 
     def n_simplices(self, k: int) -> int:
-        return len(self.simplices(k))
+        return len(self._codes(k)[1])
 
     def face_table(self, n: int, pos: tuple[int, ...]) -> tuple[int, ...]:
         """Entry s is the index of the face of the n-simplex s spanned by
         its vertices at positions pos, among the (len(pos)-1)-simplices:
-        the very int object simplex_index maps that face to.  Every reader
-        (skip tests, Counters, dict keys, itemgetter) then shares those
-        ints, where an array would box a new one at each read."""
+        the very int object the code index (and simplex_index) maps that
+        face to.  Every reader (skip tests, Counters, dict keys,
+        itemgetter) then shares those ints, where an array would box a new
+        one at each read.  The face build keeps every codimension-1 table;
+        any other is picked out of the packed n-simplices the same way."""
+        packed, index = self._codes(n)
+
         def build():
-            idx = self.simplex_index(len(pos) - 1)
-            faces = map(operator.itemgetter(*pos), self.simplices(n))
-            if len(pos) == 1:
-                faces = zip(faces)  # the lone vertex, as a 1-tuple key
-            return tuple(map(idx.__getitem__, faces))
+            f, = faces.pick(packed, len(index), self._width, n, [pos])
+            return tuple(map(self._codes(len(pos) - 1)[1].__getitem__, f))
         return self._memo(("face", n, pos), build)
 
     def gather(self, n: int, pos: tuple[int, ...], x: int) -> int:
@@ -241,8 +241,8 @@ class SimplicialComplex:
 
     def _spanning_forest(self) -> frozenset[int]:
         """Indices of the edges of a spanning forest of the 1-skeleton."""
-        root, forest = {v: v for v in self.vertices}, set()
-        for e, (a, b) in enumerate(self.simplices(1)):
+        root, forest = list(range(len(self.vertices))), set()
+        for e, (a, b) in enumerate(zip(*self._ranks(1))):
             while root[a] != a:
                 root[a] = a = root[root[a]]
             while root[b] != b:
@@ -272,7 +272,7 @@ class SimplicialComplex:
         """The n+1 face tables of the n-simplices on their (n-1)-faces,
         face i leaving out the vertex at position i, each a tuple of
         simplex_index(n - 1)'s own ints; none for n = 0."""
-        return [self.face_table(n, tuple(range(i)) + tuple(range(i + 1, n + 1)))
+        return [self.face_table(n, faces.ridge(n, i))
                 for i in range(n + 1)] if n else []
 
     def _pseudo_manifold_gate(self) -> None:
@@ -308,7 +308,7 @@ class SimplicialComplex:
         def build():
             n = self.dimension
             tables = self._facet_tables(n)
-            ends = [[] for _ in self.simplices(n - 1)]
+            ends = [[] for _ in range(self.n_simplices(n - 1))]
             for i, table in enumerate(tables):
                 for s, f in enumerate(table):
                     ends[f].append((s, i))

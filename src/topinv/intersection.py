@@ -66,7 +66,8 @@ def _form(K: SimplicialComplex, basis_of) -> IntersectionForm:
              for y in basis] for x in basis]
     if gram != [list(col) for col in zip(*gram)]:
         raise TopologyError("intersection gram not symmetric (internal error)")
-    tag = "+1 on " + " ".join(map(str, K.simplices(n)[0]))
+    # the lex-first facet: past the gate every maximal simplex is a facet
+    tag = "+1 on " + " ".join(map(str, K.maximal_simplices[0]))
     from . import quadforms
     try:
         qform = quadforms.QuadraticForm(gram)  # raises on a singular gram

@@ -559,7 +559,7 @@ def test_ladder_script_rungs_run():
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
     for op in ("panel", "intersection", "homology Z", "homology F2",
-               "compare", "cobordant"):
+               "compare", "cobordant", "faces"):
         proc = subprocess.run(
             [sys.executable, "-c",
              ladder.CHILD.format(build="catalog.s2xs2()", op=op)],

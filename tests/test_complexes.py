@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topinv import catalog, charclasses, cli, f2linalg, intersection, zlinalg
+from topinv import (catalog, charclasses, cli, f2linalg, faces, intersection,
+                    zlinalg)
 from topinv import complexes as cx
 
 
@@ -581,8 +582,8 @@ def test_complex_keeps_only_what_is_read_again(monkeypatch):
     # each have one reader, which keeps its answer, so none is kept itself;
     # "pm" is the pseudo-manifold gate's pass, "fcz" the facet walk's signs
     # and "tree" its tree, the rows free_cocycles and bockstein clear
-    kept = {"simp", "idx", "face", "cbz", "hf2", "pm", "fcz", "tree", "pair",
-            "wu", "sw", "swn", "iform", "pform"}
+    kept = {"code", "face", "cbz", "hf2", "pm", "fcz", "tree", "pair", "wu",
+            "sw", "swn", "iform", "pform"}
     bases = dict(catalog.manifold_fixtures())
     bases["S2xS2"] = catalog.s2xs2()
     bases["RP2xRP2"] = cx.product_complex(catalog.projective_plane(),
@@ -1084,7 +1085,25 @@ def test_no_degree_is_built_past_the_face_bound(monkeypatch):
         K.simplices(0)
     monkeypatch.setattr(cx, "MAX_FACES", 652)
     assert K.simplices(4) == K.maximal_simplices  # the facets are not built
-    assert sorted(K._cache) == [("simp", k) for k in range(5)]
+    assert sorted(K._cache) == sorted(
+        [("code", k) for k in range(5)] + [("simp", 4)]
+        + [("face", n, faces.ridge(n, i)) for n in range(1, 5)
+           for i in range(n + 1)])
+
+
+def test_a_facet_past_the_bound_is_refused_before_any_code(monkeypatch):
+    # the boundary of the 19-simplex: one facet alone has 2^19 - 1 faces,
+    # so no code is packed or picked and no face counted
+    def no_codes(*args):
+        raise AssertionError("a face was built")
+
+    K = cx.SimplicialComplex(catalog.sphere(18).maximal_simplices)
+    for name in ("pack", "pick"):
+        monkeypatch.setattr(faces, name, no_codes)
+    monkeypatch.setattr(itertools, "combinations", no_codes)
+    with pytest.raises(cx.TopologyError, match=f"at least {2**19 - 1} in "):
+        K.n_simplices(0)
+    assert not K._cache
 
 
 def _coboundary_z_by_slices(K, k):
@@ -1138,6 +1157,92 @@ def test_face_tables_hold_the_index_own_ints(fixtures):
                    for f in tree), name
         walked |= bool(tree)
     assert largest > 256 and walked
+
+
+def _tuple_faces(K):
+    """Every degree's simplices, the tuple way the packed codes replaced:
+    each maximal simplex's vertex combinations, gathered and sorted."""
+    out = [set() for _ in range(K.dimension + 1)]
+    for s in K.maximal_simplices:
+        for k in range(len(s)):
+            out[k].update(itertools.combinations(s, k + 1))
+    return [tuple(sorted(f)) for f in out]
+
+
+def _tuple_face_table(degrees, n, pos):
+    """face_table the tuple way: each n-simplex's vertices at pos, looked
+    up in the index of the (len(pos)-1)-simplices."""
+    idx = {s: i for i, s in enumerate(degrees[len(pos) - 1])}
+    picked = map(operator.itemgetter(*pos), degrees[n])
+    if len(pos) == 1:
+        picked = zip(picked)
+    return tuple(map(idx.__getitem__, picked))
+
+
+def _code_oracle_complexes(fixtures):
+    """Non-pure, 0-dimensional, wide-labelled and wide-coded complexes."""
+    rng = random.Random(3235)
+    for i in range(30):
+        yield f"random {i}", catalog.random_complex(rng)
+    yield "vertex", cx.SimplicialComplex([(7,)])
+    yield "points", cx.SimplicialComplex([(5,), (-3,), (2**70,)])
+    yield "edge and point", cx.SimplicialComplex([(0, 1), (-(2**65),)])
+    # 17 vertices in 5-bit fields: 85-bit codes, two words a simplex
+    yield "simplex17", cx.SimplicialComplex([tuple(range(17))])
+    # 33 vertices in 6-bit fields: the codes pass 64 bits from degree 10 up
+    yield "wide top", cx.SimplicialComplex(
+        [tuple(range(11))] + [(v, v + 1) for v in range(10, 32)])
+    labels = [-(2**66), -5, -1, 0, 2**64, 2**64 + 1, 3**50]
+    for name in ("CP2", "RP2", "S2xS2"):
+        K = fixtures[name]
+        image = rng.sample(labels + list(range(100, 100 + len(K.vertices))),
+                           len(K.vertices))
+        yield f"{name}~", cx.relabel(K, dict(zip(K.vertices, image)))
+
+
+def test_packed_faces_match_the_tuple_build(fixtures):
+    for name, K0 in _code_oracle_complexes(fixtures):
+        K = cx.SimplicialComplex(K0.maximal_simplices)
+        n, want = K.dimension, _tuple_faces(K)
+        # the tables, before any tuple is decoded
+        tables = {(m, pos): K.face_table(m, pos) for m in range(1, n + 1)
+                  for pos in map(functools.partial(faces.ridge, m),
+                                 range(m + 1))}
+        if n <= 6:  # every block cup_cochain_f2 can ask for
+            for m, i, p in itertools.product(range(n + 1), repeat=3):
+                for xpos, ypos in cx.cut_patterns(m, i, p):
+                    for pos in (xpos, ypos):
+                        tables[m, pos] = K.face_table(m, pos)
+        assert not any(key[0] in ("simp", "idx") for key in K._cache), name
+        assert K.n_simplices(-1) == K.n_simplices(n + 1) == 0, name
+        assert K.simplices(-1) == K.simplices(n + 1) == (), name
+        for k in range(n + 1):
+            assert K.n_simplices(k) == len(want[k]), (name, k)
+            assert K.simplices(k) == want[k], (name, k)
+            idx = K.simplex_index(k)
+            assert list(idx) == list(want[k]), (name, k)
+            assert list(idx.values()) == list(range(len(want[k])))
+        for (m, pos), table in tables.items():
+            assert table == _tuple_face_table(want, m, pos), (name, m, pos)
+            # every entry is the very int object simplex_index holds
+            ints = list(K.simplex_index(len(pos) - 1).values())
+            assert all(f is ints[f] for f in table), (name, m, pos)
+
+
+def test_panel_and_compare_decode_no_simplex(fixtures, monkeypatch, capsys):
+    # the panel path reads codes, counts and face tables alone: the
+    # orientation tag names maximal_simplices[0], the walk sizes its ends
+    # by n_simplices, and the spanning forest joins vertex ranks
+    complexes = list(_clearing_complexes(fixtures))
+    for (name, K), (_, L) in zip(complexes[::2], complexes[1::2]):
+        intersection.panel(K)
+        loads = iter([K, L])  # each complex and its relabeled copy
+        monkeypatch.setattr("topinv.cli._load", lambda arg, path: next(loads))
+        assert cli.main(["compare", "-", "-"]) == 0, name
+        for M in (K, L):
+            assert {key[0] for key in M._cache} >= {"code", "face"}, name
+            assert not any(key[0] in ("simp", "idx") for key in M._cache), name
+    capsys.readouterr()
 
 
 def test_gather_on_every_position_is_the_cochain(fixtures):
