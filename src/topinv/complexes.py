@@ -109,13 +109,12 @@ class SimplicialComplex:
         """(packed, index) of the k-simplices (see faces.build), their
         vertex ranks in fields of _width bits; the first request for any
         degree builds every degree and the codimension-1 face tables, and
-        refuses past MAX_FACES keeping none."""
+        refuses past MAX_FACES with the build's own count, keeping none."""
         if ("code", k) not in self._cache and 0 <= k <= self.dimension:
             built = faces.build(self.maximal_simplices, self.vertices,
                                 self._width, MAX_FACES)
-            if built is None:
-                count = faces.refused_count(self.maximal_simplices, MAX_FACES)
-                raise TopologyError(f"too many faces: at least {count} in "
+            if isinstance(built, int):
+                raise TopologyError(f"too many faces: at least {built} in "
                                     f"all, above the bound of {MAX_FACES}")
             degrees, tables = built
             for j, d in enumerate(degrees):

@@ -68,18 +68,21 @@ def pick(packed: int, count: int, width: int, n: int, positions):
 
 def build(maximal, vertices, width: int, bound: int):
     """(degrees, tables) of the complex of the sorted maximal simplices,
-    or None once its faces, facets included, pass bound.  degrees[k] is
-    (packed, index): the k-simplices' codes packed, and the dict of each
-    code to its position, in that order, whose ints every table shares;
-    tables[n, ridge(n, i)] maps each n-simplex to the index of its face
-    that leaves out position i.  Top down, one pass a degree: one pick of
-    the packed degree above a left-out position, a set and sorted give the
-    degree, and each face list read through its index a table.  A lower-
-    dimensional maximal simplex joins its degree.  The faces are counted
-    a position at a time, and a facet of v vertices with 2^v - 1 > bound
-    is refused before any face is built."""
-    if 2 ** max(map(len, maximal)) - 1 > bound:
-        return None
+    or the count of its faces, facets included, that passed bound.
+    degrees[k] is (packed, index): the k-simplices' codes packed, and the
+    dict of each code to its position, in that order, whose ints every
+    table shares; tables[n, ridge(n, i)] maps each n-simplex to the index
+    of its face that leaves out position i.  Top down, one pass a degree:
+    one pick of the packed degree above a left-out position, a set and
+    sorted give the degree, and each face list read through its index a
+    table.  A lower-dimensional maximal simplex joins its degree.  The
+    count, every degree above and this one's distinct faces so far, is
+    read a pick at a time, so it passes bound by at most one pick; a
+    facet of v vertices is refused with 2^v - 1, if past bound, before any
+    face is built."""
+    alone = 2 ** max(map(len, maximal)) - 1  # one facet's faces
+    if alone > bound:
+        return alone
     rank = dict(zip(vertices, range(len(vertices))))
     listed = collections.defaultdict(list)
     for s in maximal:
@@ -97,10 +100,10 @@ def build(maximal, vertices, width: int, bound: int):
             faces.append(f)
             seen.update(f)
             if total + len(seen) > bound:
-                return None
+                break
         total += len(seen)
         if total > bound:
-            return None
+            return total
         packed, count = pack(sorted(seen), w), len(seen)
         # the index's codes unpacked anew, so no face list's int is kept
         index = dict(zip(unpack(packed, count, w), range(count)))
@@ -108,23 +111,3 @@ def build(maximal, vertices, width: int, bound: int):
                       for pos, f in zip(ridges, faces))
         degrees.insert(0, (packed, index))
     return degrees, tables
-
-
-def refused_count(maximal, bound: int) -> int:
-    """The faces of a complex that build refused, counted degree by degree
-    from the vertices, the top facets first, and read once a facet, so the
-    count passes bound by at most one facet's faces."""
-    n = len(max(maximal, key=len)) - 1
-    alone = 2 ** (n + 1) - 1  # one facet's faces
-    count = alone if alone > bound else sum(len(s) == n + 1 for s in maximal)
-    for k in range(n):
-        out = set()
-        for s in maximal:
-            if count + len(out) > bound:
-                break
-            if len(s) > k:
-                out.update(itertools.combinations(s, k + 1))
-        count += len(out)
-        if count > bound:
-            break
-    return count

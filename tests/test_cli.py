@@ -2,6 +2,7 @@ import gc
 import importlib.util
 import io
 import json
+import math
 import os
 import random
 import re
@@ -395,12 +396,21 @@ def test_every_complex_verb_refuses_past_the_face_bound(files, capsys,
                                                        monkeypatch):
     # the boundary of the 17-simplex: each 17-vertex facet is within the
     # bound, their 2^18 - 2 faces together are not; every verb reads its
-    # faces through the one build, so all refuse with homology's line.
-    # cobordant checks dimensions first, and every closed 16-dimensional
-    # pseudo-manifold is past the bound, so it gets the file twice
+    # faces through the one build, so all refuse with homology's line, and
+    # none enumerates a face tuple to count them.  cobordant checks
+    # dimensions first, and every closed 16-dimensional pseudo-manifold is
+    # past the bound, so it gets the file twice
     p = tmp_path / "d17.cx"
     p.write_text(cx.complex_text(catalog.sphere(16)))
     d17, s2 = str(p), files["S2"]
+    d19 = cx.complex_text(catalog.sphere(18))  # written before the patch
+    # compare reads S2 whole before d17: its cut patterns are cached first
+    assert run(capsys, "compare", s2, s2)[0] == 0
+
+    def no_faces(*args):
+        raise AssertionError("a face was built")
+
+    monkeypatch.setattr(cx.itertools, "combinations", no_faces)
     for argv in (["homology", d17], ["homology", "--ring", "F2", d17],
                  ["wu", d17], ["sw", d17], ["sw-numbers", d17],
                  ["obstructions", d17], ["intersection", d17],
@@ -413,16 +423,12 @@ def test_every_complex_verb_refuses_past_the_face_bound(files, capsys,
         count = int(re.fullmatch(
             r"error: too many faces: at least (\d+) in all, above the "
             rf"bound of {cx.MAX_FACES}\n", err)[1])
-        # the count passes the bound by at most one facet's faces
-        assert cx.MAX_FACES < count <= cx.MAX_FACES + 2**17 - 1, argv
+        # the count passes the bound by at most one pick's faces, of at
+        # most C(18, 9) distinct faces of a degree
+        assert cx.MAX_FACES < count <= cx.MAX_FACES + math.comb(18, 9), argv
     # the boundary of the 19-simplex: one facet has 2^19 - 1 faces, so it
     # is refused before any face is built
-    p.write_text(cx.complex_text(catalog.sphere(18)))
-
-    def no_faces(*args):
-        raise AssertionError("a face was built")
-
-    monkeypatch.setattr(cx.itertools, "combinations", no_faces)
+    p.write_text(d19)
     for verb in ("homology", "panel", "sw-numbers"):
         assert run(capsys, verb, d17) == (
             1, "", f"error: too many faces: at least {2**19 - 1} in all, "

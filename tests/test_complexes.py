@@ -1066,16 +1066,17 @@ def test_random_complexes_are_complexes(rng):
 
 
 def test_no_degree_is_built_past_the_face_bound(monkeypatch):
-    # the count is all degrees together, the 96 facets and 16 vertices
-    # first, and it is read once a facet: S2xS2's 4-simplices have 10
-    # edges; a fresh complex, so no degree is cached from other tests
+    # the count is all degrees together, top down, read a pick at a time:
+    # S2xS2's 96 facets, then the 72 distinct 3-simplices of the first
+    # ridge pick, each facet's face that leaves out its first vertex; a
+    # fresh complex, so no degree is cached from other tests
     K = cx.SimplicialComplex(catalog.s2xs2().maximal_simplices)
     monkeypatch.setattr(cx, "MAX_FACES", 150)
     with pytest.raises(cx.TopologyError) as exc:
         K.simplices(1)
     count = int(re.match(r"too many faces: at least (\d+) in all, "
                          r"above the bound of 150$", str(exc.value))[1])
-    assert 150 < count <= 160
+    assert count == 168
     assert not K._cache  # a refused build keeps no degree
     with pytest.raises(cx.TopologyError, match=f"at least {count} in all"):
         K.simplices(4)  # the facets are counted too
@@ -1104,6 +1105,50 @@ def test_a_facet_past_the_bound_is_refused_before_any_code(monkeypatch):
     with pytest.raises(cx.TopologyError, match=f"at least {2**19 - 1} in "):
         K.n_simplices(0)
     assert not K._cache
+
+
+def _top_down_counts(K):
+    """The face counts faces.build reads, the tuple way, in its order:
+    each degree from the top, its listed maximal simplices and then the
+    face of every simplex of the degree above that leaves out position i,
+    one i at a time, each distinct face counted once, on top of every
+    degree above; each count is read after a pick, and once more after
+    the degree."""
+    counts, total, above = [], 0, []
+    for k in reversed(range(K.dimension + 1)):
+        seen = {s for s in K.maximal_simplices if len(s) == k + 1}
+        for i in range(k + 2):
+            seen.update(s[:i] + s[i + 1:] for s in above)
+            counts.append(total + len(seen))
+        total += len(seen)
+        counts.append(total)
+        above = seen
+    return counts
+
+
+def test_a_refusal_names_the_build_own_count(fixtures):
+    # at every bound below a complex's faces the build refuses with the
+    # first count it read past the bound, or 2^v - 1 for a facet of v
+    # vertices past it alone: a true lower bound, past the bound by at
+    # most one pick; at the face count itself it builds
+    rng = random.Random(3236)
+    complexes = list(fixtures.items())
+    complexes += [(f"random {i}", catalog.random_complex(rng))
+                  for i in range(30)]
+    assert any(len({len(s) for s in K.maximal_simplices}) > 1
+               for _, K in complexes)  # non-pure ones among them
+    for name, K in complexes:
+        total = sum(map(len, _tuple_faces(K)))
+        counts = _top_down_counts(K)
+        alone = 2 ** (K.dimension + 1) - 1
+        args = K.maximal_simplices, K.vertices, K._width
+        for bound in range(total):
+            count = faces.build(*args, bound)
+            assert bound < count <= total, (name, bound)
+            want = alone if alone > bound else next(
+                c for c in counts if c > bound)
+            assert count == want, (name, bound)
+        assert not isinstance(faces.build(*args, total), int), name
 
 
 def _coboundary_z_by_slices(K, k):
